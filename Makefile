@@ -4,8 +4,9 @@ GO ?= go
 
 # check is the full pre-merge gate: static checks, a clean build, the test
 # suite, the race detector over the concurrent packages (the optimizer's
-# parallel plan-space search, the join executors it drives, and the fault
-# injection/tolerance layer), the zero-rate fault-transparency property
+# parallel plan-space search, the join executors it drives, the fault
+# injection/tolerance layer, and the estimator grid and classifier scratch
+# that concurrent jobs share), the zero-rate fault-transparency property
 # (a profile with rate 0 must leave every execution bit-identical), the
 # public-API drift gate, and a smoke run of the n-ary enumerator benchmark.
 check: vet build test race transparency api-check bench-enum
@@ -20,7 +21,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/optimizer/... ./internal/join/... ./internal/faults/... ./internal/workload/... ./internal/obs/... ./internal/pipeline/... ./internal/shard/... ./internal/service/... ./internal/durable/... ./internal/cluster/...
+	$(GO) test -race ./internal/optimizer/... ./internal/join/... ./internal/faults/... ./internal/workload/... ./internal/obs/... ./internal/pipeline/... ./internal/shard/... ./internal/service/... ./internal/durable/... ./internal/cluster/... ./internal/estimate/... ./internal/classifier/...
 	$(GO) test -race -run TestConcurrentRunsOnOneTask -count=1 .
 
 transparency:

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"joinopt/internal/corpus"
 	"joinopt/internal/index"
@@ -308,16 +309,35 @@ func growRule(feats []map[string]bool, labels []bool, remaining map[int]bool, ma
 	return &rule, covered
 }
 
-// Classify implements Classifier.
+// rulesScratch is Rules.Classify's working set: the document's tokens and
+// its term set. Filtered Scan classifies every document it scans, so the
+// scratch is pooled instead of allocated per call.
+type rulesScratch struct {
+	toks []string
+	set  map[string]bool
+}
+
+var rulesScratchPool = sync.Pool{New: func() any { return &rulesScratch{set: map[string]bool{}} }}
+
+// Classify implements Classifier. Tokens are not interned: an intern
+// table's keys would keep every classified text alive.
 func (r *Rules) Classify(text string) bool {
-	set := map[string]bool{}
-	for _, tok := range index.Tokenize(text) {
-		set[tok] = true
+	s := rulesScratchPool.Get().(*rulesScratch)
+	defer func() {
+		// The tokens are substrings of text; drop them so the pooled
+		// scratch does not keep the document alive.
+		clear(s.toks)
+		clear(s.set)
+		rulesScratchPool.Put(s)
+	}()
+	s.toks = index.TokenizeInto(text, s.toks[:0], nil)
+	for _, tok := range s.toks {
+		s.set[tok] = true
 	}
 	for _, rule := range r.Set {
 		fires := true
 		for _, t := range rule.Terms {
-			if !set[t] {
+			if !s.set[t] {
 				fires = false
 				break
 			}

@@ -1,6 +1,7 @@
 package classifier
 
 import (
+	"sync"
 	"testing"
 
 	"joinopt/internal/corpus"
@@ -9,7 +10,7 @@ import (
 	"joinopt/internal/textgen"
 )
 
-func trainDB(t *testing.T, seed int64) *corpus.DB {
+func trainDB(t testing.TB, seed int64) *corpus.DB {
 	t.Helper()
 	g := textgen.NewGazetteer(300, 240, 120)
 	g.Companies = textgen.Shuffled(stat.NewRNG(99), g.Companies)
@@ -150,5 +151,51 @@ func TestRuleFiringSemantics(t *testing.T) {
 	}
 	if r.Classify("the firm is headquartered downtown") {
 		t.Error("rule with a missing conjunct must not fire")
+	}
+}
+
+func trainedRules(tb testing.TB) *Rules {
+	tb.Helper()
+	r, err := TrainRules(trainDB(tb, 1), "HQ", 12, 2, 0.5)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return r
+}
+
+// TestRulesClassifyConcurrent: the pooled scratch is shared by every
+// goroutine classifying through one Rules (concurrent Filtered Scan
+// workers, joinoptd jobs); concurrent calls must decide exactly as
+// sequential ones.
+func TestRulesClassifyConcurrent(t *testing.T) {
+	r := trainedRules(t)
+	docs := trainDB(t, 3).Docs
+	want := make([]bool, len(docs))
+	for i, d := range docs {
+		want[i] = r.Classify(d.Text)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for j := range docs {
+				i := (j + w*len(docs)/4) % len(docs)
+				if got := r.Classify(docs[i].Text); got != want[i] {
+					t.Errorf("worker %d: document %d classified %v concurrently, %v sequentially", w, i, got, want[i])
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+}
+
+func BenchmarkRulesClassify(b *testing.B) {
+	r := trainedRules(b)
+	docs := trainDB(b, 2).Docs
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.Classify(docs[i%len(docs)].Text)
 	}
 }

@@ -49,6 +49,33 @@ func TestJournalRoundTrip(t *testing.T) {
 	}
 }
 
+// TestJournalTransitionsBeforeSubmission: the service queues a job before
+// it journals the submission, so a fast worker's started or finished record
+// can land first; replay must still credit them to their job. A transition
+// whose job was never submitted stays corrupt.
+func TestJournalTransitionsBeforeSubmission(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := openT(t, dir, Options{})
+	s.Append(Record{Seq: 1, Event: EventStarted, JobID: "j000001"})
+	s.Append(Record{Seq: 2, Event: EventStarted, JobID: "j000002"})
+	s.Append(Record{Seq: 2, Event: EventFinished, JobID: "j000002", State: "done"})
+	s.Append(Record{Seq: 1, Event: EventSubmitted, JobID: "j000001", Tenant: "a"})
+	s.Append(Record{Seq: 2, Event: EventSubmitted, JobID: "j000002", Tenant: "b"})
+	s.Append(Record{Seq: 3, Event: EventStarted, JobID: "j000003"})
+	s.Close()
+
+	_, rec := openT(t, dir, Options{})
+	if len(rec.Jobs) != 2 || rec.CorruptLines != 1 {
+		t.Fatalf("recovered %+v, want two jobs and one corrupt line", rec)
+	}
+	if j := rec.Jobs[0]; j.ID != "j000001" || !j.Started || j.Finished() || j.Tenant != "a" {
+		t.Errorf("job 1 recovered as %+v, want started and unfinished", j)
+	}
+	if j := rec.Jobs[1]; j.ID != "j000002" || !j.Started || j.State != "done" || j.Tenant != "b" {
+		t.Errorf("job 2 recovered as %+v, want started and done", j)
+	}
+}
+
 func TestJournalTornTailAndBitFlip(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := openT(t, dir, Options{})

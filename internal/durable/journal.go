@@ -136,6 +136,10 @@ func (s *Store) replay() *Recovered {
 
 	byID := map[string]*RecoveredJob{}
 	var order []string
+	// The service queues a job before it journals the submission, so a
+	// worker's started (even finished) record can precede the submitted
+	// one; such transitions wait here for their job's submitted record.
+	early := map[string][]Record{}
 	for _, line := range bytes.Split(data, []byte("\n")) {
 		if len(bytes.TrimSpace(line)) == 0 {
 			continue
@@ -158,23 +162,27 @@ func (s *Store) replay() *Recovered {
 		j, ok := byID[r.JobID]
 		if !ok {
 			if r.Event != EventSubmitted {
-				// started/finished for a job whose submitted record was lost
-				// to corruption: nothing to rebuild the job from.
-				rec.CorruptLines++
-				s.errsC("replay")
+				early[r.JobID] = append(early[r.JobID], r)
 				continue
 			}
 			j = &RecoveredJob{Seq: r.Seq, ID: r.JobID}
 			byID[r.JobID] = j
 			order = append(order, r.JobID)
 		}
-		switch r.Event {
-		case EventSubmitted:
-			j.Tenant, j.Request = r.Tenant, r.Request
-		case EventStarted:
-			j.Started = true
-		case EventFinished:
-			j.State, j.Error = r.State, r.Error
+		j.apply(r)
+		if r.Event == EventSubmitted {
+			for _, e := range early[r.JobID] {
+				j.apply(e)
+			}
+			delete(early, r.JobID)
+		}
+	}
+	// started/finished for a job whose submitted record was lost to
+	// corruption: nothing to rebuild the job from.
+	for _, rs := range early {
+		for range rs {
+			rec.CorruptLines++
+			s.errsC("replay")
 		}
 	}
 	sort.SliceStable(order, func(a, b int) bool { return byID[order[a]].Seq < byID[order[b]].Seq })
@@ -182,6 +190,18 @@ func (s *Store) replay() *Recovered {
 		rec.Jobs = append(rec.Jobs, *byID[id])
 	}
 	return rec
+}
+
+// apply folds one journaled transition into the job.
+func (j *RecoveredJob) apply(r Record) {
+	switch r.Event {
+	case EventSubmitted:
+		j.Tenant, j.Request = r.Tenant, r.Request
+	case EventStarted:
+		j.Started = true
+	case EventFinished:
+		j.State, j.Error = r.State, r.Error
+	}
 }
 
 // compact atomically rewrites the journal from the replayed state — one

@@ -81,19 +81,7 @@ func Estimate(obs Observation) (*Estimated, error) {
 		return nil, fmt.Errorf("estimate: tp must be positive")
 	}
 
-	// Per-occurrence observation coverage under scan sampling: an
-	// occurrence is seen iff its document was processed (Dr/D) and the IE
-	// system emitted it (tp or fp).
-	frac := float64(obs.DocsProcessed) / float64(obs.D)
-	cg := obs.TP * frac
-	cb := obs.FP * frac
-	if cg >= 1 {
-		cg = 1 - 1e-9
-	}
-	if cb >= 1 {
-		cb = 1 - 1e-9
-	}
-
+	cg, cb := coverages(obs)
 	hist := countHist(obs.ValueCounts)
 
 	// Grid MLE over (alpha, goodShare) of the truncated mixture likelihood
@@ -112,9 +100,12 @@ func Estimate(obs Observation) (*Estimated, error) {
 	}
 	best := &Estimated{LogLik: math.Inf(-1)}
 	var bestPobsG, bestPobsB float64
-	for _, ag := range alphaGrid() {
-		pkG, pobsG := truncatedObsPMF(ag, cg)
-		pkB, pobsB := truncatedObsPMF(ag+badAlphaOffset, cb)
+	var bnmG, bnmB binomialTable
+	bnmG.fill(cg)
+	bnmB.fill(cb)
+	for _, pt := range exponentGrid {
+		pkG, pobsG := truncatedObsPMF(pt.good, &bnmG)
+		pkB, pobsB := truncatedObsPMF(pt.bad, &bnmB)
 		for w := 0.20; w <= 0.951; w += 0.05 {
 			ll := wWeight * (wMode*math.Log(w) + (1-wMode)*math.Log(1-w))
 			for k := 1; k < len(hist); k++ {
@@ -130,7 +121,7 @@ func Estimate(obs Observation) (*Estimated, error) {
 			}
 			if ll > best.LogLik {
 				best.LogLik = ll
-				best.AlphaGood, best.AlphaBad, best.GoodShare = ag, ag+badAlphaOffset, w
+				best.AlphaGood, best.AlphaBad, best.GoodShare = pt.good.Alpha, pt.bad.Alpha, w
 				bestPobsG, bestPobsB = pobsG, pobsB
 			}
 		}
@@ -184,28 +175,71 @@ func Estimate(obs Observation) (*Estimated, error) {
 // slightly steeper.
 const badAlphaOffset = 0.2
 
-// alphaGrid is the exponent search grid of the MLE.
-func alphaGrid() []float64 {
-	var g []float64
+// gridPoint is one exponent of the MLE's search grid: the good-value
+// frequency law and the bad-value law tied to it.
+type gridPoint struct {
+	good, bad *stat.PowerLaw
+}
+
+// exponentGrid is the MLE's exponent search grid. The laws depend on
+// nothing but their exponents, so the grid is built once, at package
+// initialization; the laws are read-only and shared by concurrent
+// estimations.
+var exponentGrid = newExponentGrid()
+
+func newExponentGrid() []gridPoint {
+	var g []gridPoint
 	for a := 1.2; a <= 3.21; a += 0.2 {
-		g = append(g, a)
+		g = append(g, gridPoint{
+			good: stat.MustPowerLaw(a, maxFreq),
+			bad:  stat.MustPowerLaw(a+badAlphaOffset, maxFreq),
+		})
 	}
 	return g
 }
 
-// truncatedObsPMF returns the PMF of observed counts k ≥ 0 for a value with
-// power-law(alpha) frequency observed at per-occurrence coverage c, plus the
-// probability of being observed at all (k ≥ 1).
-func truncatedObsPMF(alpha, c float64) ([]float64, float64) {
-	pl := stat.MustPowerLaw(alpha, maxFreq)
+// binomialTable holds Bnm(g, k, c) for 1 ≤ g ≤ maxFreq and 0 ≤ k ≤ g: the
+// probability that k of a value's g occurrences are observed at
+// per-occurrence coverage c. No term depends on the frequency law, so one
+// table serves every exponent of the grid.
+type binomialTable [maxFreq + 1][maxFreq + 1]float64
+
+func (t *binomialTable) fill(c float64) {
+	for g := 1; g <= maxFreq; g++ {
+		for k := 0; k <= g; k++ {
+			t[g][k] = stat.BinomialPMF(g, k, c)
+		}
+	}
+}
+
+// coverages returns the per-occurrence observation coverages of good and
+// bad occurrences under scan sampling: an occurrence is seen iff its
+// document was processed (Dr/D) and the IE system emitted it (tp or fp).
+func coverages(obs Observation) (cg, cb float64) {
+	frac := float64(obs.DocsProcessed) / float64(obs.D)
+	cg = obs.TP * frac
+	cb = obs.FP * frac
+	if cg >= 1 {
+		cg = 1 - 1e-9
+	}
+	if cb >= 1 {
+		cb = 1 - 1e-9
+	}
+	return cg, cb
+}
+
+// truncatedObsPMF returns the PMF of observed counts k ≥ 0 for a value whose
+// frequency follows pl, observed at the coverage bnm was filled for, plus
+// the probability of being observed at all (k ≥ 1).
+func truncatedObsPMF(pl *stat.PowerLaw, bnm *binomialTable) ([]float64, float64) {
 	pmf := make([]float64, maxFreq+1)
 	for g := 1; g <= maxFreq; g++ {
 		pg := pl.PMF(g)
 		if pg == 0 {
 			continue
 		}
-		for k := 0; k <= g; k++ {
-			pmf[k] += pg * stat.BinomialPMF(g, k, c)
+		for k, b := range bnm[g][:g+1] {
+			pmf[k] += pg * b
 		}
 	}
 	pobs := 1 - pmf[0]
@@ -259,38 +293,52 @@ func fitPartition(obs Observation, totGood, totBad float64) (dg, db int) {
 	bestErr := math.Inf(1)
 	phi := obs.BadInGoodPrior
 
-	atLeast1 := func(mu float64) float64 { return 1 - math.Exp(-mu) }
-	atLeast2 := func(mu float64) float64 { return 1 - math.Exp(-mu)*(1+mu) }
+	// A cell's rates are a sum of a good-document term, which depends only
+	// on the Dg fraction, and a bad-document term, which depends only on
+	// the Db fraction; each term is computed once per fraction.
+	type docTerm struct {
+		docs, lam          float64 // documents of the class and their mention density
+		atLeast1, atLeast2 float64 // Pr{a document emits ≥ 1 / ≥ 2 tuples}
+	}
+	term := func(docs, lam, rate float64) docTerm {
+		mu := rate * lam
+		e := math.Exp(-mu)
+		return docTerm{docs: docs, lam: lam, atLeast1: 1 - e, atLeast2: 1 - e*(1+mu)}
+	}
+	var badTerms []docTerm
+	for dbf := 0.0; dbf <= 0.30; dbf += 0.01 {
+		cDb := float64(obs.D) * dbf
+		var lamB float64
+		if cDb > 0 {
+			lamB = (1 - phi) * totBad / cDb
+		}
+		badTerms = append(badTerms, term(cDb, lamB, obs.FP))
+	}
 
 	for dgf := 0.02; dgf <= 0.40; dgf += 0.01 {
 		cDg := float64(obs.D) * dgf
-		lamG := (totGood + phi*totBad) / cDg
-		for dbf := 0.0; dbf <= 0.30; dbf += 0.01 {
-			cDb := float64(obs.D) * dbf
-			var lamB float64
-			if cDb > 0 {
-				lamB = (1 - phi) * totBad / cDb
-			} else if totBad > 0 && phi < 1 {
+		g := term(cDg, (totGood+phi*totBad)/cDg, obs.TP)
+		for _, b := range badTerms {
+			if b.docs == 0 && totBad > 0 && phi < 1 {
 				continue // bad occurrences need bad docs
 			}
-			muG, muB := obs.TP*lamG, obs.FP*lamB
-			yield := frac * cDg * atLeast1(muG)
-			twoPlus := frac * cDg * atLeast2(muG)
-			if cDb > 0 {
-				yield += frac * cDb * atLeast1(muB)
-				twoPlus += frac * cDb * atLeast2(muB)
+			yield := frac * g.docs * g.atLeast1
+			twoPlus := frac * g.docs * g.atLeast2
+			if b.docs > 0 {
+				yield += frac * b.docs * b.atLeast1
+				twoPlus += frac * b.docs * b.atLeast2
 			}
 			err := math.Abs(yield-observedYield) + math.Abs(twoPlus-observedTwoPlus)
 			// Prefer mention densities in the plausible band.
-			if lamG < 0.5 || lamG > 6 {
+			if g.lam < 0.5 || g.lam > 6 {
 				err *= 2
 			}
-			if cDb > 0 && (lamB < 0.3 || lamB > 6) {
+			if b.docs > 0 && (b.lam < 0.3 || b.lam > 6) {
 				err *= 1.5
 			}
 			if err < bestErr {
 				bestErr = err
-				dg, db = int(math.Round(cDg)), int(math.Round(cDb))
+				dg, db = int(math.Round(g.docs)), int(math.Round(b.docs))
 			}
 		}
 	}

@@ -47,8 +47,11 @@ func TestEstimateZeroFPMeansAllGood(t *testing.T) {
 }
 
 func TestTruncatedObsPMFNormalized(t *testing.T) {
+	pl := stat.MustPowerLaw(2.0, maxFreq)
 	for _, c := range []float64{0.1, 0.5, 0.9} {
-		pmf, pobs := truncatedObsPMF(2.0, c)
+		var bnm binomialTable
+		bnm.fill(c)
+		pmf, pobs := truncatedObsPMF(pl, &bnm)
 		var sum float64
 		for k := 1; k < len(pmf); k++ {
 			sum += pmf[k]

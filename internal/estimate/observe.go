@@ -5,6 +5,7 @@ import (
 
 	"joinopt/internal/join"
 	"joinopt/internal/model"
+	"joinopt/internal/stat"
 )
 
 // FromState builds an observation for side i of a running join execution.
@@ -101,17 +102,12 @@ func PairSplit(obs1, obs2 Observation, e1, e2 *Estimated) (good, bad float64) {
 // posteriorGood returns P(value is good | observed count k) under the
 // fitted mixture at the observation's coverage.
 func posteriorGood(obs Observation, e *Estimated) func(k int) float64 {
-	frac := float64(obs.DocsProcessed) / float64(obs.D)
-	cg := obs.TP * frac
-	cb := obs.FP * frac
-	if cg >= 1 {
-		cg = 1 - 1e-9
-	}
-	if cb >= 1 {
-		cb = 1 - 1e-9
-	}
-	pkG, _ := truncatedObsPMF(e.AlphaGood, cg)
-	pkB, _ := truncatedObsPMF(e.AlphaBad, cb)
+	cg, cb := coverages(obs)
+	var bnmG, bnmB binomialTable
+	bnmG.fill(cg)
+	bnmB.fill(cb)
+	pkG, _ := truncatedObsPMF(stat.MustPowerLaw(e.AlphaGood, maxFreq), &bnmG)
+	pkB, _ := truncatedObsPMF(stat.MustPowerLaw(e.AlphaBad, maxFreq), &bnmB)
 	w := e.GoodShare
 	return func(k int) float64 {
 		if k > maxFreq {

@@ -80,10 +80,14 @@ func (m *OIJNModel) effort(covO Coverage) innerEffort {
 	pqGood := func(f int) float64 { return 1 - math.Pow(1-covO.CG, float64(f)) }
 	pqBad := func(f int) float64 { return 1 - math.Pow(1-covO.CB, float64(f)) }
 
+	// Probability that an outer good/bad value is queried.
+	pq1 := expectOver(po.GoodFreq, pqGood)
+	pq1b := expectOver(po.BadFreq, pqBad)
+
 	var eff innerEffort
 	// Expected queried counts per outer value class.
-	qg := float64(po.Ag) * expectOver(po.GoodFreq, func(f int) float64 { return pqGood(f) })
-	qb := float64(po.Ab) * expectOver(po.BadFreq, func(f int) float64 { return pqBad(f) })
+	qg := float64(po.Ag) * pq1
+	qb := float64(po.Ab) * pq1b
 	eff.Queries = qg + qb
 
 	// Docs retrieved directly per queried value, by overlap class. The
@@ -99,9 +103,6 @@ func (m *OIJNModel) effort(covO Coverage) innerEffort {
 			return hits
 		})
 	}
-	pq1 := expectOver(po.GoodFreq, pqGood)
-	pq1b := expectOver(po.BadFreq, pqBad)
-
 	var jgDocs, jbDocs, allDocs float64
 	// Inner good-occurrence docs: values in Agg (outer good) and Abg
 	// (outer bad).
@@ -117,10 +118,8 @@ func (m *OIJNModel) effort(covO Coverage) innerEffort {
 	// Total docs retrieved: values with inner presence pull their hits
 	// (good-occurrence, bad-occurrence, and casual padding); queried values
 	// without inner presence pull only casual hits.
-	withInner := float64(ov.Agg+ov.Agb)*pq1 + float64(ov.Abg+ov.Abb)*pq1b
 	allDocs = (float64(ov.Agg)*pq1+float64(ov.Abg)*pq1b)*hitDocs(pi.GoodFreq) +
 		(float64(ov.Agb)*pq1+float64(ov.Abb)*pq1b)*hitDocs(pi.BadFreq)
-	_ = withInner
 
 	// Distinct documents retrieved. A query's hits split into the queried
 	// value's own occurrence documents (jgDocs/jbDocs above) and fuzz hits —
@@ -153,17 +152,8 @@ func (m *OIJNModel) effort(covO Coverage) innerEffort {
 	casualFuzz := totalFuzz * casualPool / M
 	casualDocs := casualPool * (1 - math.Exp(-casualFuzz/casualPool))
 	eff.Docs = math.Min(float64(pi.Dg)*eff.JgRest+float64(pi.Db)*eff.JbRest+casualDocs, float64(pi.D))
-	if DebugOIJN {
-		fmt.Printf("EFF q=%.0f jgDocs=%.0f jbDocs=%.0f allDocs=%.0f fuzz=%.0f jg2=%.0f jb2=%.0f cas=%.0f M=%.0f\n",
-			eff.Queries, jgDocs, jbDocs, allDocs, totalFuzz, jg2, jb2, casualDocs, M)
-	}
 	return eff
 }
-
-// debugEffort enables effort tracing in tests.
-
-// DebugOIJN enables effort tracing (set before model construction in tests).
-var DebugOIJN = false
 
 // Estimate predicts the join-output composition after the outer strategy
 // has spent effortOuter (documents for SC/FS, queries for AQG).
