@@ -1,15 +1,20 @@
 GO ?= go
 
-.PHONY: check build vet test race transparency api-check api-update bench-enum serve-smoke crash-smoke cluster-smoke bench bench-overhead bench-json bench-json-check bench-service
+.PHONY: check fmt build vet test race transparency api-check api-update bench-enum serve-smoke crash-smoke cluster-smoke bench bench-overhead bench-json bench-json-check bench-service
 
-# check is the full pre-merge gate: static checks, a clean build, the test
-# suite, the race detector over the concurrent packages (the optimizer's
-# parallel plan-space search, the join executors it drives, the fault
-# injection/tolerance layer, and the estimator grid and classifier scratch
-# that concurrent jobs share), the zero-rate fault-transparency property
-# (a profile with rate 0 must leave every execution bit-identical), the
-# public-API drift gate, and a smoke run of the n-ary enumerator benchmark.
-check: vet build test race transparency api-check bench-enum
+# check is the full pre-merge gate: gofmt-clean sources, static checks, a
+# clean build, the test suite, the race detector over the concurrent
+# packages (the optimizer's parallel plan-space search, the join executors
+# it drives, the fault injection/tolerance layer, and the estimator grid and
+# classifier scratch that concurrent jobs share), the zero-rate
+# fault-transparency property (a profile with rate 0 must leave every
+# execution bit-identical), the public-API drift gate, and a smoke run of
+# the n-ary enumerator benchmark.
+check: fmt vet build test race transparency api-check bench-enum
+
+# fmt fails when any Go file is not gofmt-clean, listing the offenders.
+fmt:
+	@test -z "$$(gofmt -l .)" || { gofmt -l .; exit 1; }
 
 build:
 	$(GO) build ./...

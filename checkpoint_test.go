@@ -121,14 +121,14 @@ func TestCheckpointDecodeRejectsCorruption(t *testing.T) {
 	}
 	payloadAt := bytes.Index(valid, []byte(`"checkpoint":`)) + len(`"checkpoint":`) + 10
 	cases := map[string][]byte{
-		"empty":             {},
-		"garbage":           []byte("not json at all"),
-		"truncated":         valid[:len(valid)/2],
-		"bit-flip payload":  flip(payloadAt),
-		"version skew":      bytes.Replace(valid, []byte(`{"version":1,`), []byte(`{"version":9,`), 1),
-		"null checkpoint":   []byte(`{"version":1,"crc":0,"checkpoint":null}`),
-		"missing inputs":    []byte(`{"version":1,"crc":756102127,"checkpoint":{"phase":0}}`),
-		"wrong crc":         bytes.Replace(valid, []byte(`"crc":`), []byte(`"crc":1`), 1),
+		"empty":              {},
+		"garbage":            []byte("not json at all"),
+		"truncated":          valid[:len(valid)/2],
+		"bit-flip payload":   flip(payloadAt),
+		"version skew":       bytes.Replace(valid, []byte(`{"version":1,`), []byte(`{"version":9,`), 1),
+		"null checkpoint":    []byte(`{"version":1,"crc":0,"checkpoint":null}`),
+		"missing inputs":     []byte(`{"version":1,"crc":756102127,"checkpoint":{"phase":0}}`),
+		"wrong crc":          bytes.Replace(valid, []byte(`"crc":`), []byte(`"crc":1`), 1),
 		"json type mismatch": []byte(`{"version":1,"crc":0,"checkpoint":{"phase":"zero"}}`),
 	}
 	for name, data := range cases {

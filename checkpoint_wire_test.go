@@ -162,6 +162,41 @@ func TestShardedCheckpointResumeMatchesUninterrupted(t *testing.T) {
 	}
 }
 
+// TestUnshardedCheckpointWireOmitsShardFields: a cached, unsharded
+// adaptive run executes on a one-shard group, yet every checkpoint it
+// streams keeps the original encoding — no per-shard progress and no shard
+// count on the wire.
+func TestUnshardedCheckpointWireOmitsShardFields(t *testing.T) {
+	tk, err := joinopt.NewTaskPair(joinopt.WorkloadParams{NumDocs: 400, Seed: 7}, "HQ", "EX")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tk.ExtractCacheBytes = 1 << 22
+	streamed := 0
+	_, err = tk.Run(context.Background(), joinopt.Requirement{TauG: 8, TauB: 200},
+		joinopt.WithCheckpointSink(func(ck *joinopt.AdaptiveCheckpoint) {
+			wire, err := json.Marshal(ck)
+			if err != nil {
+				t.Fatalf("encoding checkpoint: %v", err)
+			}
+			for _, field := range []string{`"shard_docs"`, `"Shards"`} {
+				if bytes.Contains(wire, []byte(field)) {
+					t.Errorf("unsharded checkpoint carries %s: %s", field, wire)
+				}
+			}
+			streamed++
+		}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if streamed == 0 {
+		t.Fatal("adaptive run streamed no checkpoints")
+	}
+	if tk.ExtractionCacheStats().Misses == 0 {
+		t.Error("run never consulted the extraction cache")
+	}
+}
+
 // TestCheckpointSinkStreamsResumableCheckpoints: every checkpoint handed to
 // a WithCheckpointSink callback is itself a valid resume point — encoding it
 // and resuming a fresh task from the decoded bytes completes with the

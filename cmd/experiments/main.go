@@ -24,7 +24,6 @@ import (
 	"joinopt/internal/experiments"
 	"joinopt/internal/faults"
 	"joinopt/internal/obs"
-	"joinopt/internal/pipeline"
 	"joinopt/internal/shard"
 	"joinopt/internal/workload"
 )
@@ -87,13 +86,7 @@ func main() {
 		fatal(err)
 	}
 	w.ExecWorkers = *execWorkers
-	w.Shards = *shardsF
-	if w.Shards >= 2 {
-		// Sharded runs split the cache budget across per-shard slices.
-		w.ShardSet = shard.NewSet(shard.Partition{N: w.Shards}, *extractCache)
-	} else if *extractCache > 0 {
-		w.ExtractCache = pipeline.NewCache(*extractCache)
-	}
+	w.ShardSet = shard.NewSet(shard.Partition{N: *shardsF}, *extractCache)
 	var traceFile *obs.NDJSON
 	if *tracePath != "" {
 		if traceFile, err = obs.CreateNDJSON(*tracePath); err != nil {

@@ -45,12 +45,12 @@ func benchExec(b *testing.B, spec optimizer.PlanSpec) {
 
 // BenchmarkExecShardedIDJN8k measures scatter-gather scaling: the IDJN full
 // scan over the 8k corpus at 1, 2, 4, and 8 shards with no extra pipeline
-// workers, so the shards are the only parallelism. shards1 is literally
-// today's sequential executor (shard counts below 2 take the unsharded
-// path). benchjson -check gates shards4 at ≥ 2.5× over shards1 on multi-core
-// runners (-min-shard-speedup); the shard.EffectiveSpeedup curve the
-// optimizer divides predicted scan/extract time by is fitted to this
-// benchmark's measurements.
+// workers, so the shards are the only parallelism. shards1 is the
+// sequential executor (one uncached shard without workers gets no
+// extraction frontend). benchjson -check gates shards4 at ≥ 2.5× over
+// shards1 on multi-core runners (-min-shard-speedup); the
+// shard.EffectiveSpeedup curve the optimizer divides predicted
+// scan/extract time by is fitted to this benchmark's measurements.
 func BenchmarkExecShardedIDJN8k(b *testing.B) {
 	spec := optimizer.PlanSpec{
 		JN:    optimizer.IDJN,
@@ -59,11 +59,8 @@ func BenchmarkExecShardedIDJN8k(b *testing.B) {
 	}
 	w := bench8kWorkload(b)
 	run := func(b *testing.B, shards int) {
-		w.Shards = shards
-		if shards >= 2 {
-			w.ShardSet = shard.NewSet(shard.Partition{N: shards}, 0)
-		}
-		defer func() { w.Shards = 0; w.ShardSet = nil }()
+		w.ShardSet = shard.NewSet(shard.Partition{N: shards}, 0)
+		defer func() { w.ShardSet = nil }()
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

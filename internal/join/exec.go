@@ -17,6 +17,7 @@ import (
 	"joinopt/internal/pipeline"
 	"joinopt/internal/relation"
 	"joinopt/internal/retrieval"
+	"joinopt/internal/shard"
 )
 
 // Costs are the per-operation execution-time constants of one database side:
@@ -124,15 +125,13 @@ type State struct {
 	Metrics *obs.ExecMetrics
 
 	// Pipeline, when set, overlaps document extraction with the execution:
-	// executors announce upcoming documents for speculative extraction on a
-	// worker pool and processDoc collects the results in stream order, so
-	// tuples, accounting, traces, and fault streams stay bit-identical to
-	// the nil (sequential) engine. Its shared cache makes re-extraction of
-	// an already-paid (document, θ) free: zero tE, counted as a cache hit.
-	// The field is an interface so a sharded group of engines
-	// (internal/shard.Group) can stand in for a single one; access goes
-	// through PipelineActive/announce, which guard the nil interface.
-	Pipeline pipeline.Frontend
+	// executors announce upcoming documents for speculative extraction on
+	// the per-shard worker pools and processDoc collects the results in
+	// stream order, so tuples, accounting, traces, and fault streams stay
+	// bit-identical to the nil (sequential) path. Its cache slices make
+	// re-extraction of an already-paid (document, θ) free: zero tE, counted
+	// as a cache hit. shard.NewGroup decides whether an execution gets one.
+	Pipeline *shard.Group
 
 	totalPairs     int
 	golds          [2]*relation.Gold
@@ -327,7 +326,7 @@ func processDoc(st *State, i int, s *Side, docID int) ([]relation.Tuple, error) 
 	}
 	var tuples []relation.Tuple
 	hit := false
-	if st.PipelineActive() {
+	if st.Pipeline != nil {
 		key := pipeline.Key{Side: i, DocID: docID, Theta: s.Theta}
 		if doc == s.DB.Doc(docID) {
 			var evicted int
@@ -380,32 +379,12 @@ func processDoc(st *State, i int, s *Side, docID int) ([]relation.Tuple, error) 
 	return tuples, nil
 }
 
-// PipelineActive reports whether an extraction frontend is attached and
-// active — the one place the nil interface is guarded (a typed-nil *Engine
-// stored in the field also reports inactive, through its nil-receiver-safe
-// Active).
-func (st *State) PipelineActive() bool {
-	return st.Pipeline != nil && st.Pipeline.Active()
-}
-
-// pipelineLookahead returns the attached frontend's announce depth, 0
-// without one.
-func (st *State) pipelineLookahead() int {
-	if st.Pipeline == nil {
-		return 0
-	}
-	return st.Pipeline.Lookahead()
-}
-
-// announce schedules speculative extraction of an upcoming side-i document
-// on the pipeline engine (a no-op without one). It reports false when the
-// engine's window refused the document — the caller should stop announcing
-// for this step and retry from the same document later (see
-// pipeline.Engine.Announce).
+// announce schedules speculative extraction of an upcoming side-i document.
+// Callers announce only while Pipeline.Lookahead() is positive, which
+// implies a frontend. It reports false when the engine's window refused the
+// document — the caller should stop announcing for this step and retry from
+// the same document later (see pipeline.Engine.Announce).
 func (st *State) announce(i int, s *Side, docID int) bool {
-	if st.Pipeline == nil {
-		return false
-	}
 	return st.Pipeline.Announce(pipeline.Key{Side: i, DocID: docID, Theta: s.Theta})
 }
 

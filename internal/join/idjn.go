@@ -76,7 +76,7 @@ func (e *IDJN) State() *State { return e.st }
 // (nothing after it would be accepted either) and the cursor retries the
 // refused document on a later step.
 func (e *IDJN) announce() {
-	n := e.st.pipelineLookahead()
+	n := e.st.Pipeline.Lookahead()
 	if n == 0 {
 		return
 	}

@@ -7,6 +7,7 @@ import (
 	"joinopt/internal/pipeline"
 	"joinopt/internal/relation"
 	"joinopt/internal/retrieval"
+	"joinopt/internal/shard"
 )
 
 // Tree-shaped n-ary execution: NaryExec generalizes MultiIDJN to run the
@@ -133,17 +134,10 @@ type NaryExec struct {
 
 	// Pipeline, when set, overlaps document extraction with the execution
 	// exactly as in the binary executors: announced documents extract
-	// speculatively on the worker pool, results resolve in stream order, and
-	// the shared cache makes re-extraction free. Set before the first Step.
-	// Like State.Pipeline this is an interface so a sharded engine group can
-	// stand in; access goes through pipeActive/pipeLookahead nil guards.
-	Pipeline pipeline.Frontend
-}
-
-// pipeActive reports whether an extraction frontend is attached and active,
-// guarding the nil interface.
-func (e *NaryExec) pipeActive() bool {
-	return e.Pipeline != nil && e.Pipeline.Active()
+	// speculatively on the worker pools, results resolve in stream order,
+	// and the cache slices make re-extraction free. Set before the first
+	// Step.
+	Pipeline *shard.Group
 }
 
 // NewNaryExec builds a tree execution over sides. The plan's tree must
@@ -234,7 +228,7 @@ func (e *NaryExec) capReached(i int) bool {
 // the tail past the ahead cursor is new, and a window-full refusal ends the
 // pass for that side.
 func (e *NaryExec) announce() {
-	n := e.Pipeline.Lookahead() // guarded by pipeActive at the call site
+	n := e.Pipeline.Lookahead()
 	if n == 0 {
 		return
 	}
@@ -289,9 +283,7 @@ func (e *NaryExec) addTuple(i int, t relation.Tuple) {
 // effort caps. It returns false once every side is done.
 func (e *NaryExec) Step() (bool, error) {
 	e.st.Steps++
-	if e.pipeActive() {
-		e.announce()
-	}
+	e.announce()
 	any := false
 	for i := range e.sides {
 		if e.done[i] {
@@ -317,7 +309,7 @@ func (e *NaryExec) Step() (bool, error) {
 		doc := s.DB.Doc(id)
 		var tuples []relation.Tuple
 		hit := false
-		if e.pipeActive() {
+		if e.Pipeline != nil {
 			key := pipeline.Key{Side: i, DocID: id, Theta: s.Theta}
 			tuples, hit, _ = e.Pipeline.Resolve(key, func() []relation.Tuple {
 				return s.System.Extract(doc.Text, s.Theta)

@@ -75,7 +75,7 @@ func (e *OIJN) Step() (bool, error) {
 	if e.done {
 		return false, nil
 	}
-	if n := e.st.pipelineLookahead(); n > 0 {
+	if n := e.st.Pipeline.Lookahead(); n > 0 {
 		// Announce only the tail of the (prefix-stable) peek list past the
 		// ahead cursor; stop at a window-full refusal and retry it later.
 		peek := retrieval.PeekAhead(e.strat, n)
@@ -129,7 +129,7 @@ func (e *OIJN) Step() (bool, error) {
 			e.st.Trace.EmitAt(e.st.Time, obs.KindQuery, innerIdx+1, map[string]any{"alg": "OIJN", "value": a})
 		}
 		e.searchBuf = e.inner.Index.SearchInto(index.QueryFromValue(a), e.searchBuf[:0])
-		if e.st.pipelineLookahead() > 0 {
+		if e.st.Pipeline.Lookahead() > 0 {
 			// The whole inner batch is known before any of it is processed —
 			// announce it all so workers extract ahead of the loop below. A
 			// window-full refusal ends the pass: later documents would be

@@ -10,8 +10,8 @@ import (
 	"joinopt/internal/join"
 	"joinopt/internal/obs"
 	"joinopt/internal/optimizer"
-	"joinopt/internal/pipeline"
 	"joinopt/internal/retrieval"
+	"joinopt/internal/shard"
 	"joinopt/internal/workload"
 )
 
@@ -22,7 +22,7 @@ var (
 )
 
 // pipeWorkload is a dedicated workload for the pipeline property tests: they
-// mutate Faults, Trace, ExecWorkers, and ExtractCache, so they must not
+// mutate Faults, Trace, ExecWorkers, and ShardSet, so they must not
 // share the package-wide one.
 func pipeWorkload(t *testing.T) *workload.Workload {
 	t.Helper()
@@ -52,13 +52,13 @@ var pipelinePlans = []optimizer.PlanSpec{
 func runPipelined(t *testing.T, w *workload.Workload, spec optimizer.PlanSpec, workers int, cacheBytes int64, repeats int) ([]byte, join.Snapshot) {
 	t.Helper()
 	w.ExecWorkers = workers
-	w.ExtractCache = pipeline.NewCache(cacheBytes)
+	w.ShardSet = shard.NewSet(shard.Partition{N: 1}, cacheBytes)
 	var buf bytes.Buffer
 	sink := obs.NewNDJSON(&buf)
 	w.Trace = obs.New(sink)
 	defer func() {
 		w.ExecWorkers = 0
-		w.ExtractCache = nil
+		w.ShardSet = nil
 		w.Trace = nil
 	}()
 	var last join.Snapshot
@@ -157,8 +157,8 @@ func TestPipelineBitIdenticalWithCache(t *testing.T) {
 func TestCacheMakesRerunExtractionFree(t *testing.T) {
 	w := pipeWorkload(t)
 	spec := optimizer.PlanSpec{JN: optimizer.IDJN, Theta: [2]float64{0.4, 0.4}, X: [2]retrieval.Kind{retrieval.SC, retrieval.SC}}
-	w.ExtractCache = pipeline.NewCache(1 << 22)
-	defer func() { w.ExtractCache = nil }()
+	w.ShardSet = shard.NewSet(shard.Partition{N: 1}, 1<<22)
+	defer func() { w.ShardSet = nil }()
 
 	run := func() *join.State {
 		exec, err := w.NewExecutor(spec)

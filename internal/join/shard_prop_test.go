@@ -8,7 +8,6 @@ import (
 	"joinopt/internal/join"
 	"joinopt/internal/obs"
 	"joinopt/internal/optimizer"
-	"joinopt/internal/pipeline"
 	"joinopt/internal/shard"
 	"joinopt/internal/workload"
 )
@@ -20,21 +19,14 @@ import (
 // total budget, split evenly across shard slices exactly as the facade does.
 func runSharded(t *testing.T, w *workload.Workload, spec optimizer.PlanSpec, shards, workers int, cacheBytes int64, repeats int) ([]byte, join.Snapshot) {
 	t.Helper()
-	w.Shards = shards
 	w.ExecWorkers = workers
-	if shards >= 2 {
-		w.ShardSet = shard.NewSet(shard.Partition{N: shards}, cacheBytes)
-	} else if cacheBytes > 0 {
-		w.ExtractCache = pipeline.NewCache(cacheBytes)
-	}
+	w.ShardSet = shard.NewSet(shard.Partition{N: shards}, cacheBytes)
 	var buf bytes.Buffer
 	sink := obs.NewNDJSON(&buf)
 	w.Trace = obs.New(sink)
 	defer func() {
-		w.Shards = 0
 		w.ShardSet = nil
 		w.ExecWorkers = 0
-		w.ExtractCache = nil
 		w.Trace = nil
 	}()
 	var last join.Snapshot

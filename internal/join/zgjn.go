@@ -102,7 +102,7 @@ func (e *ZGJN) Step() (bool, error) {
 		e.st.Trace.EmitAt(e.st.Time, obs.KindQuery, i+1, map[string]any{"alg": "ZGJN", "value": value})
 	}
 	e.searchBuf = side.Index.SearchInto(index.QueryFromValue(value), e.searchBuf[:0])
-	if e.st.pipelineLookahead() > 0 {
+	if e.st.Pipeline.Lookahead() > 0 {
 		// The query's whole result batch is known up front — announce it so
 		// workers extract ahead of the loop below. A window-full refusal
 		// ends the pass: later documents would be refused too, and this

@@ -297,7 +297,10 @@ func (env *Env) adaptiveLoop(ctx context.Context, res *Result, req Requirement, 
 		return res, fmt.Errorf("optimizer: building %s: %w", best.Plan, err)
 	}
 	if ck.Exec.Steps > 0 {
-		primeShards(exec, ck.ShardDocs)
+		// A resume floor from the checkpoint's per-shard progress: replay
+		// skips re-speculating work the shards already did. The group
+		// ignores a vector recorded under a different shard count.
+		exec.State().Pipeline.Prime(ck.ShardDocs)
 		if err := join.Replay(exec, ck.Exec); err != nil {
 			return res, fmt.Errorf("optimizer: resuming %s: %w", best.Plan, err)
 		}
@@ -321,7 +324,7 @@ func (env *Env) adaptiveLoop(ctx context.Context, res *Result, req Requirement, 
 			Switches:       switches,
 			TotalTime:      res.TotalTime,
 			Exec:           exec.State().Snapshot(),
-			ShardDocs:      shardProgress(exec),
+			ShardDocs:      exec.State().Pipeline.Progress(),
 			Target:         target,
 			Ext:            ext,
 			Prev:           prev,
@@ -423,29 +426,6 @@ func (env *Env) adaptiveLoop(ctx context.Context, res *Result, req Requirement, 
 			return res, fmt.Errorf("optimizer: building %s: %w", best.Plan, err)
 		}
 		persist(checkpointed(PhaseExecute, [2]int{}, 0, [2]int{}))
-	}
-}
-
-// shardProgress captures the per-shard resolution counts of a sharded
-// execution's frontend — nil for unsharded executions, whose frontend (a
-// single engine or none) has no Progress.
-func shardProgress(exec join.Executor) []int {
-	if p, ok := exec.State().Pipeline.(interface{ Progress() []int }); ok {
-		return p.Progress()
-	}
-	return nil
-}
-
-// primeShards installs a checkpoint's per-shard progress as the rebuilt
-// executor's resume floor before replay. A no-op for unsharded executions
-// (and for mismatched shard counts, which the frontend itself rejects):
-// replay is correct without priming, just re-speculates work already done.
-func primeShards(exec join.Executor, progress []int) {
-	if len(progress) == 0 {
-		return
-	}
-	if p, ok := exec.State().Pipeline.(interface{ Prime([]int) }); ok {
-		p.Prime(progress)
 	}
 }
 

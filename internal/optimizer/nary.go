@@ -10,11 +10,9 @@ import (
 	"sync/atomic"
 
 	"joinopt/internal/model"
-	"joinopt/internal/pipeline"
 	"joinopt/internal/querygraph"
 	"joinopt/internal/relation"
 	"joinopt/internal/retrieval"
-	"joinopt/internal/shard"
 )
 
 // N-ary plan enumeration: DPccp over the query graph with the paper's
@@ -36,12 +34,6 @@ import (
 //     minimizing the merge cost TJ · Σ E[tuples at each internal node]: the
 //     final output is order-independent (a natural join on one shared
 //     attribute), so tree shape only moves intermediate cardinalities.
-//
-// k = 2 with Binary inputs attached delegates wholesale to the legacy
-// binary optimizer (Enumerate + Choose), which evaluates the richer binary
-// plan space (OIJN orientations, ZGJN, rectangle ratios) through
-// evaluate.go/planfuncs.go — the binary join is a derived special case, not
-// a fork.
 
 // NaryLeaf is one relation's chosen configuration in an n-ary plan.
 type NaryLeaf struct {
@@ -113,10 +105,6 @@ type NaryEval struct {
 	// cardinality (the root included).
 	MergeTuples float64
 
-	// Binary carries the legacy binary evaluation when k=2 delegated to the
-	// binary optimizer; nil otherwise.
-	Binary *Eval
-
 	// Reason explains infeasibility.
 	Reason string
 }
@@ -124,9 +112,6 @@ type NaryEval struct {
 // PlanString renders the chosen plan compactly, e.g.
 // "((R1⋈R2)⋈R3) θ=(0.4,0.8,0.4) X=(SC,SC,SC)".
 func (ev NaryEval) PlanString() string {
-	if ev.Binary != nil {
-		return ev.Binary.Plan.String()
-	}
 	if ev.Tree == nil {
 		return "(no plan)"
 	}
@@ -163,8 +148,9 @@ type NaryInputs struct {
 	// Inputs.Workers; any worker count returns the identical choice.
 	Workers int
 
-	// ExecWorkers and CacheHitRate adjust predicted extraction charges the
-	// same way Inputs.effCosts does (Amdahl overlap, expected cache hits).
+	// ExecWorkers and CacheHitRate adjust predicted extraction charges
+	// exactly as in the binary optimizer (Amdahl overlap, expected cache
+	// hits; see effectiveCosts).
 	ExecWorkers  int
 	CacheHitRate []float64
 
@@ -172,10 +158,6 @@ type NaryInputs struct {
 	// charges by the measured shard-scaling curve exactly as Inputs.Shards
 	// does (quality composition unchanged — costs are additive over shards).
 	Shards int
-
-	// Binary, when set and the query has exactly two relations, delegates
-	// plan choice to the legacy binary optimizer over its full plan space.
-	Binary *Inputs
 
 	classMu   sync.Mutex
 	classMemo map[uint64]map[relation.ClassMask]int
@@ -208,28 +190,14 @@ func (in *NaryInputs) subsetClasses(subset uint64) map[relation.ClassMask]int {
 	return c
 }
 
-// effCostsAt mirrors Inputs.effCosts for relation rel.
+// effCostsAt returns relation rel's cost parameters as plan-time
+// prediction should see them (see effectiveCosts).
 func (in *NaryInputs) effCostsAt(rel int) model.Costs {
-	c := in.Costs[rel]
+	hr := 0.0
 	if rel < len(in.CacheHitRate) {
-		if hr := in.CacheHitRate[rel]; hr > 0 {
-			if hr > 1 {
-				hr = 1
-			}
-			c.TE *= 1 - hr
-		}
+		hr = in.CacheHitRate[rel]
 	}
-	if in.Shards > 1 {
-		f := shard.EffectiveSpeedup(in.Shards)
-		c.TR /= f
-		c.TE /= f
-		if wps := shard.WorkersPerShard(in.ExecWorkers, in.Shards); wps > 1 {
-			c.TE /= pipeline.EffectiveOverlap(wps)
-		}
-	} else if in.ExecWorkers > 1 {
-		c.TE /= pipeline.EffectiveOverlap(in.ExecWorkers)
-	}
-	return c
+	return effectiveCosts(in.Costs[rel], hr, in.ExecWorkers, in.Shards)
 }
 
 func (in *NaryInputs) validate(g *querygraph.Graph) error {
@@ -478,23 +446,14 @@ func evalNaryConfig(g *querygraph.Graph, in *NaryInputs, req Requirement, cfg na
 
 // ChooseNary evaluates every per-relation knob configuration, picks for each
 // the minimal feasible effort and the cheapest join tree, and returns the
-// fastest feasible plan plus all evaluations. For two-relation queries with
-// Binary inputs attached the choice delegates to the legacy binary
-// optimizer's full plan space (Enumerate + Choose), so the binary join is an
-// exact special case of the query API.
+// fastest feasible plan plus all evaluations. Two-relation tasks are
+// planned by Choose over the richer binary plan space (OIJN orientations,
+// ZGJN, rectangle ratios); the facade routes them there.
 //
 // Like Choose, the sweep runs on a bounded worker pool (Workers; 0 = one
 // per CPU) and returns the identical result for any worker count: ties
 // break toward the earlier configuration in enumeration order.
 func ChooseNary(g *querygraph.Graph, in *NaryInputs, req Requirement) (NaryEval, []NaryEval, error) {
-	if g.N == 2 && in.Binary != nil {
-		best, _, err := Choose(Enumerate(in.Binary.Thetas), in.Binary, req)
-		if err != nil {
-			return NaryEval{}, nil, err
-		}
-		ev := binaryAsNary(best)
-		return ev, []NaryEval{ev}, nil
-	}
 	if err := in.validate(g); err != nil {
 		return NaryEval{}, nil, err
 	}
@@ -550,24 +509,6 @@ func ChooseNary(g *querygraph.Graph, in *NaryInputs, req Requirement) (NaryEval,
 		}
 	}
 	return pickBestNary(evals, req)
-}
-
-// binaryAsNary wraps a legacy binary evaluation as a two-leaf n-ary plan.
-func binaryAsNary(ev Eval) NaryEval {
-	l0 := &NaryNode{Set: 1, Rel: 0}
-	l1 := &NaryNode{Set: 2, Rel: 1}
-	return NaryEval{
-		Tree:     &NaryNode{Set: 3, Rel: -1, Left: l0, Right: l1},
-		Feasible: ev.Feasible,
-		Quality:  ev.Quality,
-		Time:     ev.Time,
-		Binary:   &ev,
-		Reason:   ev.Reason,
-		Leaves: []NaryLeaf{
-			{Rel: 0, Theta: ev.Plan.Theta[0], X: ev.Plan.X[0], Effort: ev.Effort[0]},
-			{Rel: 1, Theta: ev.Plan.Theta[1], X: ev.Plan.X[1], Effort: ev.Effort[1]},
-		},
-	}
 }
 
 // pickBestNary reduces the evaluations with the deterministic tie-break

@@ -10,61 +10,6 @@ import (
 	"joinopt/internal/relation"
 )
 
-// table2Reqs mirrors experiments.Table2Reqs (the experiments package imports
-// the optimizer, so the sweep is restated here rather than imported).
-var table2Reqs = []Requirement{
-	{TauG: 1, TauB: 20},
-	{TauG: 2, TauB: 30}, {TauG: 2, TauB: 50},
-	{TauG: 4, TauB: 20}, {TauG: 4, TauB: 40},
-	{TauG: 8, TauB: 40}, {TauG: 8, TauB: 80},
-	{TauG: 16, TauB: 50}, {TauG: 16, TauB: 80}, {TauG: 16, TauB: 160},
-	{TauG: 32, TauB: 84}, {TauG: 32, TauB: 160}, {TauG: 32, TauB: 320},
-	{TauG: 64, TauB: 320}, {TauG: 64, TauB: 640},
-	{TauG: 128, TauB: 640}, {TauG: 128, TauB: 1280},
-	{TauG: 256, TauB: 1280}, {TauG: 256, TauB: 2560},
-	{TauG: 512, TauB: 1024}, {TauG: 512, TauB: 2560}, {TauG: 512, TauB: 5120},
-	{TauG: 1024, TauB: 5120}, {TauG: 1024, TauB: 10240},
-}
-
-// TestChooseNaryBinaryParityTableII pins the k=2 contract: with Binary
-// inputs attached, ChooseNary's choice on a Table II-style requirement
-// sweep is bit-for-bit the legacy binary optimizer's — same plan, efforts,
-// quality, and predicted time (or the same no-feasible-plan failure).
-func TestChooseNaryBinaryParityTableII(t *testing.T) {
-	in := syntheticInputs()
-	g, err := querygraph.Chain(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plans := Enumerate(in.Thetas)
-	for _, req := range table2Reqs {
-		legacy, _, lerr := Choose(plans, in, req)
-		nary, _, nerr := ChooseNary(g, &NaryInputs{Binary: in}, req)
-		if (lerr == nil) != (nerr == nil) {
-			t.Fatalf("τg=%d τb=%d: legacy err=%v, n-ary err=%v", req.TauG, req.TauB, lerr, nerr)
-		}
-		if lerr != nil {
-			continue
-		}
-		if nary.Binary == nil {
-			t.Fatalf("τg=%d τb=%d: k=2 choice did not delegate to the binary optimizer", req.TauG, req.TauB)
-		}
-		if *nary.Binary != legacy {
-			t.Errorf("τg=%d τb=%d: binary eval diverged:\n n-ary: %+v\nlegacy: %+v", req.TauG, req.TauB, *nary.Binary, legacy)
-		}
-		if nary.Time != legacy.Time || nary.Quality != legacy.Quality {
-			t.Errorf("τg=%d τb=%d: wrapped time/quality diverged", req.TauG, req.TauB)
-		}
-		for i := 0; i < 2; i++ {
-			l := nary.Leaves[i]
-			if l.Theta != legacy.Plan.Theta[i] || l.X != legacy.Plan.X[i] || l.Effort != legacy.Effort[i] {
-				t.Errorf("τg=%d τb=%d: leaf %d diverged: %+v vs plan %s effort %v",
-					req.TauG, req.TauB, i, l, legacy.Plan, legacy.Effort)
-			}
-		}
-	}
-}
-
 // synthClasses builds a deterministic synthetic Classes callback: counts
 // depend only on (subset, mask), so the DP and the brute force see the same
 // cardinalities.

@@ -118,35 +118,6 @@ type Engine struct {
 	backlogPeak int // max doneBacklog since the last adaptation
 }
 
-// Frontend is the contract between the join executors and whatever supplies
-// their extraction overlap: a single *Engine, or a sharded group of engines
-// (internal/shard) routing each key to its owner shard. All methods are
-// called from the executor's single stepping goroutine; implementations must
-// preserve the engine's determinism discipline — Resolve returns the
-// canonical extraction of the key regardless of speculation timing, and the
-// accounting triple (tuples, hit, evicted) must be a pure function of the
-// resolution order, never of worker scheduling. Executors hold a Frontend in
-// an interface field, so unlike the nil-receiver-safe *Engine methods, a nil
-// interface must be guarded by the caller (join.State.PipelineActive).
-type Frontend interface {
-	// Active reports whether the frontend changes the execution path at all.
-	Active() bool
-	// HasCache reports whether an extraction cache is attached.
-	HasCache() bool
-	// Lookahead returns how many upcoming documents to announce per step.
-	Lookahead() int
-	// Announce schedules speculative extraction; false means the window
-	// refused the key and the caller should stop announcing this step.
-	Announce(Key) bool
-	// Resolve returns the canonical tuples for the key — from cache (hit),
-	// from a speculation, or from inline — plus evicted cache entries.
-	Resolve(k Key, inline func() []relation.Tuple) (tuples []relation.Tuple, hit bool, evicted int)
-	// Drop abandons any speculation of k without consuming or caching it.
-	Drop(Key)
-}
-
-var _ Frontend = (*Engine)(nil)
-
 // NewEngine builds an engine over a shared extraction cache (nil = no
 // caching) and a worker pool of the given size (< 1 = no speculation).
 // extract must be a pure function of the key — it runs on worker goroutines.
@@ -183,9 +154,6 @@ func NewEngine(cache *Cache, workers int, extract func(Key) []relation.Tuple) *E
 		seen:      map[Key]struct{}{},
 	}
 }
-
-// Active reports whether the engine changes the execution path at all.
-func (e *Engine) Active() bool { return e != nil }
 
 // HasCache reports whether an extraction cache is attached.
 func (e *Engine) HasCache() bool { return e != nil && e.cache != nil }
@@ -507,12 +475,4 @@ func EffectiveOverlap(workers int) float64 {
 		return 1
 	}
 	return float64(n) / (1 + serialFraction*float64(n-1))
-}
-
-// Cache exposes the attached shared cache (nil when caching is off).
-func (e *Engine) Cache() *Cache {
-	if e == nil {
-		return nil
-	}
-	return e.cache
 }

@@ -139,7 +139,7 @@ func TestNewEngineDisabled(t *testing.T) {
 		t.Fatalf("no cache, no workers: engine %v, want nil", e)
 	}
 	var e *Engine
-	if e.Active() || e.HasCache() || e.Lookahead() != 0 || e.Cache() != nil {
+	if e.HasCache() || e.Lookahead() != 0 {
 		t.Fatal("nil engine must report fully inactive")
 	}
 	e.Announce(Key{}) // must not panic
@@ -151,7 +151,7 @@ func TestNewEngineDisabled(t *testing.T) {
 
 func TestEngineCacheOnly(t *testing.T) {
 	e := NewEngine(NewCache(1<<20), 0, nil)
-	if !e.Active() || !e.HasCache() {
+	if e == nil || !e.HasCache() {
 		t.Fatal("cache-only engine must be active")
 	}
 	if e.Lookahead() != 0 {

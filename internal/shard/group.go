@@ -5,13 +5,13 @@ import (
 	"joinopt/internal/relation"
 )
 
-// Set is the persistent half of a sharded execution: the partition layout
-// and one extraction-cache slice per shard. Like the single shared cache it
-// replaces, a Set outlives individual runs — a Task builds one per
-// (capacity, shard count) and every sharded execution of that task warms the
-// same slices. The slices' key spaces are disjoint by construction (every
-// key is only ever routed to its owner shard), so a single second tier may
-// safely back all of them.
+// Set is the persistent half of an execution's extraction layout: the
+// partition and one extraction-cache slice per shard. An unsharded layout is
+// a set of one shard. A Set outlives individual runs — a Task keeps one per
+// (shard count, capacity) and every execution of that task warms the same
+// slices. The slices' key spaces are disjoint by construction (every key is
+// only ever routed to its owner shard), so a single second tier may safely
+// back all of them.
 type Set struct {
 	Part   Partition
 	Caches []*pipeline.Cache // per-shard slice; entries nil when capacity is 0
@@ -79,47 +79,64 @@ func (s *Set) HitRate() float64 {
 	return float64(st.Hits) / float64(st.Hits+st.Misses)
 }
 
-// Group is the per-execution scatter-gather frontend over a Set: one
-// pipelined engine per shard, each owning its cache slice and a slice of the
-// run's worker budget. It satisfies pipeline.Frontend, so the join executors
-// drive it exactly as they drive a single engine — announcements and
-// resolutions are routed to the owning shard, and because the consumer still
-// resolves documents in canonical stream order, the merged tuple stream is
-// bit-identical to the unsharded run at any shard count (the per-shard
-// reorder buffers ARE the gather step).
+// cache returns shard i's cache slice: nil for a nil set or an uncached one.
+func (s *Set) cache(i int) *pipeline.Cache {
+	if s == nil || i >= len(s.Caches) {
+		return nil
+	}
+	return s.Caches[i]
+}
+
+// Group is the extraction frontend of one execution: one pipelined engine
+// per shard of a Set, each owning its cache slice and a slice of the run's
+// worker budget. Every executor drives the same type — an unsharded run is
+// a group of one shard — and announcements and resolutions are routed to
+// the owning shard. Because the consumer still resolves documents in
+// canonical stream order, the merged tuple stream is bit-identical at any
+// shard count (the per-shard reorder buffers ARE the gather step). All
+// methods are called from the executor's single stepping goroutine; the
+// accounting triple Resolve returns is a pure function of the resolution
+// order, never of worker scheduling.
 type Group struct {
-	set      *Set
+	part     Partition
 	sizes    []int // per-side corpus sizes, for range partitioning
 	engines  []*pipeline.Engine
 	resolved []int // documents resolved per shard this execution
 	primed   []int // resume floor: suppress speculation below these counts
 }
 
-// NewGroup builds the per-execution engines over a Set. execWorkers is the
-// run's total worker budget, split as WorkersPerShard (each shard always
+// NewGroup builds the per-execution engines over a Set, and is the one
+// place that decides whether an execution gets an extraction frontend at
+// all. A nil set is one uncached shard. A single shard runs exactly
+// execWorkers workers (below 1 = no speculation); when it has neither a
+// cache nor workers NewGroup returns nil and the executors extract inline.
+// Two or more shards split the budget as WorkersPerShard (each shard always
 // speculates with at least one worker — with shards, the shards are the
 // parallelism). sizes gives the per-side corpus sizes, indexed by
-// pipeline.Key.Side, used only by range partitioning. extract must be a pure
-// function of the key.
+// pipeline.Key.Side, used only by range partitioning. extract must be a
+// pure function of the key.
 func NewGroup(set *Set, execWorkers int, sizes []int, extract func(pipeline.Key) []relation.Tuple) *Group {
-	n := set.Part.N
-	if n < 1 {
-		n = 1
+	var part Partition
+	if set != nil {
+		part = set.Part
+	}
+	if part.N < 2 {
+		if execWorkers < 1 && set.cache(0) == nil {
+			return nil
+		}
+		part.N = 1
+	} else {
+		execWorkers = WorkersPerShard(execWorkers, part.N)
 	}
 	g := &Group{
-		set:      set,
+		part:     part,
 		sizes:    append([]int(nil), sizes...),
-		engines:  make([]*pipeline.Engine, n),
-		resolved: make([]int, n),
-		primed:   make([]int, n),
+		engines:  make([]*pipeline.Engine, part.N),
+		resolved: make([]int, part.N),
+		primed:   make([]int, part.N),
 	}
-	wps := WorkersPerShard(execWorkers, n)
 	for i := range g.engines {
-		var cache *pipeline.Cache
-		if i < len(set.Caches) {
-			cache = set.Caches[i]
-		}
-		g.engines[i] = pipeline.NewEngine(cache, wps, extract)
+		g.engines[i] = pipeline.NewEngine(set.cache(i), execWorkers, extract)
 	}
 	return g
 }
@@ -130,12 +147,8 @@ func (g *Group) owner(k pipeline.Key) int {
 	if k.Side >= 0 && k.Side < len(g.sizes) {
 		size = g.sizes[k.Side]
 	}
-	return g.set.Part.Owner(k.Side, k.DocID, size)
+	return g.part.Owner(k.Side, k.DocID, size)
 }
-
-// Active reports that the group changes the execution path (it always does:
-// every shard engine has at least one worker).
-func (g *Group) Active() bool { return g != nil }
 
 // HasCache reports whether any shard engine has a cache slice attached.
 func (g *Group) HasCache() bool {
@@ -150,9 +163,10 @@ func (g *Group) HasCache() bool {
 	return false
 }
 
-// Lookahead returns the group's total speculation depth: the sum of the
-// per-shard windows. Hash partitioning spreads consecutive stream documents
-// across shards, so a lookahead this deep keeps every shard's window fed.
+// Lookahead returns how many upcoming documents to announce per step: the
+// sum of the per-shard windows, 0 without speculation. Hash partitioning
+// spreads consecutive stream documents across shards, so a lookahead this
+// deep keeps every shard's window fed.
 func (g *Group) Lookahead() int {
 	if g == nil {
 		return 0
@@ -194,14 +208,12 @@ func (g *Group) Drop(k pipeline.Key) {
 	g.engines[g.owner(k)].Drop(k)
 }
 
-// Shards returns the number of shards in the group.
-func (g *Group) Shards() int { return len(g.engines) }
-
 // Progress returns a copy of the per-shard resolution counts — the
 // checkpointable answer to "how far did each shard get". Deterministic
-// because resolutions happen in canonical stream order.
+// because resolutions happen in canonical stream order. It is nil below two
+// shards, so unsharded checkpoints keep their original encoding.
 func (g *Group) Progress() []int {
-	if g == nil {
+	if g == nil || len(g.resolved) < 2 {
 		return nil
 	}
 	return append([]int(nil), g.resolved...)

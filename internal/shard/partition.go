@@ -1,10 +1,10 @@
 // Package shard partitions each text database into N deterministic shards
-// and runs one pipelined extraction engine per shard, presenting the whole
-// group to the join executors through the same frontend contract as a single
-// engine. The cost model is additive over documents, therefore additive over
-// shards: the optimizer models shard parallelism with a measured scaling
-// curve (EffectiveSpeedup) exactly the way it models worker overlap inside
-// one engine (pipeline.EffectiveOverlap).
+// and runs one pipelined extraction engine per shard. An unsharded run is a
+// group of one shard, so Group is the only extraction frontend the join
+// executors drive. The cost model is additive over documents, therefore
+// additive over shards: the optimizer models shard parallelism with a
+// measured scaling curve (EffectiveSpeedup) exactly the way it models worker
+// overlap inside one engine (pipeline.EffectiveOverlap).
 //
 // Determinism is the package's load-bearing promise. Document ownership is a
 // pure function of (side, docID) — independent of shard count ordering,
@@ -44,7 +44,7 @@ func (k Kind) String() string {
 }
 
 // Partition describes how a corpus is split: N shards under one of the
-// partitioning kinds. The zero value (N=0) means "unsharded".
+// partitioning kinds. N below 2 means unsharded: one shard owns everything.
 type Partition struct {
 	N    int
 	Kind Kind

@@ -139,8 +139,8 @@ func TestGroupRoutesAndCounts(t *testing.T) {
 	set := NewSet(Partition{N: 2, Kind: KindRange}, 0)
 	extract := func(k pipeline.Key) []relation.Tuple { return nil }
 	g := NewGroup(set, 0, []int{100}, extract)
-	if !g.Active() || g.HasCache() || g.Shards() != 2 {
-		t.Fatalf("fresh cacheless group: active=%v cache=%v shards=%d", g.Active(), g.HasCache(), g.Shards())
+	if g == nil || g.HasCache() || len(g.Progress()) != 2 {
+		t.Fatalf("fresh cacheless group: cache=%v progress=%v", g.HasCache(), g.Progress())
 	}
 	if g.Lookahead() < 2 {
 		t.Errorf("lookahead %d: want at least one slot per shard", g.Lookahead())
@@ -177,8 +177,34 @@ func TestGroupRoutesAndCounts(t *testing.T) {
 	}
 
 	var nilGroup *Group
-	if nilGroup.Active() || nilGroup.HasCache() || nilGroup.Lookahead() != 0 || nilGroup.Progress() != nil {
+	if nilGroup.HasCache() || nilGroup.Lookahead() != 0 || nilGroup.Progress() != nil {
 		t.Error("nil group must report inactive")
 	}
 	nilGroup.Prime(nil) // must not panic
+}
+
+// TestOneShardGroup: an unsharded run is a group of one shard. It runs
+// exactly the requested workers — 0 leaves a cache-only frontend that never
+// speculates — reports no per-shard progress (unsharded checkpoints keep
+// their encoding), and without a cache or workers there is no frontend.
+func TestOneShardGroup(t *testing.T) {
+	extract := func(pipeline.Key) []relation.Tuple { return nil }
+	g := NewGroup(NewSet(Partition{N: 1}, 4096), 0, []int{100}, extract)
+	if g == nil || !g.HasCache() {
+		t.Fatalf("one cached shard: group %v, want a cached frontend", g)
+	}
+	if g.Lookahead() != 0 {
+		t.Errorf("one shard, 0 workers: lookahead %d, want 0", g.Lookahead())
+	}
+	if g.Progress() != nil {
+		t.Errorf("one-shard progress %v, want nil", g.Progress())
+	}
+	for _, set := range []*Set{nil, NewSet(Partition{}, 0), NewSet(Partition{N: 1}, 0)} {
+		if g := NewGroup(set, 0, []int{100}, extract); g != nil {
+			t.Errorf("no cache, no workers: group %v, want nil", g)
+		}
+	}
+	if g := NewGroup(nil, 2, []int{100}, extract); g == nil || g.HasCache() || g.Lookahead() == 0 {
+		t.Errorf("one uncached shard with workers must speculate: %v", g)
+	}
 }

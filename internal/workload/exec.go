@@ -50,21 +50,8 @@ func (w *Workload) NewExecutor(plan optimizer.PlanSpec) (join.Executor, error) {
 	st.Deadline = w.Deadline
 	st.Trace = w.Trace
 	st.Metrics = w.execMetrics()
-	if w.Shards >= 2 {
-		// Sharded execution: one pipelined engine per shard, each owning its
-		// cache slice and a split of the worker budget. The group implements
-		// the same frontend contract as a single engine, and the consumer
-		// still resolves documents in canonical stream order, so the merged
-		// output is bit-identical to the unsharded run.
-		set := w.ShardSet
-		if set == nil {
-			set = shard.NewSet(shard.Partition{N: w.Shards}, 0)
-		}
-		st.Pipeline = shard.NewGroup(set, w.ExecWorkers,
-			[]int{w.DB[0].Size(), w.DB[1].Size()}, w.extractFn())
-	} else if w.ExecWorkers >= 1 || w.ExtractCache != nil {
-		st.Pipeline = pipeline.NewEngine(w.ExtractCache, w.ExecWorkers, w.extractFn())
-	}
+	st.Pipeline = shard.NewGroup(w.ShardSet, w.ExecWorkers,
+		[]int{w.DB[0].Size(), w.DB[1].Size()}, w.extractFn())
 	// Bind the trace clock to this executor's cost-model time so sites
 	// without State access (fault injectors, retrieval wrappers) stamp their
 	// events consistently with the executor's own.
@@ -154,14 +141,14 @@ func (w *Workload) NewEnv(thetas []float64) (*optimizer.Env, error) {
 		TopK:           [2]int{w.Ix[0].TopK(), w.Ix[1].TopK()},
 		BadInGoodPrior: 0.3,
 		ExecWorkers:    w.ExecWorkers,
-		Shards:         w.Shards,
 	}
-	if w.Shards >= 2 && w.ShardSet != nil {
-		set := w.ShardSet
+	if set := w.ShardSet; set != nil {
+		// One shard stays 0: Inputs.Shards is serialized omitempty, so
+		// unsharded checkpoints keep their original encoding.
+		if set.Part.N >= 2 {
+			env.Shards = set.Part.N
+		}
 		env.CacheHitRate = func(int) float64 { return set.HitRate() }
-	} else if w.ExtractCache != nil {
-		cache := w.ExtractCache
-		env.CacheHitRate = func(int) float64 { return cache.HitRate() }
 	}
 	for i := 0; i < 2; i++ {
 		env.AQG[i] = st.aqg[i]

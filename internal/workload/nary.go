@@ -58,13 +58,13 @@ func execTree(n *optimizer.NaryNode) *join.TreeNode {
 
 // NewNaryExecutor builds the tree executor for a chosen n-ary plan: one
 // side per relation at its leaf's θ, the leaf's retrieval strategy, effort
-// caps at the leaf efforts, and the plan's merge cost. The engine, when
-// workers or a shared cache are requested, overlaps extraction exactly as
-// in the binary executors (bit-identical at every worker count). A non-nil
-// shard set shards the leaves instead: every relation's stream routes
-// through per-shard engines while the tree nodes keep merging the canonical
-// consumer-ordered streams, so tuples and counters match the unsharded run.
-func (mw *MultiWorkload) NewNaryExecutor(ev optimizer.NaryEval, tj float64, execWorkers int, cache *pipeline.Cache, shards *shard.Set) (*join.NaryExec, error) {
+// caps at the leaf efforts, and the plan's merge cost. Extraction runs
+// through a shard group over set (nil = one uncached shard) exactly as in
+// the binary executors: every relation's stream routes through the
+// per-shard engines while the tree nodes keep merging the canonical
+// consumer-ordered streams, so tuples and counters match at every worker
+// and shard count.
+func (mw *MultiWorkload) NewNaryExecutor(ev optimizer.NaryEval, tj float64, execWorkers int, set *shard.Set) (*join.NaryExec, error) {
 	if ev.Tree == nil || len(ev.Leaves) != len(mw.DBs) {
 		return nil, fmt.Errorf("workload: n-ary plan covers %d relations, workload has %d", len(ev.Leaves), len(mw.DBs))
 	}
@@ -100,18 +100,13 @@ func (mw *MultiWorkload) NewNaryExecutor(ev optimizer.NaryEval, tj float64, exec
 	if err != nil {
 		return nil, err
 	}
-	extract := func(k pipeline.Key) []relation.Tuple {
+	sizes := make([]int, len(mw.DBs))
+	for i, db := range mw.DBs {
+		sizes[i] = db.Size()
+	}
+	exec.Pipeline = shard.NewGroup(set, execWorkers, sizes, func(k pipeline.Key) []relation.Tuple {
 		return mw.Sys[k.Side].Extract(mw.DBs[k.Side].Doc(k.DocID).Text, k.Theta)
-	}
-	if shards != nil && shards.Part.N >= 2 {
-		sizes := make([]int, len(mw.DBs))
-		for i, db := range mw.DBs {
-			sizes[i] = db.Size()
-		}
-		exec.Pipeline = shard.NewGroup(shards, execWorkers, sizes, extract)
-	} else if execWorkers >= 1 || cache != nil {
-		exec.Pipeline = pipeline.NewEngine(cache, execWorkers, extract)
-	}
+	})
 	return exec, nil
 }
 

@@ -191,7 +191,7 @@ func TestNaryExecPipelineBitIdentical(t *testing.T) {
 	}
 	var ref *join.NaryState
 	for _, workers := range []int{0, 1, 4} {
-		exec, err := mw.NewNaryExecutor(best, 0.1, workers, nil, nil)
+		exec, err := mw.NewNaryExecutor(best, 0.1, workers, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -256,7 +256,7 @@ func TestNaryExecShardedBitIdentical(t *testing.T) {
 		if shards >= 2 {
 			set = shard.NewSet(shard.Partition{N: shards}, 1<<26)
 		}
-		exec, err := mw.NewNaryExecutor(best, 0.1, workers, nil, set)
+		exec, err := mw.NewNaryExecutor(best, 0.1, workers, set)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -316,7 +316,7 @@ func TestChooseNaryOnWorkload(t *testing.T) {
 	if len(evals) == 0 || !best.Feasible {
 		t.Fatalf("no feasible plan: %+v", best)
 	}
-	exec, err := mw.NewNaryExecutor(best, in.TJ, 0, nil, nil)
+	exec, err := mw.NewNaryExecutor(best, in.TJ, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,12 +6,12 @@ import (
 	"joinopt/internal/join"
 	"joinopt/internal/obs"
 	"joinopt/internal/optimizer"
-	"joinopt/internal/pipeline"
 	"joinopt/internal/retrieval"
+	"joinopt/internal/shard"
 )
 
 // pipeTestWorkload builds a small dedicated workload: these tests mutate
-// ExecWorkers, ExtractCache, and Metrics, so they must not share the
+// ExecWorkers, ShardSet, and Metrics, so they must not share the
 // package-wide one.
 func pipeTestWorkload(t *testing.T) *Workload {
 	t.Helper()
@@ -47,9 +47,9 @@ var scPlan = optimizer.PlanSpec{
 func TestCacheCountersMatchCacheStats(t *testing.T) {
 	w := pipeTestWorkload(t)
 	reg := obs.NewRegistry()
-	cache := pipeline.NewCache(1 << 22)
+	w.ShardSet = shard.NewSet(shard.Partition{N: 1}, 1<<22)
+	cache := w.ShardSet.Caches[0]
 	w.Metrics = reg
-	w.ExtractCache = cache
 	w.ExecWorkers = 2
 
 	// Two executions sharing the cache: the first all misses, the second
@@ -92,9 +92,9 @@ func TestCacheEvictsAtByteBound(t *testing.T) {
 	w := pipeTestWorkload(t)
 	reg := obs.NewRegistry()
 	const bound = 8 << 10
-	cache := pipeline.NewCache(bound)
+	w.ShardSet = shard.NewSet(shard.Partition{N: 1}, bound)
+	cache := w.ShardSet.Caches[0]
 	w.Metrics = reg
-	w.ExtractCache = cache
 
 	runPlan(t, w, scPlan)
 
@@ -122,7 +122,7 @@ func TestAdaptiveCacheAvoidsExtractions(t *testing.T) {
 	run := func(cached bool) (*optimizer.Result, int64) {
 		w := pipeTestWorkload(t)
 		if cached {
-			w.ExtractCache = pipeline.NewCache(1 << 22)
+			w.ShardSet = shard.NewSet(shard.Partition{N: 1}, 1<<22)
 		}
 		env, err := w.NewEnv([]float64{0.4, 0.8})
 		if err != nil {

@@ -20,7 +20,6 @@ import (
 	"joinopt/internal/index"
 	"joinopt/internal/join"
 	"joinopt/internal/obs"
-	"joinopt/internal/pipeline"
 	"joinopt/internal/qxtract"
 	"joinopt/internal/relation"
 	"joinopt/internal/retrieval"
@@ -87,25 +86,15 @@ type Workload struct {
 	// bit-identical to the sequential execution. 0 = sequential.
 	ExecWorkers int
 
-	// ExtractCache, when set, shares one byte-bounded extraction cache
-	// across every execution built over this workload — pilot, abandoned,
-	// and final plans alike — so re-processing a document at the same θ is
-	// free. Hits, misses, and evictions surface through Metrics.
-	ExtractCache *pipeline.Cache
-
-	// Shards, when >= 2, partitions each database into that many
-	// deterministic shards and runs every executor over a scatter-gather
-	// group of per-shard pipelined engines (see internal/shard): document
-	// ownership is a pure function of (side, docID), each shard owns a
-	// slice of the extraction cache, and the consumer still resolves
-	// documents in canonical stream order, so output stays bit-identical
-	// to the unsharded run at any shard count. 0/1 = unsharded (the
-	// ExecWorkers/ExtractCache path above, byte for byte).
-	Shards int
-
-	// ShardSet is the persistent per-shard cache layout backing sharded
-	// executions (required when Shards >= 2; built once per task via
-	// shard.NewSet and shared across runs so the slices stay warm).
+	// ShardSet is the persistent extraction layout every executor built
+	// over this workload runs on (see internal/shard): its partition's shard
+	// count and one byte-bounded cache slice per shard, shared across every
+	// execution — pilot, abandoned, and final plans alike — so
+	// re-processing a document at the same θ is free. Document ownership is
+	// a pure function of (side, docID) and the consumer still resolves
+	// documents in canonical stream order, so output stays bit-identical at
+	// any shard count. nil = one uncached shard. Hits, misses, and evictions
+	// surface through Metrics.
 	ShardSet *shard.Set
 
 	// Trace and Metrics, when set, observe every execution built over this
@@ -148,15 +137,13 @@ func (w *Workload) Clone() *Workload {
 		Costs:      w.Costs,
 		Seeds:      w.Seeds,
 
-		Faults:       w.Faults,
-		Retry:        w.Retry,
-		Deadline:     w.Deadline,
-		ExecWorkers:  w.ExecWorkers,
-		ExtractCache: w.ExtractCache,
-		Shards:       w.Shards,
-		ShardSet:     w.ShardSet,
-		Trace:        w.Trace,
-		Metrics:      w.Metrics,
+		Faults:      w.Faults,
+		Retry:       w.Retry,
+		Deadline:    w.Deadline,
+		ExecWorkers: w.ExecWorkers,
+		ShardSet:    w.ShardSet,
+		Trace:       w.Trace,
+		Metrics:     w.Metrics,
 
 		statics: w.statics,
 	}

@@ -218,7 +218,8 @@ type Task struct {
 	// across shards). Output — tuples, counters, traces — is bit-identical
 	// to the unsharded run at any shard count; what changes is wall-clock
 	// overlap, which the optimizer models with the measured shard-scaling
-	// curve. 0 or 1 = unsharded.
+	// curve. 0 or 1 = unsharded. The task keeps one cache layout: a run at
+	// a different shard count (or capacity) than the last rebuilds it cold.
 	Shards int
 
 	// MergeCost (n-ary tasks) is the cost-model time charged per expected
@@ -228,16 +229,13 @@ type Task struct {
 	// binary executors' accounting.
 	MergeCost float64
 
+	// cacheMu guards the extraction-layout memo: the persistent shard set
+	// (one shard when unsharded) of the last run, reused warm while its
+	// shard count and capacity are unchanged.
 	cacheMu   sync.Mutex
-	cache     *pipeline.Cache
-	cacheCap  int64
+	set       *shard.Set
+	setCap    int64
 	cacheTier pipeline.Tier
-
-	// shardSet memo: the persistent per-shard cache slices of sharded runs,
-	// reused (warm) while the shard count and capacity are unchanged.
-	shards    *shard.Set
-	shardsN   int
-	shardsCap int64
 
 	verifierMu sync.Mutex
 	verifiers  map[verifierKey]*verify.TemplateVerifier
@@ -248,74 +246,49 @@ type Task struct {
 type CacheStats = pipeline.CacheStats
 
 // ExtractionCacheStats returns the current counters of the task's shared
-// extraction cache — the single cache of unsharded runs plus the per-shard
-// slices of sharded ones, summed. The zero value is returned when no cache
-// is configured. It is safe to call concurrently with in-flight Run calls:
-// the snapshot is internally consistent, though counters advance as runs
-// progress.
+// extraction cache, summed over its per-shard slices. The zero value is
+// returned when no cache is configured. It is safe to call concurrently
+// with in-flight Run calls: the snapshot is internally consistent, though
+// counters advance as runs progress.
 func (t *Task) ExtractionCacheStats() CacheStats {
 	t.cacheMu.Lock()
 	defer t.cacheMu.Unlock()
-	stats := t.cache.Stats()
-	if t.shards != nil {
-		ss := t.shards.Stats()
-		stats.Hits += ss.Hits
-		stats.Misses += ss.Misses
-		stats.Evictions += ss.Evictions
-		stats.Bytes += ss.Bytes
-		stats.Entries += ss.Entries
-		stats.TierHits += ss.TierHits
-	}
-	return stats
+	return t.set.Stats()
 }
 
 // SetExtractCacheTier attaches a second cache level behind the task's
 // shared extraction cache — typically a disk store that survives process
 // restarts, so a restarted daemon lazily re-warms from everything a crashed
-// one had paid for. Sharded runs get the same tier under every shard slice
-// (their key spaces are disjoint). Attach before runs start; nil detaches.
+// one had paid for. Every shard slice gets the same tier (their key spaces
+// are disjoint). Attach before runs start; nil detaches.
 func (t *Task) SetExtractCacheTier(tier pipeline.Tier) {
 	t.cacheMu.Lock()
 	defer t.cacheMu.Unlock()
 	t.cacheTier = tier
-	if t.cache != nil {
-		t.cache.SetTier(tier)
-	}
-	t.shards.SetTier(tier)
+	t.set.SetTier(tier)
 }
 
-// extractCache resolves the shared cache at the requested capacity, reusing
-// the existing cache (and its contents) while the capacity is unchanged.
-func (t *Task) extractCache(bytes int64) *pipeline.Cache {
-	t.cacheMu.Lock()
-	defer t.cacheMu.Unlock()
-	if bytes <= 0 {
-		t.cache, t.cacheCap = nil, 0
-		return nil
-	}
-	if t.cache == nil || t.cacheCap != bytes {
-		t.cache = pipeline.NewCache(bytes)
-		t.cache.SetTier(t.cacheTier)
-		t.cacheCap = bytes
-	}
-	return t.cache
-}
-
-// shardSet resolves the persistent per-shard cache layout for sharded runs,
-// reusing the existing set (and its warm slices) while the shard count and
-// capacity are unchanged. Returns nil below 2 shards.
+// shardSet resolves the persistent extraction layout of a run — a shard set
+// whose slices split bytes of cache capacity — reusing it warm while the
+// shard count and capacity are unchanged. A change rebuilds the set, so the
+// task never holds more than one budget's worth of cache. An uncached
+// unsharded run needs no layout: it drops the memo and returns nil.
 func (t *Task) shardSet(bytes int64, shards int) *shard.Set {
 	t.cacheMu.Lock()
 	defer t.cacheMu.Unlock()
 	if shards < 2 {
-		return nil
+		shards = 1
+		if bytes <= 0 {
+			t.set = nil
+			return nil
+		}
 	}
-	if t.shards == nil || t.shardsN != shards || t.shardsCap != bytes {
-		t.shards = shard.NewSet(shard.Partition{N: shards}, bytes)
-		t.shards.SetTier(t.cacheTier)
-		t.shardsN, t.shardsCap = shards, bytes
+	if t.set == nil || t.set.Part.N != shards || t.setCap != bytes {
+		t.set = shard.NewSet(shard.Partition{N: shards}, bytes)
+		t.set.SetTier(t.cacheTier)
+		t.setCap = bytes
 	}
-	return t.shards
+	return t.set
 }
 
 // NewHQJoinEX builds the paper's primary workload: the Headquarters

@@ -251,44 +251,6 @@ func TestFacadePlanString(t *testing.T) {
 	}
 }
 
-func TestFacadeThreeWay(t *testing.T) {
-	tw, err := joinopt.NewThreeWay(joinopt.WorkloadParams{NumDocs: 800, Seed: 6}, "MG", "HQ", "EX")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rels := tw.Relations()
-	if !strings.Contains(rels[0], "Mergers") || !strings.Contains(rels[2], "Executives") {
-		t.Errorf("relations %v", rels)
-	}
-	predGood, predBad, err := tw.Predict(0.4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := tw.Execute([3]float64{0.4, 0.4, 0.4}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.GoodTuples == 0 || out.BadTuples == 0 {
-		t.Fatalf("degenerate 3-way output %+v", out)
-	}
-	for _, pair := range [][2]float64{{predGood, float64(out.GoodTuples)}, {predBad, float64(out.BadTuples)}} {
-		r := pair[0] / pair[1]
-		if r < 0.3 || r > 3.0 {
-			t.Errorf("3-way prediction ratio %.2f (pred %.0f vs actual %.0f)", r, pair[0], pair[1])
-		}
-	}
-	// The stop condition halts early.
-	partial, err := tw.Execute([3]float64{0.4, 0.4, 0.4}, func(p joinopt.ThreeWayProgress) bool {
-		return p.DocsProcessed[0] >= 100
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if partial.DocsProcessed[0] > 110 {
-		t.Errorf("stop ignored: %d docs", partial.DocsProcessed[0])
-	}
-}
-
 func TestFacadePreferences(t *testing.T) {
 	tk := facadeTask(t)
 	best, req, err := tk.OptimizePrecision(8, 0.25)

@@ -81,3 +81,27 @@ func TestRunExtractionCacheStats(t *testing.T) {
 		t.Errorf("cache survived an uncached run: %+v", s)
 	}
 }
+
+// TestShardSwitchKeepsOneCacheBudget pins the single extraction layout: a
+// task that runs unsharded and then at four shards keeps one set of cache
+// slices, never both, so its resident bytes stay within ExtractCacheBytes.
+func TestShardSwitchKeepsOneCacheBudget(t *testing.T) {
+	tk, err := joinopt.NewHQJoinEX(joinopt.WorkloadParams{NumDocs: 600, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tk.ExtractCacheBytes = 64 << 10
+	for _, shards := range []int{1, 4} {
+		if _, err := tk.Run(context.Background(), joinopt.Requirement{},
+			joinopt.WithPlan(scanPlan()), joinopt.WithShards(shards)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := tk.ExtractionCacheStats()
+	if s.Entries == 0 {
+		t.Fatalf("no cache entries after two cached runs: %+v", s)
+	}
+	if s.Bytes > tk.ExtractCacheBytes {
+		t.Errorf("task holds %d cache bytes against a %d-byte budget", s.Bytes, tk.ExtractCacheBytes)
+	}
+}

@@ -7,7 +7,6 @@ import (
 	"joinopt/internal/join"
 	"joinopt/internal/obs"
 	"joinopt/internal/optimizer"
-	"joinopt/internal/pipeline"
 	"joinopt/internal/querygraph"
 	"joinopt/internal/retrieval"
 	"joinopt/internal/workload"
@@ -338,12 +337,7 @@ func (t *Task) runQuery(ctx context.Context, req Requirement, opts []RunOption) 
 			"plan": qp.String(), "est_good": qp.EstimatedGood, "est_bad": qp.EstimatedBad, "est_time": qp.EstimatedTime,
 		})
 	}
-	var cache *pipeline.Cache
-	set := t.shardSet(cacheBytes, shards)
-	if set == nil {
-		cache = t.extractCache(cacheBytes)
-	}
-	exec, err := t.mw.NewNaryExecutor(best, in.TJ, execWorkers, cache, set)
+	exec, err := t.mw.NewNaryExecutor(best, in.TJ, execWorkers, t.shardSet(cacheBytes, shards))
 	if err != nil {
 		return nil, err
 	}
@@ -412,12 +406,7 @@ func (t *Task) ExecuteQuery(thetas []float64, stop func(QueryProgress) bool) (*Q
 			Rel: i, Theta: thetas[i], X: retrieval.SC, Effort: size, MaxEffort: size,
 		})
 	}
-	var cache *pipeline.Cache
-	set := t.shardSet(t.ExtractCacheBytes, t.Shards)
-	if set == nil {
-		cache = t.extractCache(t.ExtractCacheBytes)
-	}
-	exec, err := t.mw.NewNaryExecutor(ev, t.MergeCost, t.ExecWorkers, cache, set)
+	exec, err := t.mw.NewNaryExecutor(ev, t.MergeCost, t.ExecWorkers, t.shardSet(t.ExtractCacheBytes, t.Shards))
 	if err != nil {
 		return nil, err
 	}

@@ -228,16 +228,16 @@ func TestQueryCacheInvariant(t *testing.T) {
 	}
 }
 
-// TestThreeWayShimGolden pins the re-homed ThreeWayTask bit-for-bit against
-// the legacy execution path it used to call directly: the n-ary IDJN over
-// the same MultiWorkload.
+// TestThreeWayShimGolden pins a three-relation query at pinned knobs
+// bit-for-bit against the legacy execution path: the n-ary IDJN over the
+// same MultiWorkload.
 func TestThreeWayShimGolden(t *testing.T) {
 	p := joinopt.WorkloadParams{NumDocs: 450, Seed: 9}
-	tw, err := joinopt.NewThreeWay(p, "MG", "HQ", "EX")
+	q, err := joinopt.NewQuery(p, joinopt.Query{Relations: []string{"MG", "HQ", "EX"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := tw.Execute([3]float64{0.4, 0.4, 0.4}, nil)
+	got, err := q.ExecuteQuery([]float64{0.4, 0.4, 0.4}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,8 +273,8 @@ func TestThreeWayShimGolden(t *testing.T) {
 		}
 	}
 
-	// The shim's stop condition still sees live three-way progress.
-	partial, err := tw.Execute([3]float64{0.4, 0.4, 0.4}, func(p joinopt.ThreeWayProgress) bool {
+	// The stop condition still sees live three-way progress.
+	partial, err := q.ExecuteQuery([]float64{0.4, 0.4, 0.4}, func(p joinopt.QueryProgress) bool {
 		return p.DocsProcessed[0] >= 50
 	})
 	if err != nil {

@@ -198,14 +198,7 @@ func (t *Task) configure(opts []RunOption) (*runConfig, *workload.Workload) {
 	}
 	w := t.w.Clone()
 	w.ExecWorkers = execWorkers
-	if shards >= 2 {
-		// Sharded runs split the cache budget into per-shard slices; the
-		// single shared cache stays detached so the two layouts never mix.
-		w.Shards = shards
-		w.ShardSet = t.shardSet(cacheBytes, shards)
-	} else {
-		w.ExtractCache = t.extractCache(cacheBytes)
-	}
+	w.ShardSet = t.shardSet(cacheBytes, shards)
 	w.Faults = fp
 	w.Retry = join.RetryPolicy{
 		MaxRetries:    retry.MaxRetries,
