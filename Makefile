@@ -19,8 +19,11 @@ fmt:
 build:
 	$(GO) build ./...
 
+# vet also covers the nested perfbench module, which the root ./... skips;
+# it imports the internal packages, so a refactor can break it silently.
 vet:
 	$(GO) vet ./...
+	cd perfbench && $(GO) vet ./...
 
 test:
 	$(GO) test ./...
@@ -71,7 +74,7 @@ cluster-smoke:
 	$(GO) test ./cmd/joinoptd -run TestClusterSmoke -count=1 -v
 
 # bench runs the optimizer plan-space benchmarks: sequential vs parallel
-# Choose on the 256-plan space, and cold vs warm memoization sweeps.
+# Choose on the 256-plan space, and ChooseNary on a four-relation chain.
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkChoose' -benchtime 10x .
 

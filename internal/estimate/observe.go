@@ -1,7 +1,9 @@
 package estimate
 
 import (
+	"cmp"
 	"math"
+	"slices"
 
 	"joinopt/internal/join"
 	"joinopt/internal/model"
@@ -83,16 +85,31 @@ func EstimateOverlaps(counts1, counts2 map[string]int, e1, e2 *Estimated) model.
 // For each joined value, the fitted mixtures give the posterior probability
 // that its occurrences on each side are good; a pair is good only when both
 // sides are.
+//
+// The posterior depends on a value only through its two counts, so the
+// joined values are first tallied per (c1, c2) count pair in exact integers
+// and the float terms then added in ascending pair order: the result does
+// not depend on map iteration order.
 func PairSplit(obs1, obs2 Observation, e1, e2 *Estimated) (good, bad float64) {
+	type countPair struct{ c1, c2 int }
+	shared := make(map[countPair]int)
+	for v, c1 := range obs1.ValueCounts {
+		if c2, ok := obs2.ValueCounts[v]; ok {
+			shared[countPair{c1, c2}]++
+		}
+	}
+	keys := make([]countPair, 0, len(shared))
+	for k := range shared {
+		keys = append(keys, k)
+	}
+	slices.SortFunc(keys, func(a, b countPair) int {
+		return cmp.Or(cmp.Compare(a.c1, b.c1), cmp.Compare(a.c2, b.c2))
+	})
 	post1 := posteriorGood(obs1, e1)
 	post2 := posteriorGood(obs2, e2)
-	for v, c1 := range obs1.ValueCounts {
-		c2, ok := obs2.ValueCounts[v]
-		if !ok {
-			continue
-		}
-		pairs := float64(c1 * c2)
-		pg := post1(c1) * post2(c2)
+	for _, k := range keys {
+		pairs := float64(shared[k] * k.c1 * k.c2)
+		pg := post1(k.c1) * post2(k.c2)
 		good += pairs * pg
 		bad += pairs * (1 - pg)
 	}

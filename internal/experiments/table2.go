@@ -17,7 +17,7 @@ import (
 // optimizer.Inputs.Workers. cmd/experiments exposes it as -workers.
 var ChooseWorkers int
 
-// Table2Reqs are the 23 (τg, τb) combinations of the paper's Table II.
+// Table2Reqs are the 24 (τg, τb) combinations of the paper's Table II.
 var Table2Reqs = []optimizer.Requirement{
 	{TauG: 1, TauB: 20},
 	{TauG: 2, TauB: 30}, {TauG: 2, TauB: 50},
@@ -116,9 +116,8 @@ func Table2(w *workload.Workload) ([]Table2Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	// One Inputs serves all 23 requirement sweeps below: the optimizer
-	// memoizes plan closures and model points on it, so later requirements
-	// mostly re-probe cached efforts instead of recomputing the models.
+	// One pilot's estimates serve every requirement below, as one adaptive
+	// run's pilot decision would see them.
 	in.Workers = ChooseWorkers
 
 	rows := make([]Table2Row, 0, len(Table2Reqs))

@@ -151,7 +151,7 @@ type Result struct {
 	CheckpointErrs []error
 
 	// Checkpoint is set when the run was interrupted by context
-	// cancellation; ResumeAdaptive continues from it. Nil on completed runs.
+	// cancellation; ResumeAdaptiveCtx continues from it. Nil on completed runs.
 	Checkpoint *Checkpoint
 }
 
@@ -200,21 +200,18 @@ type Checkpoint struct {
 	Prev   [2]int
 }
 
-// RunAdaptive executes the end-to-end §VI protocol: scan a pilot window,
+// RunAdaptiveCtx executes the end-to-end §VI protocol: scan a pilot window,
 // estimate the database-specific parameters by MLE, choose the fastest plan
 // predicted to meet req, execute it, and re-optimize at checkpoints —
 // switching plans (from scratch, keeping the time bill) when the sharpened
 // estimates reveal a better option.
-func RunAdaptive(env *Env, req Requirement, opts Options) (*Result, error) {
-	return RunAdaptiveCtx(context.Background(), env, req, opts)
-}
-
-// RunAdaptiveCtx is RunAdaptive under a context: cancellation stops the run
-// cooperatively at the next executor step and returns the context error with
-// Result.Checkpoint set, from which ResumeAdaptive continues. The pilot
-// itself is not checkpointable; cancellation during the pilot takes effect
-// at the first post-pilot step (the completed pilot's estimates are carried
-// in the checkpoint, so the pilot cost is never paid twice).
+//
+// Cancelling ctx stops the run cooperatively at the next executor step and
+// returns the context error with Result.Checkpoint set, from which
+// ResumeAdaptiveCtx continues. The pilot itself is not checkpointable;
+// cancellation during the pilot takes effect at the first post-pilot step
+// (the completed pilot's estimates are carried in the checkpoint, so the
+// pilot cost is never paid twice).
 func RunAdaptiveCtx(ctx context.Context, env *Env, req Requirement, opts Options) (*Result, error) {
 	opts.defaults()
 	if env.NewExecutor == nil || env.Rates == nil || len(env.Thetas) == 0 {
@@ -248,18 +245,13 @@ func RunAdaptiveCtx(ctx context.Context, env *Env, req Requirement, opts Options
 	return env.adaptiveLoop(ctx, res, req, opts, &Checkpoint{Phase: PhaseExecute, Best: best})
 }
 
-// ResumeAdaptive continues an interrupted adaptive run from its checkpoint
-// over an equivalent environment (same workload, fault profile, and
-// options). The in-flight executor is rebuilt and replayed to the
+// ResumeAdaptiveCtx continues an interrupted adaptive run from its
+// checkpoint over an equivalent environment (same workload, fault profile,
+// and options). The in-flight executor is rebuilt and replayed to the
 // checkpointed snapshot; at zero fault rate the resumed run finishes exactly
 // as the uninterrupted one would have. The pilot is not re-run, so
-// Result.Pilot is nil on resumed results.
-func ResumeAdaptive(env *Env, req Requirement, opts Options, ck *Checkpoint) (*Result, error) {
-	return ResumeAdaptiveCtx(context.Background(), env, req, opts, ck)
-}
-
-// ResumeAdaptiveCtx is ResumeAdaptive under a context; a resumed run can
-// itself be interrupted and resumed again.
+// Result.Pilot is nil on resumed results. A resumed run can itself be
+// interrupted and resumed again.
 func ResumeAdaptiveCtx(ctx context.Context, env *Env, req Requirement, opts Options, ck *Checkpoint) (*Result, error) {
 	opts.defaults()
 	if ck == nil || ck.Inputs == nil {
@@ -379,12 +371,14 @@ func (env *Env) adaptiveLoop(ctx context.Context, res *Result, req Requirement, 
 			return finish(best.Effort, 0, [2]int{}, false)
 		}
 		// Checkpoint: re-estimate when the current plan samples by
-		// scanning (unbiased window); otherwise keep the pilot estimates.
+		// scanning (unbiased window); otherwise keep the current estimates.
+		reestimated := false
 		if scanLike(best.Plan) {
 			if in2, err := env.estimateInputs(st, best.Plan.Theta[0]); err == nil {
 				in2.Workers = opts.ChooseWorkers
 				in = in2
 				res.Inputs = in
+				reestimated = true
 			}
 		}
 		// The billed time at this decision point includes the in-flight
@@ -394,7 +388,14 @@ func (env *Env) adaptiveLoop(ctx context.Context, res *Result, req Requirement, 
 		now := res.TotalTime + st.Time
 		om.Checkpoint()
 		env.emit(now, obs.KindCheckpoint, map[string]any{"plan": best.Plan.String(), "switches": switches})
-		nb, _, err := Choose(plans, in, req)
+		// best was chosen by Choose over this same in and req (at the
+		// pilot, at a switch, or by the run a resume continues), and Choose
+		// is a pure function of its arguments: without new estimates the
+		// checkpoint's choice is best itself.
+		nb := best
+		if reestimated {
+			nb, _, err = Choose(plans, in, req)
+		}
 		if err != nil || nb.Plan == best.Plan {
 			// No better option (or no feasible plan under the sharpened
 			// estimates): finish the current execution.

@@ -39,13 +39,8 @@ type Eval struct {
 // For IDJN the two sides advance proportionally — the square-traversal
 // heuristic of §VI, minimizing the sum of documents processed given that
 // their product drives the good-pair count.
-//
-// The plan closures and every quality/time point they produce are memoized
-// on the Inputs (see memo.go), so repeated evaluations — across the binary
-// search, the rectangle ratios, adaptive checkpoints, and requirement
-// sweeps — do not recompute identical model state.
 func Evaluate(plan PlanSpec, in *Inputs, req Requirement) (Eval, error) {
-	fns, reason, err := in.memoFns(plan, 1)
+	fns, reason, err := planFuncs(plan, in)
 	if err != nil {
 		return Eval{}, err
 	}
@@ -60,7 +55,7 @@ func Evaluate(plan PlanSpec, in *Inputs, req Requirement) (Eval, error) {
 			if ratio == 1 || ratio <= 0 {
 				continue
 			}
-			fns, reason, err := in.memoFns(plan, ratio)
+			fns, reason, err := idjnFuncsRatio(plan, in, ratio)
 			if err != nil {
 				return Eval{}, err
 			}
@@ -147,26 +142,47 @@ func robustQuality(d model.QualityDist, z float64) model.Quality {
 // evaluations (for reporting). It returns an error when no plan is
 // feasible.
 //
-// Evaluation runs on a bounded worker pool (Inputs.Workers; one worker per
-// CPU by default, 1 forces the sequential path). The result is
-// deterministic and identical to the sequential path for any worker count:
-// plans are evaluated independently against read-only model state, and the
-// reduction scans the evaluations in plan order keeping the strictly
-// fastest feasible plan, so ties break toward the earlier plan exactly as
-// a sequential scan would.
+// Evaluation runs on sweep's bounded worker pool (Inputs.Workers; one
+// worker per CPU by default, 1 evaluates inline). The result is identical
+// for any worker count: plans are evaluated independently against
+// read-only model state, and the reduction scans the evaluations in plan
+// order keeping the strictly fastest feasible plan, so ties break toward
+// the earlier plan.
 func Choose(plans []PlanSpec, in *Inputs, req Requirement) (Eval, []Eval, error) {
-	workers := in.Workers
+	evals, err := sweep(len(plans), in.Workers, func(i int) (Eval, error) {
+		ev, err := Evaluate(plans[i], in, req)
+		if err != nil {
+			return Eval{}, fmt.Errorf("optimizer: evaluating %s: %w", plans[i], err)
+		}
+		return ev, nil
+	})
+	if err != nil {
+		return Eval{}, nil, err
+	}
+	return pickBest(evals, req)
+}
+
+// sweep computes eval(0), …, eval(n-1) on up to workers goroutines (0 = one
+// per CPU, ≤ 1 inline) and returns the results in index order. On failure
+// it returns the lowest-index error, as an inline loop would: indices are
+// claimed in order and every claimed index is evaluated to completion, so
+// every index below a failing one has run by the time the workers stop.
+func sweep[T any](n, workers int, eval func(int) (T, error)) ([]T, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(plans) {
-		workers = len(plans)
-	}
+	workers = min(workers, n)
+	out := make([]T, n)
 	if workers <= 1 {
-		return chooseSequential(plans, in, req)
+		for i := range out {
+			var err error
+			if out[i], err = eval(i); err != nil {
+				return nil, err
+			}
+		}
+		return out, nil
 	}
-	evals := make([]Eval, len(plans))
-	errs := make([]error, len(plans))
+	errs := make([]error, n)
 	var next atomic.Int64
 	var failed atomic.Bool
 	var wg sync.WaitGroup
@@ -174,46 +190,28 @@ func Choose(plans []PlanSpec, in *Inputs, req Requirement) (Eval, []Eval, error)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
+			for !failed.Load() {
 				i := int(next.Add(1)) - 1
-				if i >= len(plans) || failed.Load() {
+				if i >= n {
 					return
 				}
-				ev, err := Evaluate(plans[i], in, req)
+				v, err := eval(i)
 				if err != nil {
-					errs[i] = fmt.Errorf("optimizer: evaluating %s: %w", plans[i], err)
+					errs[i] = err
 					failed.Store(true)
 					return
 				}
-				evals[i] = ev
+				out[i] = v
 			}
 		}()
 	}
 	wg.Wait()
-	if failed.Load() {
-		// Indices are handed out in order and every claimed index either
-		// completes or records its error, so the lowest recorded error is
-		// the one the sequential scan would have hit first.
-		for _, err := range errs {
-			if err != nil {
-				return Eval{}, nil, err
-			}
-		}
-	}
-	return pickBest(evals, req)
-}
-
-// chooseSequential is the single-threaded reference path.
-func chooseSequential(plans []PlanSpec, in *Inputs, req Requirement) (Eval, []Eval, error) {
-	evals := make([]Eval, 0, len(plans))
-	for _, plan := range plans {
-		ev, err := Evaluate(plan, in, req)
+	for _, err := range errs {
 		if err != nil {
-			return Eval{}, nil, fmt.Errorf("optimizer: evaluating %s: %w", plan, err)
+			return nil, err
 		}
-		evals = append(evals, ev)
 	}
-	return pickBest(evals, req)
+	return out, nil
 }
 
 // pickBest reduces an evaluation list to the fastest feasible plan with the

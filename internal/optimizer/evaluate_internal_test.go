@@ -73,77 +73,3 @@ func TestSearchMinEffortMonotone(t *testing.T) {
 		t.Errorf("max=1 case (%d, %v)", e, feasible)
 	}
 }
-
-// TestMemoizedEvaluateConsistent asserts the memo layer is transparent: a
-// second evaluation of the same plan space on the same Inputs (now fully
-// cached) and an evaluation after Reset (cold cache) return identical
-// results.
-func TestMemoizedEvaluateConsistent(t *testing.T) {
-	in := syntheticInputs()
-	plans := Enumerate(in.Thetas)
-	req := Requirement{TauG: 4, TauB: 1 << 20}
-	first := make([]Eval, len(plans))
-	for i, p := range plans {
-		ev, err := Evaluate(p, in, req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		first[i] = ev
-	}
-	for i, p := range plans {
-		ev, err := Evaluate(p, in, req) // warm cache
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ev != first[i] {
-			t.Errorf("plan %s: warm-cache eval diverged: %+v vs %+v", p, ev, first[i])
-		}
-	}
-	in.Reset()
-	for i, p := range plans {
-		ev, err := Evaluate(p, in, req) // cold cache
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ev != first[i] {
-			t.Errorf("plan %s: post-Reset eval diverged: %+v vs %+v", p, ev, first[i])
-		}
-	}
-}
-
-// syntheticInputs builds a small, fully synthetic parameter set (no
-// workload generation) exercising every algorithm's closures.
-func syntheticInputs() *Inputs {
-	mkParams := func(tp, fp float64) *model.RelationParams {
-		return &model.RelationParams{
-			D: 400, Dg: 120, Db: 80, Ag: 60, Ab: 30,
-			GoodFreq:      []float64{0.5, 0.3, 0.2},
-			BadFreq:       []float64{0.7, 0.3},
-			TP:            tp,
-			FP:            fp,
-			BadInGoodFrac: 0.3,
-			Ctp:           0.9,
-			Cfp:           0.2,
-			AQG: []model.QueryParam{
-				{Hits: 40, GoodHits: 25, BadHits: 5},
-				{Hits: 30, GoodHits: 15, BadHits: 5},
-				{Hits: 25, GoodHits: 10, BadHits: 5},
-			},
-			TopK:         10,
-			QPrec:        0.5,
-			ValuesPerDoc: []float64{0.3, 0.4, 0.2, 0.1},
-		}
-	}
-	in := &Inputs{
-		Thetas:     []float64{0.4, 0.8},
-		Ov:         model.Overlaps{Agg: 40, Agb: 10, Abg: 12, Abb: 6},
-		CasualHits: [2]float64{1.5, 1.5},
-		Mentioned:  [2]int{180, 180},
-		SeedCount:  5,
-	}
-	for side := 0; side < 2; side++ {
-		in.P[side] = append(in.P[side], mkParams(0.85, 0.12), mkParams(0.6, 0.04))
-	}
-	in.Costs = [2]model.Costs{{TR: 1, TE: 2, TF: 0.1, TQ: 0.5}, {TR: 1, TE: 2, TF: 0.1, TQ: 0.5}}
-	return in
-}

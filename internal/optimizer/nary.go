@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"runtime"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"joinopt/internal/model"
 	"joinopt/internal/querygraph"
@@ -450,9 +448,9 @@ func evalNaryConfig(g *querygraph.Graph, in *NaryInputs, req Requirement, cfg na
 // planned by Choose over the richer binary plan space (OIJN orientations,
 // ZGJN, rectangle ratios); the facade routes them there.
 //
-// Like Choose, the sweep runs on a bounded worker pool (Workers; 0 = one
-// per CPU) and returns the identical result for any worker count: ties
-// break toward the earlier configuration in enumeration order.
+// The configurations are evaluated by the same sweep as Choose's plans
+// (Workers; 0 = one per CPU), so any worker count returns the identical
+// result: ties break toward the earlier configuration in enumeration order.
 func ChooseNary(g *querygraph.Graph, in *NaryInputs, req Requirement) (NaryEval, []NaryEval, error) {
 	if err := in.validate(g); err != nil {
 		return NaryEval{}, nil, err
@@ -461,52 +459,11 @@ func ChooseNary(g *querygraph.Graph, in *NaryInputs, req Requirement) (NaryEval,
 	if err != nil {
 		return NaryEval{}, nil, err
 	}
-	workers := in.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(configs) {
-		workers = len(configs)
-	}
-	evals := make([]NaryEval, len(configs))
-	errs := make([]error, len(configs))
-	if workers <= 1 {
-		for i, cfg := range configs {
-			if evals[i], errs[i] = evalNaryConfig(g, in, req, cfg); errs[i] != nil {
-				return NaryEval{}, nil, errs[i]
-			}
-		}
-		return pickBestNary(evals, req)
-	}
-	var next atomic.Int64
-	var failed atomic.Bool
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(configs) || failed.Load() {
-					return
-				}
-				ev, err := evalNaryConfig(g, in, req, configs[i])
-				if err != nil {
-					errs[i] = err
-					failed.Store(true)
-					return
-				}
-				evals[i] = ev
-			}
-		}()
-	}
-	wg.Wait()
-	if failed.Load() {
-		for _, err := range errs {
-			if err != nil {
-				return NaryEval{}, nil, err
-			}
-		}
+	evals, err := sweep(len(configs), in.Workers, func(i int) (NaryEval, error) {
+		return evalNaryConfig(g, in, req, configs[i])
+	})
+	if err != nil {
+		return NaryEval{}, nil, err
 	}
 	return pickBestNary(evals, req)
 }

@@ -1,10 +1,12 @@
 package optimizer_test
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"testing"
 
+	"joinopt/internal/experiments"
 	"joinopt/internal/optimizer"
 	"joinopt/internal/retrieval"
 	"joinopt/internal/workload"
@@ -195,7 +197,7 @@ func TestRunAdaptiveMeetsRequirement(t *testing.T) {
 		t.Fatal(err)
 	}
 	req := optimizer.Requirement{TauG: 16, TauB: 400}
-	res, err := optimizer.RunAdaptive(env, req, optimizer.Options{})
+	res, err := optimizer.RunAdaptiveCtx(context.Background(), env, req, optimizer.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,8 +215,49 @@ func TestRunAdaptiveMeetsRequirement(t *testing.T) {
 	}
 }
 
+// TestAdaptiveFinalChoiceIsChooseOverFinalInputs checks the invariant that
+// lets a checkpoint without new estimates keep its plan without re-running
+// Choose: across the Table II requirements, every adaptive run's last
+// decision is exactly what a fresh Choose over the run's final inputs
+// returns. At least one row must reach a checkpoint that kept the pilot's
+// choice unchanged, so the fixture keeps exercising that path.
+func TestAdaptiveFinalChoiceIsChooseOverFinalInputs(t *testing.T) {
+	w, err := workload.HQJoinEX(workload.Params{NumDocs: 800, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	env, err := w.NewEnv(thetas)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plans := optimizer.Enumerate(thetas)
+	checked, kept := 0, 0
+	for _, req := range experiments.Table2Reqs {
+		res, err := optimizer.RunAdaptiveCtx(context.Background(), env, req, optimizer.Options{})
+		if err != nil || len(res.CheckpointErrs) > 0 {
+			continue // infeasible at the pilot, or a checkpoint found no plan
+		}
+		last := res.Decisions[len(res.Decisions)-1].Chosen
+		got, _, err := optimizer.Choose(plans, res.Inputs, req)
+		if err != nil {
+			t.Fatalf("%+v: Choose over the final inputs: %v", req, err)
+		}
+		if got != last {
+			t.Errorf("%+v: Choose over the final inputs = %+v, last decision %+v", req, got, last)
+		}
+		checked++
+		if len(res.Decisions) > 1 && !res.Decisions[1].Switched && res.Decisions[1].Chosen == res.Decisions[0].Chosen {
+			kept++
+		}
+	}
+	if checked == 0 || kept == 0 {
+		t.Fatalf("%d rows checked, %d kept the pilot's choice at a checkpoint; the fixture no longer exercises that path", checked, kept)
+	}
+	t.Logf("%d rows checked, %d kept the pilot's choice at a checkpoint", checked, kept)
+}
+
 func TestRunAdaptiveIncompleteEnv(t *testing.T) {
-	if _, err := optimizer.RunAdaptive(&optimizer.Env{}, optimizer.Requirement{TauG: 1, TauB: 1}, optimizer.Options{}); err == nil {
+	if _, err := optimizer.RunAdaptiveCtx(context.Background(), &optimizer.Env{}, optimizer.Requirement{TauG: 1, TauB: 1}, optimizer.Options{}); err == nil {
 		t.Error("expected error for incomplete environment")
 	}
 }

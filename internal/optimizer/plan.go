@@ -135,8 +135,7 @@ type Inputs struct {
 
 	// CacheHitRate is the expected extraction-cache hit rate per side in
 	// [0, 1]; a hit makes that document's extraction free. Zero (the
-	// default) models a cold or absent cache. Set before the first Evaluate
-	// or Choose call — plan evaluations are memoized on first use.
+	// default) models a cold or absent cache.
 	CacheHitRate [2]float64
 
 	// Shards is the corpus shard count the chosen plan will execute under
@@ -149,16 +148,6 @@ type Inputs struct {
 	// any remaining per-shard worker pool on top (WorkersPerShard). The json
 	// tag keeps unsharded checkpoints byte-identical to the v1 wire format.
 	Shards int `json:"Shards,omitempty"`
-
-	// memo caches derived model state (parameter lookups, plan closures,
-	// quality/time points) across Evaluate and Choose calls; see memo.go.
-	// It attaches lazily, so fresh Inputs always start with a fresh cache.
-	memo *planMemo
-}
-
-// params resolves the parameter set of side at theta through the memo.
-func (in *Inputs) params(side int, theta float64) (*model.RelationParams, error) {
-	return in.cachedParams(side, theta)
 }
 
 // effCosts returns side's cost parameters as plan-time prediction should
@@ -198,8 +187,8 @@ func effectiveCosts(c model.Costs, hitRate float64, execWorkers, shards int) mod
 	return c
 }
 
-// lookupParams is the uncached resolution behind params.
-func (in *Inputs) lookupParams(side int, theta float64) (*model.RelationParams, error) {
+// params resolves the parameter set of side at theta.
+func (in *Inputs) params(side int, theta float64) (*model.RelationParams, error) {
 	for k, t := range in.Thetas {
 		if t == theta {
 			if side < 0 || side > 1 || k >= len(in.P[side]) || in.P[side][k] == nil {

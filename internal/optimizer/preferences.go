@@ -121,7 +121,7 @@ func ChooseWithinBudget(plans []PlanSpec, in *Inputs, budget, maxBadPerGood floa
 	best := Eval{}
 	found := false
 	for _, plan := range plans {
-		fns, _, err := in.memoFns(plan, 1)
+		fns, _, err := planFuncs(plan, in)
 		if err != nil {
 			return Eval{}, err
 		}

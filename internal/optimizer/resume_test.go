@@ -57,7 +57,7 @@ func TestResumeAdaptiveMatchesUninterrupted(t *testing.T) {
 
 	// Uninterrupted baseline, counting the run's total executor steps.
 	total := 0
-	base, err := optimizer.RunAdaptive(countingEnv(env, &total, 0, nil), req, opts)
+	base, err := optimizer.RunAdaptiveCtx(context.Background(), countingEnv(env, &total, 0, nil), req, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestResumeAdaptiveMatchesUninterrupted(t *testing.T) {
 		}
 		t.Logf("interrupted at step %d/%d in phase %d", limit, total, res.Checkpoint.Phase)
 
-		resumed, err := optimizer.ResumeAdaptive(env, req, opts, res.Checkpoint)
+		resumed, err := optimizer.ResumeAdaptiveCtx(context.Background(), env, req, opts, res.Checkpoint)
 		if err != nil {
 			t.Fatalf("resume from %.0f%%: %v", frac*100, err)
 		}
@@ -132,10 +132,10 @@ func TestResumeAdaptiveRejectsBadCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	req := optimizer.Requirement{TauG: 1, TauB: 100}
-	if _, err := optimizer.ResumeAdaptive(env, req, optimizer.Options{}, nil); err == nil {
+	if _, err := optimizer.ResumeAdaptiveCtx(context.Background(), env, req, optimizer.Options{}, nil); err == nil {
 		t.Error("nil checkpoint must be rejected")
 	}
-	if _, err := optimizer.ResumeAdaptive(env, req, optimizer.Options{}, &optimizer.Checkpoint{}); err == nil {
+	if _, err := optimizer.ResumeAdaptiveCtx(context.Background(), env, req, optimizer.Options{}, &optimizer.Checkpoint{}); err == nil {
 		t.Error("checkpoint without estimates must be rejected")
 	}
 }

@@ -42,7 +42,7 @@ const (
 // CanonicalWorkloadKey is the cluster routing key of a job request: the
 // same canonical workload string that namespaces the durable cache tier, so
 // all jobs of one workload land on the replica holding its trained
-// machinery, memoized optimizer inputs, and warmed disk tier. Cache sizing
+// machinery, environment statics, and warmed disk tier. Cache sizing
 // is deliberately not part of the key — replicas with different cache
 // defaults must still agree on ownership.
 func CanonicalWorkloadKey(req JobRequest) string {

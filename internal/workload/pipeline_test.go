@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"context"
 	"testing"
 
 	"joinopt/internal/join"
@@ -129,7 +130,7 @@ func TestAdaptiveCacheAvoidsExtractions(t *testing.T) {
 			t.Fatal(err)
 		}
 		before := extracts(w)
-		res, err := optimizer.RunAdaptive(env, req, optimizer.Options{ChooseWorkers: 1})
+		res, err := optimizer.RunAdaptiveCtx(context.Background(), env, req, optimizer.Options{ChooseWorkers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -443,10 +443,7 @@ var Knobs = []float64{0.4, 0.8}
 // task's databases — the configuration of the paper's model-accuracy
 // experiments.
 func (t *Task) EvaluatePlans(req Requirement) ([]PlanEvaluation, error) {
-	if err := t.binaryOnly("EvaluatePlans"); err != nil {
-		return nil, err
-	}
-	in, err := t.w.TrueInputs(Knobs)
+	in, err := t.trueInputs("EvaluatePlans")
 	if err != nil {
 		return nil, err
 	}
@@ -457,16 +454,36 @@ func (t *Task) EvaluatePlans(req Requirement) ([]PlanEvaluation, error) {
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, PlanEvaluation{
-			Plan:          planFromSpec(ev.Plan),
-			Feasible:      ev.Feasible,
-			EstimatedGood: ev.Quality.Good,
-			EstimatedBad:  ev.Quality.Bad,
-			EstimatedTime: ev.Time,
-			Reason:        ev.Reason,
-		})
+		out = append(out, evaluationOf(ev))
 	}
 	return out, nil
+}
+
+// trueInputs guards op to two-relation tasks and returns the
+// perfect-knowledge optimizer inputs measured on the task's databases,
+// searched with the task's plan-search worker count.
+func (t *Task) trueInputs(op string) (*optimizer.Inputs, error) {
+	if err := t.binaryOnly(op); err != nil {
+		return nil, err
+	}
+	in, err := t.w.TrueInputs(Knobs)
+	if err != nil {
+		return nil, err
+	}
+	in.Workers = t.Workers
+	return in, nil
+}
+
+// evaluationOf renders an optimizer evaluation in the facade's form.
+func evaluationOf(ev optimizer.Eval) PlanEvaluation {
+	return PlanEvaluation{
+		Plan:          planFromSpec(ev.Plan),
+		Feasible:      ev.Feasible,
+		EstimatedGood: ev.Quality.Good,
+		EstimatedBad:  ev.Quality.Bad,
+		EstimatedTime: ev.Time,
+		Reason:        ev.Reason,
+	}
 }
 
 // Optimize picks the fastest two-relation plan predicted to meet the
@@ -474,25 +491,15 @@ func (t *Task) EvaluatePlans(req Requirement) ([]PlanEvaluation, error) {
 // end-to-end variant that estimates parameters on the fly, and
 // OptimizeQuery for the arity-general form.
 func (t *Task) Optimize(req Requirement) (PlanEvaluation, error) {
-	if err := t.binaryOnly("Optimize"); err != nil {
-		return PlanEvaluation{}, err
-	}
-	in, err := t.w.TrueInputs(Knobs)
+	in, err := t.trueInputs("Optimize")
 	if err != nil {
 		return PlanEvaluation{}, err
 	}
-	in.Workers = t.Workers
 	best, _, err := optimizer.Choose(optimizer.Enumerate(Knobs), in, optimizer.Requirement(req))
 	if err != nil {
 		return PlanEvaluation{}, err
 	}
-	return PlanEvaluation{
-		Plan:          planFromSpec(best.Plan),
-		Feasible:      true,
-		EstimatedGood: best.Quality.Good,
-		EstimatedBad:  best.Quality.Bad,
-		EstimatedTime: best.Time,
-	}, nil
+	return evaluationOf(best), nil
 }
 
 // AdaptiveCheckpoint is an opaque resumable snapshot of an interrupted
@@ -593,26 +600,16 @@ func (t *Task) Gold(jt JoinTuple) bool {
 // output still reaches τg and its sigma-inflated bad output stays within
 // τb. Larger sigma yields more conservative (and typically costlier) plans.
 func (t *Task) OptimizeRobust(req Requirement, sigma float64) (PlanEvaluation, error) {
-	if err := t.binaryOnly("OptimizeRobust"); err != nil {
-		return PlanEvaluation{}, err
-	}
-	in, err := t.w.TrueInputs(Knobs)
+	in, err := t.trueInputs("OptimizeRobust")
 	if err != nil {
 		return PlanEvaluation{}, err
 	}
 	in.RobustSigma = sigma
-	in.Workers = t.Workers
 	best, _, err := optimizer.Choose(optimizer.Enumerate(Knobs), in, optimizer.Requirement(req))
 	if err != nil {
 		return PlanEvaluation{}, err
 	}
-	return PlanEvaluation{
-		Plan:          planFromSpec(best.Plan),
-		Feasible:      true,
-		EstimatedGood: best.Quality.Good,
-		EstimatedBad:  best.Quality.Bad,
-		EstimatedTime: best.Time,
-	}, nil
+	return evaluationOf(best), nil
 }
 
 // OptimizePrecision picks the fastest plan delivering at least good tuples
@@ -630,35 +627,22 @@ func (t *Task) OptimizeRecall(recall float64) (PlanEvaluation, Requirement, erro
 }
 
 func (t *Task) optimizePreferred(pref optimizer.Preference) (PlanEvaluation, Requirement, error) {
-	if err := t.binaryOnly("preference optimization"); err != nil {
-		return PlanEvaluation{}, Requirement{}, err
-	}
-	in, err := t.w.TrueInputs(Knobs)
+	in, err := t.trueInputs("preference optimization")
 	if err != nil {
 		return PlanEvaluation{}, Requirement{}, err
 	}
-	in.Workers = t.Workers
 	best, req, err := optimizer.ChoosePreferred(optimizer.Enumerate(Knobs), in, pref)
 	if err != nil {
 		return PlanEvaluation{}, Requirement(req), err
 	}
-	return PlanEvaluation{
-		Plan:          planFromSpec(best.Plan),
-		Feasible:      true,
-		EstimatedGood: best.Quality.Good,
-		EstimatedBad:  best.Quality.Bad,
-		EstimatedTime: best.Time,
-	}, Requirement(req), nil
+	return evaluationOf(best), Requirement(req), nil
 }
 
 // OptimizeWithinBudget maximizes the predicted good output within a hard
 // execution-time budget — the paper's time-budget preference. maxBadPerGood
 // bounds the output's bad-to-good ratio (≤ 0 disables the constraint).
 func (t *Task) OptimizeWithinBudget(budget, maxBadPerGood float64) (PlanEvaluation, error) {
-	if err := t.binaryOnly("OptimizeWithinBudget"); err != nil {
-		return PlanEvaluation{}, err
-	}
-	in, err := t.w.TrueInputs(Knobs)
+	in, err := t.trueInputs("OptimizeWithinBudget")
 	if err != nil {
 		return PlanEvaluation{}, err
 	}
@@ -666,11 +650,5 @@ func (t *Task) OptimizeWithinBudget(budget, maxBadPerGood float64) (PlanEvaluati
 	if err != nil {
 		return PlanEvaluation{}, err
 	}
-	return PlanEvaluation{
-		Plan:          planFromSpec(best.Plan),
-		Feasible:      true,
-		EstimatedGood: best.Quality.Good,
-		EstimatedBad:  best.Quality.Bad,
-		EstimatedTime: best.Time,
-	}, nil
+	return evaluationOf(best), nil
 }

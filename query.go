@@ -242,11 +242,10 @@ func queryOutcomeOf(qp QueryPlan, st *join.NaryState, deadlineHit bool) *QueryOu
 // derived special case, not a separate code path the caller must select.
 func (t *Task) OptimizeQuery(req Requirement) (QueryPlan, error) {
 	if t.mw == nil {
-		in, err := t.w.TrueInputs(Knobs)
+		in, err := t.trueInputs("OptimizeQuery")
 		if err != nil {
 			return QueryPlan{}, err
 		}
-		in.Workers = t.Workers
 		best, _, err := optimizer.Choose(optimizer.Enumerate(Knobs), in, optimizer.Requirement(req))
 		if err != nil {
 			return QueryPlan{}, err
