@@ -3,7 +3,7 @@ GO ?= go
 .PHONY: check fmt build vet test race transparency api-check api-update bench-enum serve-smoke crash-smoke cluster-smoke bench bench-overhead bench-json bench-json-check bench-service
 
 # check is the full pre-merge gate: gofmt-clean sources, static checks, a
-# clean build, the test suite, the race detector over the concurrent
+# clean build, the test suites of both modules, the race detector over the concurrent
 # packages (the optimizer's parallel plan-space search, the join executors
 # it drives, the fault injection/tolerance layer, and the estimator grid and
 # classifier scratch that concurrent jobs share), the zero-rate
@@ -25,8 +25,12 @@ vet:
 	$(GO) vet ./...
 	cd perfbench && $(GO) vet ./...
 
+# test also runs the perfbench module's own tests: short untraced and
+# traced runs of both benchmark workloads, with their output checks. They
+# write only to temporary directories.
 test:
 	$(GO) test ./...
+	cd perfbench && $(GO) test ./...
 
 race:
 	$(GO) test -race ./internal/optimizer/... ./internal/join/... ./internal/faults/... ./internal/workload/... ./internal/obs/... ./internal/pipeline/... ./internal/shard/... ./internal/service/... ./internal/durable/... ./internal/cluster/... ./internal/estimate/... ./internal/classifier/...

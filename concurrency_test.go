@@ -2,19 +2,44 @@ package joinopt_test
 
 import (
 	"context"
+	"fmt"
+	"math"
+	"strings"
 	"sync"
 	"testing"
 
 	"joinopt"
 )
 
+// renderEvaluations prints plan evaluations, one a line, with their
+// estimates as bits.
+func renderEvaluations(evs ...joinopt.PlanEvaluation) string {
+	var b strings.Builder
+	for _, ev := range evs {
+		fmt.Fprintf(&b, "%s feasible=%t reason=%q good=%#x bad=%#x time=%#x\n", ev.Plan, ev.Feasible, ev.Reason,
+			math.Float64bits(ev.EstimatedGood), math.Float64bits(ev.EstimatedBad), math.Float64bits(ev.EstimatedTime))
+	}
+	return b.String()
+}
+
+// renderQueryPlan prints an n-ary plan with its estimates as bits.
+func renderQueryPlan(qp joinopt.QueryPlan) string {
+	return fmt.Sprintf("%s good=%#x bad=%#x time=%#x merge=%#x", qp,
+		math.Float64bits(qp.EstimatedGood), math.Float64bits(qp.EstimatedBad),
+		math.Float64bits(qp.EstimatedTime), math.Float64bits(qp.EstimatedMergeTuples))
+}
+
 // TestConcurrentRunsOnOneTask pins the Task concurrency contract: one Task
 // hammered by concurrent Run calls — adaptive and fixed-plan, with per-run
 // traces, metrics, fault profiles, pipelined workers, and the shared
 // extraction cache — must race-cleanly produce, per configuration, the same
-// output composition as a sequential run. Run it under -race.
+// output composition as a sequential run. Concurrent Optimize,
+// EvaluatePlans and (on an n-ary task) OptimizeQuery calls race to measure
+// the perfect-knowledge statistics and must return, bit for bit, what a
+// twin task built with the same parameters returns. Run it under -race.
 func TestConcurrentRunsOnOneTask(t *testing.T) {
-	tk, err := joinopt.NewHQJoinEX(joinopt.WorkloadParams{NumDocs: 500, Seed: 21})
+	params := joinopt.WorkloadParams{NumDocs: 500, Seed: 21}
+	tk, err := joinopt.NewHQJoinEX(params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,8 +61,62 @@ func TestConcurrentRunsOnOneTask(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	const goroutines = 12
+	// Perfect-knowledge references come from twins, so on tk and tq the
+	// goroutines below are the first to request the statistics.
+	twin, err := joinopt.NewHQJoinEX(params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	best, err := twin.Optimize(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refOptimize := renderEvaluations(best)
+	evals, err := twin.EvaluatePlans(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refEvaluate := renderEvaluations(evals...)
+	qparams := joinopt.WorkloadParams{NumDocs: 450, Seed: 9}
+	query := joinopt.Query{Relations: []string{"HQ", "EX", "MG"}}
+	qreq := joinopt.Requirement{TauG: 5, TauB: 1 << 30}
+	tq, err := joinopt.NewQuery(qparams, query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	twinQ, err := joinopt.NewQuery(qparams, query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qp, err := twinQ.OptimizeQuery(qreq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refQuery := renderQueryPlan(qp)
+
+	const optimizers = 9
 	var wg sync.WaitGroup
+	oerrs := make([]error, optimizers)
+	oouts := make([]string, optimizers)
+	wg.Add(optimizers)
+	for i := 0; i < optimizers; i++ {
+		go func(i int) {
+			defer wg.Done()
+			switch i % 3 {
+			case 0:
+				ev, err := tk.Optimize(req)
+				oouts[i], oerrs[i] = renderEvaluations(ev), err
+			case 1:
+				evs, err := tk.EvaluatePlans(req)
+				oouts[i], oerrs[i] = renderEvaluations(evs...), err
+			case 2:
+				qp, err := tq.OptimizeQuery(qreq)
+				oouts[i], oerrs[i] = renderQueryPlan(qp), err
+			}
+		}(i)
+	}
+
+	const goroutines = 12
 	errs := make([]error, goroutines)
 	outs := make([]*joinopt.Outcome, goroutines)
 	wg.Add(goroutines)
@@ -68,6 +147,15 @@ func TestConcurrentRunsOnOneTask(t *testing.T) {
 	}
 	wg.Wait()
 
+	for i := 0; i < optimizers; i++ {
+		if oerrs[i] != nil {
+			t.Fatalf("optimizer goroutine %d: %v", i, oerrs[i])
+		}
+		want := [...]string{refOptimize, refEvaluate, refQuery}[i%3]
+		if oouts[i] != want {
+			t.Errorf("optimizer goroutine %d diverged from its twin:\n got  %s\n want %s", i, oouts[i], want)
+		}
+	}
 	for i := 0; i < goroutines; i++ {
 		if errs[i] != nil {
 			t.Fatalf("goroutine %d: %v", i, errs[i])

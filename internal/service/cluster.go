@@ -42,9 +42,9 @@ const (
 // CanonicalWorkloadKey is the cluster routing key of a job request: the
 // same canonical workload string that namespaces the durable cache tier, so
 // all jobs of one workload land on the replica holding its trained
-// machinery, environment statics, and warmed disk tier. Cache sizing
-// is deliberately not part of the key — replicas with different cache
-// defaults must still agree on ownership.
+// machinery, environment statics, perfect-knowledge statistics, and warmed
+// disk tier. Cache sizing is deliberately not part of the key — replicas
+// with different cache defaults must still agree on ownership.
 func CanonicalWorkloadKey(req JobRequest) string {
 	spec := req.Workload
 	if req.Query == nil && spec.Relations == [2]string{} {

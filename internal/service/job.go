@@ -13,8 +13,8 @@ import (
 
 // WorkloadSpec identifies a workload in the registry. It is the registry
 // key: two requests with equal specs share one Task — and with it the
-// trained machinery, the environment's static measurements, and the shared
-// extraction cache.
+// trained machinery, the environment's static measurements, the
+// perfect-knowledge statistics, and the shared extraction cache.
 type WorkloadSpec struct {
 	// Relations names the two extraction tasks to join ("HQ", "EX", "MG").
 	// Defaults to ["HQ", "EX"].

@@ -11,9 +11,9 @@ import (
 
 // Registry constructs Tasks once per workload spec and shares them across
 // every request: the expensive generation and training work, the
-// environment's static measurements, the IE candidate memo, and the shared
-// extraction cache are all amortized over the jobs that name the same
-// workload. Task construction runs outside the
+// environment's static measurements, the perfect-knowledge statistics, the
+// IE candidate memo, and the shared extraction cache are all amortized over
+// the jobs that name the same workload. Task construction runs outside the
 // registry lock (per-entry once), so a slow build never blocks lookups of
 // other workloads.
 type Registry struct {

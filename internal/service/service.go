@@ -7,12 +7,13 @@
 //
 // The layer exists because the expensive assets of this system — generated
 // corpora, trained retrieval machinery, the optimizer environment's static
-// measurements, the IE systems' scored-candidate memo, and the shared
-// extraction cache — are all per-Task: a registry that hands every request
-// the same Task amortizes them across clients, which is exactly what the
-// facade's concurrent-Run contract (see joinopt.Task.Run) makes safe.
-// Optimizer inputs are not among them: every Run and Optimize builds its
-// own.
+// measurements, the perfect-knowledge statistics, the IE systems'
+// scored-candidate memo, and the shared extraction cache — are all
+// per-Task: a registry that hands every request the same Task amortizes
+// them across clients, which is exactly what the facade's concurrent-Run
+// contract (see joinopt.Task.Run) makes safe. Optimizer inputs are not
+// among them: every Run and Optimize gets its own, and an Optimize only
+// assembles its inputs from the once-measured statistics.
 package service
 
 import (

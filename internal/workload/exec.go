@@ -73,7 +73,8 @@ func (w *Workload) extractFn() func(pipeline.Key) []relation.Tuple {
 // compositions, and the casual-hit/mention measurements. Measuring them
 // walks both training corpora, so the memo matters for a service that runs
 // many adaptive jobs over one shared workload; sync.Once also makes the
-// measurement safe under concurrent NewEnv calls.
+// measurement safe under concurrent NewEnv calls. The perfect-knowledge
+// statistics (trueStatics) build on it.
 type envStatics struct {
 	once       sync.Once
 	err        error
@@ -85,13 +86,8 @@ type envStatics struct {
 }
 
 // envStatics resolves (measuring once) the shared static measurements.
-// Workloads constructed before the memo existed get a private one lazily.
 func (w *Workload) envStatics() (*envStatics, error) {
 	s := w.statics
-	if s == nil {
-		s = &envStatics{}
-		w.statics = s
-	}
 	s.once.Do(func() {
 		for i := 0; i < 2; i++ {
 			if s.rates[i], s.err = extract.MeasureRates(w.Sys[i], w.Train[i]); s.err != nil {
@@ -158,27 +154,4 @@ func (w *Workload) NewEnv(thetas []float64) (*optimizer.Env, error) {
 		env.Ctp[i], env.Cfp[i] = st.ctp[i], st.cfp[i]
 	}
 	return env, nil
-}
-
-// TrueInputs assembles perfect-knowledge optimizer inputs (used by the
-// model-accuracy variants of the plan-choice experiments).
-func (w *Workload) TrueInputs(thetas []float64) (*optimizer.Inputs, error) {
-	in := &optimizer.Inputs{
-		Thetas:     thetas,
-		Ov:         w.TrueOverlaps(),
-		Costs:      [2]model.Costs{w.Costs[0], w.Costs[1]},
-		CasualHits: [2]float64{w.CasualHits(0), w.CasualHits(1)},
-		Mentioned:  [2]int{w.MentionedDocs(0), w.MentionedDocs(1)},
-		SeedCount:  len(w.Seeds),
-	}
-	for side := 0; side < 2; side++ {
-		for _, theta := range thetas {
-			p, err := w.TrueParams(side, theta)
-			if err != nil {
-				return nil, err
-			}
-			in.P[side] = append(in.P[side], p)
-		}
-	}
-	return in, nil
 }

@@ -27,11 +27,12 @@ type MultiWorkload struct {
 	Sys    []*extract.System
 	Costs  []join.Costs
 
-	// ratesMu/rates memoize the per-side IE rate characterization: it walks
-	// the whole corpus, and the n-ary input assembly needs it once per side,
-	// not once per (side, θ).
-	ratesMu sync.Mutex
-	rates   []*extract.Rates
+	// truth holds every relation's θ-independent perfect-knowledge
+	// parameters and rate curves. Measuring them walks each whole corpus,
+	// so it happens once, on first use, not once per (relation, θ).
+	truthOnce sync.Once
+	truthErr  error
+	truth     []relationTruth
 }
 
 // Multi builds an n-task workload over the standard tasks ("HQ", "EX",
@@ -180,46 +181,29 @@ func (mw *MultiWorkload) TrueMultiModel(theta float64) (*model.MultiIDJNModel, e
 	return m, nil
 }
 
-// measuredRates characterizes side i's IE rates once, caching the result
-// (θ-independent: TP(θ)/FP(θ) are curves evaluated later).
-func (mw *MultiWorkload) measuredRates(i int) (*extract.Rates, error) {
-	mw.ratesMu.Lock()
-	defer mw.ratesMu.Unlock()
-	if mw.rates == nil {
-		mw.rates = make([]*extract.Rates, len(mw.DBs))
-	}
-	if mw.rates[i] != nil {
-		return mw.rates[i], nil
-	}
-	r, err := extract.MeasureRates(mw.Sys[i], mw.DBs[i])
-	if err != nil {
-		return nil, err
-	}
-	mw.rates[i] = r
-	return r, nil
+// trueStatics resolves (measuring once) every relation's scan-path
+// parameters and its IE rates, characterized on the target corpus.
+func (mw *MultiWorkload) trueStatics() ([]relationTruth, error) {
+	mw.truthOnce.Do(func() {
+		truth := make([]relationTruth, len(mw.DBs))
+		for i, db := range mw.DBs {
+			if truth[i].base, mw.truthErr = scanParams(db, mw.Tasks[i]); mw.truthErr != nil {
+				return
+			}
+			if truth[i].rates, mw.truthErr = extract.MeasureRates(mw.Sys[i], db); mw.truthErr != nil {
+				return
+			}
+		}
+		mw.truth = truth
+	})
+	return mw.truth, mw.truthErr
 }
 
-// trueParams measures the scan-path model parameters of side i.
+// trueParams assembles the scan-path model parameters of side i at theta.
 func (mw *MultiWorkload) trueParams(i int, theta float64) (*model.RelationParams, error) {
-	db, task := mw.DBs[i], mw.Tasks[i]
-	stats := db.Stats(task)
-	if stats == nil {
-		return nil, fmt.Errorf("workload: database %s missing task %s", db.Name, task)
-	}
-	rates, err := mw.measuredRates(i)
+	truth, err := mw.trueStatics()
 	if err != nil {
 		return nil, err
 	}
-	return &model.RelationParams{
-		D:             db.Size(),
-		Dg:            stats.NumGood,
-		Db:            stats.NumBad,
-		Ag:            stats.GoodValues(),
-		Ab:            stats.BadValues(),
-		GoodFreq:      histToPMF(stats.FreqHistogram(true)),
-		BadFreq:       histToPMF(stats.FreqHistogram(false)),
-		TP:            rates.TP(theta),
-		FP:            rates.FP(theta),
-		BadInGoodFrac: badInGoodFrac(db, task, stats),
-	}, nil
+	return truth[i].at(theta), nil
 }

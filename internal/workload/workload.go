@@ -111,18 +111,21 @@ type Workload struct {
 
 	// statics memoizes the run-independent optimizer-environment
 	// measurements (training-split IE rates, classifier rates, AQG query
-	// compositions). It is shared by pointer between a workload and all its
-	// clones, so concurrent adaptive runs characterize the substrate once.
+	// compositions), and truth the perfect-knowledge statistics built on
+	// them. Both are shared by pointer between a workload and all its
+	// clones, so concurrent runs and optimize calls measure the substrate
+	// once.
 	statics *envStatics
+	truth   *trueStatics
 }
 
 // Clone returns a per-run view of the workload: the immutable machinery
 // (databases, IE systems, indexes, classifiers, learned queries, seeds) and
-// the internally synchronized shared state (extraction-system memo, env
-// statics) are shared, while the per-run knobs — fault profile, retry
-// policy, deadline, worker counts, extraction cache, trace, and metrics —
-// live on the copy. Cloning is how the facade keeps concurrent Task.Run
-// calls from racing on each other's configuration.
+// the internally synchronized shared state (extraction-system memo, env and
+// perfect-knowledge statistics) are shared, while the per-run knobs — fault
+// profile, retry policy, deadline, worker counts, extraction cache, trace,
+// and metrics — live on the copy. Cloning is how the facade keeps
+// concurrent Task.Run calls from racing on each other's configuration.
 func (w *Workload) Clone() *Workload {
 	return &Workload{
 		Params:     w.Params,
@@ -146,6 +149,7 @@ func (w *Workload) Clone() *Workload {
 		Metrics:     w.Metrics,
 
 		statics: w.statics,
+		truth:   w.truth,
 	}
 }
 
@@ -193,7 +197,7 @@ func Pair(p Params, task1, task2 string) (*Workload, error) {
 			p.TopK = 10
 		}
 	}
-	w := &Workload{Params: p, Task: [2]string{task1, task2}, statics: &envStatics{}}
+	w := &Workload{Params: p, Task: [2]string{task1, task2}, statics: &envStatics{}, truth: &trueStatics{}}
 
 	vocabs := [2]textgen.TaskVocab{}
 	for i, task := range w.Task {
