@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt build vet test race transparency api-check api-update bench-enum serve-smoke crash-smoke cluster-smoke bench bench-overhead bench-json bench-json-check bench-service
+.PHONY: check fmt build vet test race transparency api-check api-update bench-enum serve-smoke crash-smoke cluster-smoke bench bench-overhead bench-json bench-json-check fuzz
 
 # check is the full pre-merge gate: gofmt-clean sources, static checks, a
 # clean build, the test suites of both modules, the race detector over the concurrent
@@ -38,6 +38,19 @@ race:
 
 transparency:
 	$(GO) test ./internal/join/ -run TestZeroRateFaultTransparency -count=1
+
+# fuzz runs every Fuzz* target of the root module for FUZZTIME each (plain
+# `go test` runs only their seed corpora). go test -fuzz takes one target
+# per call, so each target gets its own. A failing input is written under
+# the package's testdata/fuzz and fails the target.
+FUZZTIME ?= 10s
+fuzz:
+	@$(GO) list -f '{{.ImportPath}} {{.Dir}}' ./... | while read -r pkg dir; do \
+		for target in $$(sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\)(.*/\1/p' $$dir/*_test.go 2>/dev/null); do \
+			echo "$(GO) test -run '^$$' -fuzz '^$$target$$' -fuzztime $(FUZZTIME) $$pkg"; \
+			$(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime $(FUZZTIME) $$pkg || exit 1; \
+		done; \
+	done
 
 # api-check diffs the exported surface of the root joinopt package against
 # the committed API.txt; any drift fails the gate until the change is
@@ -109,18 +122,6 @@ bench-json-check: bench-json
 		echo "================================================================"; \
 	fi
 	$(GO) run ./cmd/benchjson -check BENCH_exec.json -allow-single-cpu
-
-# bench-service boots joinoptd under admission pressure (small queue, tight
-# tenant quotas), drives it with loadgen's closed loop, and records the
-# service-level numbers — p50/p99 end-to-end job latency, 429 rate,
-# throughput — as BENCH_service.json.
-bench-service:
-	$(GO) build -o /tmp/joinoptd.bench ./cmd/joinoptd
-	@/tmp/joinoptd.bench -listen 127.0.0.1:18080 -service-workers 2 -queue-depth 8 -tenant-quota 3 & \
-	pid=$$!; sleep 1; \
-	$(GO) run ./cmd/loadgen -addr 127.0.0.1:18080 -clients 8 -jobs 48 -tenants 2 -docs 400 -json BENCH_service.json; rc=$$?; \
-	kill $$pid 2>/dev/null; wait $$pid 2>/dev/null; exit $$rc
-	@cat BENCH_service.json
 
 # bench-overhead compares a full executor run with observability detached
 # (the nil fast path), with a ring trace + metrics attached, and with an

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"strconv"
 
 	"joinopt/internal/join"
 	"joinopt/internal/optimizer"
@@ -98,11 +99,17 @@ func (ck *AdaptiveCheckpoint) MarshalJSON() ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("joinopt: marshaling checkpoint: %w", err)
 	}
-	return json.Marshal(checkpointEnvelope{
-		Version:    CheckpointVersion,
-		CRC:        crc32.ChecksumIEEE(raw),
-		Checkpoint: raw,
-	})
+	// Write checkpointEnvelope's bytes around the payload by hand: handed
+	// to encoding/json as a RawMessage, the payload would be scanned again
+	// to compact what json.Marshal just wrote compact.
+	b := make([]byte, 0, len(raw)+64)
+	b = append(b, `{"version":`...)
+	b = strconv.AppendInt(b, CheckpointVersion, 10)
+	b = append(b, `,"crc":`...)
+	b = strconv.AppendUint(b, uint64(crc32.ChecksumIEEE(raw)), 10)
+	b = append(b, `,"checkpoint":`...)
+	b = append(b, raw...)
+	return append(b, '}'), nil
 }
 
 // DecodeCheckpoint decodes the wire bytes MarshalJSON produced, verifying

@@ -2,6 +2,7 @@ package joinopt
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -103,6 +104,54 @@ func TestCheckpointGoldenRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(again, want) {
 		t.Fatalf("re-encoding decoded checkpoint drifted:\n got %s\nwant %s", again, want)
+	}
+}
+
+// TestCheckpointMarshalJSONMatchesEncodingJSON: joinoptd persists and
+// replicates ck.MarshalJSON() as is, and MarshalJSON writes its envelope by
+// hand around the payload. On every checkpoint of a real adaptive run —
+// one that switches plans and records a checkpoint error — those bytes must
+// equal json.Marshal(ck), and the hand-written envelope must equal the one
+// encoding/json writes for checkpointEnvelope.
+func TestCheckpointMarshalJSONMatchesEncodingJSON(t *testing.T) {
+	tk, err := NewTaskPair(WorkloadParams{NumDocs: 1200, Seed: 4}, "HQ", "EX")
+	if err != nil {
+		t.Fatal(err)
+	}
+	checked := 0
+	sink := WithCheckpointSink(func(ck *AdaptiveCheckpoint) {
+		checked++
+		got, err := ck.MarshalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.Marshal(ck)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("checkpoint %d: MarshalJSON differs from json.Marshal:\n got %s\nwant %s", checked, got, want)
+		}
+		var env checkpointEnvelope
+		if err := json.Unmarshal(got, &env); err != nil {
+			t.Fatal(err)
+		}
+		if want, err = json.Marshal(env); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("checkpoint %d: envelope differs from encoding/json's:\n got %s\nwant %s", checked, got, want)
+		}
+	})
+	res, err := tk.Run(context.Background(), Requirement{TauG: 24, TauB: 12}, sink)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Plans) < 2 || len(res.CheckpointErrs) == 0 {
+		t.Errorf("run made %d plan decisions and %d checkpoint errors; want a switch and an error", len(res.Plans), len(res.CheckpointErrs))
+	}
+	if checked < 3 {
+		t.Errorf("only %d checkpoints checked", checked)
 	}
 }
 

@@ -33,8 +33,7 @@ import (
 	"joinopt/internal/service"
 )
 
-// summary is the machine-readable run report behind -json (committed as
-// BENCH_service.json by `make bench-service`).
+// summary is the machine-readable run report behind -json.
 type summary struct {
 	Clients       int              `json:"clients"`
 	Tenants       int              `json:"tenants"`

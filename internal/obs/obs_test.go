@@ -155,7 +155,7 @@ func TestNDJSONOutput(t *testing.T) {
 	if ev.Seq != 1 || ev.T != 1.5 || ev.Kind != KindDocProcessed || ev.Side != 2 {
 		t.Fatalf("decoded event wrong: %+v", ev)
 	}
-	// Attr keys are sorted by encoding/json — byte-determinism for goldens.
+	// Attr keys are sorted — byte-determinism for goldens.
 	if want := `"attrs":{"doc":7,"tuples":3}`; !strings.Contains(lines[0], want) {
 		t.Fatalf("line %q missing sorted attrs %q", lines[0], want)
 	}

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bufio"
-	"encoding/json"
 	"io"
 	"os"
 	"sync"
@@ -95,16 +94,12 @@ func (s *NDJSON) Emit(e Event) {
 	if s.err != nil {
 		return
 	}
-	b, err := json.Marshal(e)
+	b, err := e.AppendJSON(s.bw.AvailableBuffer())
 	if err != nil {
 		s.err = err
 		return
 	}
-	if _, err := s.bw.Write(b); err != nil {
-		s.err = err
-		return
-	}
-	s.err = s.bw.WriteByte('\n')
+	_, s.err = s.bw.Write(append(b, '\n'))
 }
 
 // Flush drains the write buffer.

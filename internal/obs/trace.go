@@ -45,8 +45,9 @@ const (
 
 // Event is one structured trace record. T is cost-model time (deterministic
 // under a fixed seed), Side is 1-based (0 = not side-specific), and Attrs
-// carries the kind-specific fields. JSON encoding is deterministic: struct
-// fields in order, attr keys sorted by encoding/json.
+// carries the kind-specific fields. AppendJSON is its one encoder, used by
+// every sink that serializes events, and it is deterministic: struct fields
+// in order, attr keys sorted.
 type Event struct {
 	Seq   uint64         `json:"seq"`
 	T     float64        `json:"t"`

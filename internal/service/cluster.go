@@ -432,7 +432,7 @@ func (s *Service) Handoff(ctx context.Context) int {
 		}
 		var ckWire json.RawMessage
 		if ck != nil {
-			if wire, err := json.Marshal(ck); err == nil {
+			if wire, err := ck.MarshalJSON(); err == nil {
 				ckWire = wire
 			}
 		}

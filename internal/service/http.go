@@ -189,8 +189,9 @@ func (s *Service) handleResult(w http.ResponseWriter, r *http.Request) {
 
 // handleEvents streams the job's execution trace as NDJSON — one obs event
 // per line, byte-identical to what an obs.NDJSON sink would write. The
-// stream replays from the start, follows live appends, and ends when the
-// job finishes (or the client disconnects).
+// stream replays the log's bytes from the start, follows live appends with
+// one write per new chunk, and ends when the job finishes (or the client
+// disconnects).
 func (s *Service) handleEvents(w http.ResponseWriter, r *http.Request) {
 	j, err := s.job(r.PathValue("id"))
 	if err != nil {
@@ -204,21 +205,17 @@ func (s *Service) handleEvents(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
 
-	i := 0
+	off := 0
 	for {
-		evs, closed, wake := j.events.from(i)
-		for _, e := range evs {
-			b, err := json.Marshal(e)
-			if err != nil {
+		chunk, closed, wake := j.events.from(off)
+		if len(chunk) > 0 {
+			if _, err := w.Write(chunk); err != nil {
 				return
 			}
-			if _, err := w.Write(append(b, '\n')); err != nil {
-				return
+			off += len(chunk)
+			if flusher != nil {
+				flusher.Flush()
 			}
-		}
-		i += len(evs)
-		if flusher != nil && len(evs) > 0 {
-			flusher.Flush()
 		}
 		if closed {
 			return

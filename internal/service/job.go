@@ -367,15 +367,23 @@ func (j *Job) terminal() bool {
 }
 
 // eventLog is a job's append-only trace sink and broadcast hub: the run
-// emits obs events into it, and any number of /events subscribers replay
-// the log and then follow live appends until the log closes. Emitted
-// events are immutable once appended, so subscribers read released
-// subslices lock-free.
+// emits obs events into it, each encoded once into NDJSON, and any number
+// of /events subscribers replay the bytes and then follow live appends, by
+// byte offset, until the log closes. Appended bytes are immutable, so
+// subscribers write released subslices lock-free.
 type eventLog struct {
-	mu     sync.Mutex
-	events []obs.Event
+	mu  sync.Mutex
+	buf []byte // one JSON line per event, exactly as obs.NDJSON writes it
+	n   int    // events emitted
+	// broken marks an event that failed to encode; like obs.NDJSON, the
+	// log writes nothing after it, so the stream stops where an in-process
+	// trace would.
+	broken bool
 	closed bool
-	wake   chan struct{}
+	// wake closes on the next append or close. It is handed out only to
+	// followers, so it is re-made only when one is waiting.
+	wake    chan struct{}
+	waiting bool
 }
 
 func newEventLog() *eventLog { return &eventLog{wake: make(chan struct{})} }
@@ -383,38 +391,54 @@ func newEventLog() *eventLog { return &eventLog{wake: make(chan struct{})} }
 // Emit implements obs.Tracer.
 func (l *eventLog) Emit(e obs.Event) {
 	l.mu.Lock()
-	if !l.closed {
-		l.events = append(l.events, e)
+	defer l.mu.Unlock()
+	if l.closed {
+		return
+	}
+	l.n++
+	if l.broken {
+		return
+	}
+	b, err := e.AppendJSON(l.buf)
+	if err != nil {
+		l.broken = true
+		return
+	}
+	l.buf = append(b, '\n')
+	if l.waiting {
 		close(l.wake)
 		l.wake = make(chan struct{})
+		l.waiting = false
 	}
-	l.mu.Unlock()
 }
 
-// Close marks the log complete and wakes every follower. Idempotent.
+// Close marks the log complete, clips its buffer to the bytes it holds and
+// wakes every follower. Idempotent.
 func (l *eventLog) Close() {
 	l.mu.Lock()
 	if !l.closed {
 		l.closed = true
+		l.buf = append(make([]byte, 0, len(l.buf)), l.buf...)
 		close(l.wake)
 	}
 	l.mu.Unlock()
 }
 
-// Len returns the number of events appended so far.
+// Len returns the number of events emitted so far.
 func (l *eventLog) Len() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return len(l.events)
+	return l.n
 }
 
-// from returns the events appended at or after index i, whether the log is
-// closed, and a channel that closes on the next append or close.
-func (l *eventLog) from(i int) (evs []obs.Event, closed bool, wake <-chan struct{}) {
+// from returns the bytes appended at or after offset off, whether the log
+// is closed, and a channel that closes on the next append or close.
+func (l *eventLog) from(off int) (chunk []byte, closed bool, wake <-chan struct{}) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if i > len(l.events) {
-		i = len(l.events)
+	off = min(off, len(l.buf))
+	if !l.closed {
+		l.waiting = true
 	}
-	return l.events[i:], l.closed, l.wake
+	return l.buf[off:len(l.buf):len(l.buf)], l.closed, l.wake
 }

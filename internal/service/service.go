@@ -540,7 +540,7 @@ func (s *Service) runJob(j *Job) (*JobResult, error) {
 		d := s.opts.Durable
 		id := j.ID
 		opts = append(opts, joinopt.WithCheckpointSink(func(ck *joinopt.AdaptiveCheckpoint) {
-			wire, err := json.Marshal(ck)
+			wire, err := ck.MarshalJSON()
 			if err != nil {
 				return
 			}
