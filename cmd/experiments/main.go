@@ -13,6 +13,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	_ "net/http/pprof"
 	"os"
@@ -29,31 +30,41 @@ import (
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "experiments:", err)
+		os.Exit(1)
+	}
+}
+
+// run parses the command line in args and writes the requested
+// experiments to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("experiments", flag.ExitOnError)
 	var (
-		docs    = flag.Int("docs", 4000, "documents per text database")
-		seed    = flag.Int64("seed", 1, "generation seed")
-		topK    = flag.Int("topk", 0, "search-interface result cap (0 = size-proportional default)")
-		exp     = flag.String("exp", "all", "experiment to run: fig9|fig10|fig11|fig12|table2|estimation|faultsweep|all")
-		task    = flag.String("task", "hqex", "join task: hqex (the paper's primary) or mgex (Example 1.1)")
-		th      = flag.Float64("theta", 0.4, "knob setting for the accuracy figures (fig9-fig11)")
-		csv     = flag.String("csv", "", "also write results as CSV files into this directory")
-		workers = flag.Int("workers", 0, "optimizer plan-evaluation workers (0 = all cores, 1 = sequential)")
-		faultsF = flag.String("faults", "", faults.FlagHelp)
+		docs    = fs.Int("docs", 4000, "documents per text database")
+		seed    = fs.Int64("seed", 1, "generation seed")
+		topK    = fs.Int("topk", 0, "search-interface result cap (0 = size-proportional default)")
+		exp     = fs.String("exp", "all", "experiment to run: fig9|fig10|fig11|fig12|table2|estimation|faultsweep|all")
+		task    = fs.String("task", "hqex", "join task: hqex (the paper's primary) or mgex (Example 1.1)")
+		th      = fs.Float64("theta", 0.4, "knob setting for the accuracy figures (fig9-fig11)")
+		csv     = fs.String("csv", "", "also write results as CSV files into this directory")
+		workers = fs.Int("workers", 0, "optimizer plan-evaluation workers (0 = all cores, 1 = sequential)")
+		faultsF = fs.String("faults", "", faults.FlagHelp)
 
-		execWorkers  = flag.Int("exec-workers", 0, "pipelined extraction workers per execution (0 = sequential; results are bit-identical at any setting)")
-		shardsF      = flag.Int("shards", 0, "corpus shards for scatter-gather execution (0/1 = unsharded; output is bit-identical at any shard count)")
-		extractCache = flag.Int64("extract-cache", 0, "shared extraction cache capacity in bytes (0 = disabled; split evenly across shards)")
+		execWorkers  = fs.Int("exec-workers", 0, "pipelined extraction workers per execution (0 = sequential; results are bit-identical at any setting)")
+		shardsF      = fs.Int("shards", 0, "corpus shards for scatter-gather execution (0/1 = unsharded; output is bit-identical at any shard count)")
+		extractCache = fs.Int64("extract-cache", 0, "shared extraction cache capacity in bytes (0 = disabled; split evenly across shards)")
 
-		tracePath   = flag.String("trace", "", "write the NDJSON execution trace of every run to this file")
-		metricsFlag = flag.Bool("metrics", false, "print the Prometheus-text metrics snapshot at the end")
-		profilePath = flag.String("profile", "", "write a CPU profile to this file")
-		pprofAddr   = flag.String("pprof", "", "serve net/http/pprof on this address while running (e.g. :6060)")
+		tracePath   = fs.String("trace", "", "write the NDJSON execution trace of every run to this file")
+		metricsFlag = fs.Bool("metrics", false, "print the Prometheus-text metrics snapshot at the end")
+		profilePath = fs.String("profile", "", "write a CPU profile to this file")
+		pprofAddr   = fs.String("pprof", "", "serve net/http/pprof on this address while running (e.g. :6060)")
 	)
-	flag.Parse()
+	fs.Parse(args)
 	experiments.ChooseWorkers = *workers
 	if *csv != "" {
 		if err := os.MkdirAll(*csv, 0o755); err != nil {
-			fatal(err)
+			return err
 		}
 	}
 	if *pprofAddr != "" {
@@ -66,38 +77,38 @@ func main() {
 	if *profilePath != "" {
 		f, err := os.Create(*profilePath)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fatal(err)
+			return err
 		}
 		defer pprof.StopCPUProfile()
 	}
 
 	tasks, ok := map[string][2]string{"hqex": {"HQ", "EX"}, "mgex": {"MG", "EX"}}[*task]
 	if !ok {
-		fatal(fmt.Errorf("unknown task %q (want hqex or mgex)", *task))
+		return fmt.Errorf("unknown task %q (want hqex or mgex)", *task)
 	}
 	w, err := workload.Pair(workload.Params{NumDocs: *docs, Seed: *seed, TopK: *topK}, tasks[0], tasks[1])
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if w.Faults, err = faults.Parse(*faultsF); err != nil {
-		fatal(err)
+		return err
 	}
 	w.ExecWorkers = *execWorkers
 	w.ShardSet = shard.NewSet(shard.Partition{N: *shardsF}, *extractCache)
 	var traceFile *obs.NDJSON
 	if *tracePath != "" {
 		if traceFile, err = obs.CreateNDJSON(*tracePath); err != nil {
-			fatal(err)
+			return err
 		}
 		w.Trace = obs.New(traceFile)
 	}
 	if *metricsFlag {
 		w.Metrics = obs.NewRegistry()
 	}
-	fmt.Printf("workload: %s on %s (%d docs), %s on %s (%d docs), top-k=%d, seed=%d\n\n",
+	fmt.Fprintf(stdout, "workload: %s on %s (%d docs), %s on %s (%d docs), top-k=%d, seed=%d\n\n",
 		tasks[0], w.DB[0].Name, w.DB[0].Size(), tasks[1], w.DB[1].Name, w.DB[1].Size(), w.Ix[0].TopK(), *seed)
 
 	figures := map[string]func(*workload.Workload) (*eval.Figure, error){
@@ -106,87 +117,84 @@ func main() {
 		"fig11": func(w *workload.Workload) (*eval.Figure, error) { return experiments.Fig11Theta(w, *th) },
 		"fig12": experiments.Fig12,
 	}
-	writeCSV := func(name, content string) {
+	writeCSV := func(name, content string) error {
 		if *csv == "" {
-			return
+			return nil
 		}
 		path := filepath.Join(*csv, name+".csv")
 		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Printf("  wrote %s\n", path)
+		fmt.Fprintf(stdout, "  wrote %s\n", path)
+		return nil
 	}
-	run := func(id string) {
+	runExp := func(id string) error {
 		if f, ok := figures[id]; ok {
 			fig, err := f(w)
 			if err != nil {
-				fatal(err)
+				return err
 			}
-			fmt.Println(fig)
+			fmt.Fprintln(stdout, fig)
 			for _, s := range fig.Series {
-				fmt.Printf("  mean |est-act|/act for %q: %.2f\n", s.Label, s.MeanAbsRelErr())
+				fmt.Fprintf(stdout, "  mean |est-act|/act for %q: %.2f\n", s.Label, s.MeanAbsRelErr())
 			}
-			writeCSV(id, fig.CSV())
-			fmt.Println()
-			return
+			if err := writeCSV(id, fig.CSV()); err != nil {
+				return err
+			}
+			fmt.Fprintln(stdout)
+			return nil
 		}
 		if id == "estimation" {
 			table, err := experiments.Estimation(w)
 			if err != nil {
-				fatal(err)
+				return err
 			}
-			fmt.Println(table)
-			writeCSV(id, table.CSV())
-			return
+			fmt.Fprintln(stdout, table)
+			return writeCSV(id, table.CSV())
 		}
 		if id == "faultsweep" {
 			table, err := experiments.FaultSweep(w, *seed)
 			if err != nil {
-				fatal(err)
+				return err
 			}
-			fmt.Println(table)
-			writeCSV(id, table.CSV())
-			return
+			fmt.Fprintln(stdout, table)
+			return writeCSV(id, table.CSV())
 		}
 		if id == "table2" {
 			rows, err := experiments.Table2(w)
 			if err != nil {
-				fatal(err)
+				return err
 			}
 			table := experiments.RenderTable2(rows)
-			fmt.Println(table)
-			fmt.Printf("chosen algorithms in requirement order: %s\n\n",
+			fmt.Fprintln(stdout, table)
+			fmt.Fprintf(stdout, "chosen algorithms in requirement order: %s\n\n",
 				strings.Join(experiments.ChosenAlgorithms(rows), " "))
-			writeCSV(id, table.CSV())
-			return
+			return writeCSV(id, table.CSV())
 		}
-		fatal(fmt.Errorf("unknown experiment %q", id))
+		return fmt.Errorf("unknown experiment %q", id)
 	}
 
-	switch *exp {
-	case "all":
-		for _, id := range []string{"fig9", "fig10", "fig11", "fig12", "table2", "estimation", "faultsweep"} {
-			run(id)
+	ids := []string{*exp}
+	if *exp == "all" {
+		ids = []string{"fig9", "fig10", "fig11", "fig12", "table2", "estimation", "faultsweep"}
+	}
+	for _, id := range ids {
+		if err := runExp(id); err != nil {
+			return err
 		}
-	default:
-		run(*exp)
 	}
 
 	if traceFile != nil {
 		if err := traceFile.Close(); err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Printf("trace written to %s\n", *tracePath)
+		fmt.Fprintf(stdout, "trace written to %s\n", *tracePath)
 	}
 	if w.Metrics != nil {
-		fmt.Println("\nmetrics snapshot:")
-		if err := w.Metrics.WritePrometheus(os.Stdout); err != nil {
-			fatal(err)
+		fmt.Fprintln(stdout, "\nmetrics snapshot:")
+		if err := w.Metrics.WritePrometheus(stdout); err != nil {
+			return err
 		}
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "experiments:", err)
-	os.Exit(1)
+	return nil
 }

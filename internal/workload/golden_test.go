@@ -17,7 +17,7 @@ import (
 	"joinopt/internal/workload"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/true_inputs.golden from the current workload code")
+var updateGolden = flag.Bool("update", false, "rewrite the testdata golden files from the current workload code")
 
 const goldenPath = "testdata/true_inputs.golden"
 
