@@ -122,11 +122,11 @@ func run(args []string, stdout io.Writer) error {
 			return nil
 		}
 		path := filepath.Join(*csv, name+".csv")
-		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-			return err
+		err := os.WriteFile(path, []byte(content), 0o644)
+		if err == nil {
+			fmt.Fprintf(stdout, "  wrote %s\n", path)
 		}
-		fmt.Fprintf(stdout, "  wrote %s\n", path)
-		return nil
+		return err
 	}
 	runExp := func(id string) error {
 		if f, ok := figures[id]; ok {
@@ -138,11 +138,9 @@ func run(args []string, stdout io.Writer) error {
 			for _, s := range fig.Series {
 				fmt.Fprintf(stdout, "  mean |est-act|/act for %q: %.2f\n", s.Label, s.MeanAbsRelErr())
 			}
-			if err := writeCSV(id, fig.CSV()); err != nil {
-				return err
-			}
+			err = writeCSV(id, fig.CSV())
 			fmt.Fprintln(stdout)
-			return nil
+			return err
 		}
 		if id == "estimation" {
 			table, err := experiments.Estimation(w)

@@ -10,7 +10,7 @@ package classifier
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 
 	"joinopt/internal/corpus"
@@ -65,23 +65,18 @@ func Measure(c Classifier, db *corpus.DB, task string) (ctp, cfp float64, err er
 	return ctp, cfp, nil
 }
 
-// labelledDocs extracts (tokenized document, isGood) pairs for training.
-func labelledDocs(db *corpus.DB, task string) ([]map[string]bool, []bool, error) {
+// labelledRows tokenizes db's documents into term rows and labels each
+// good or not for task.
+func labelledRows(db *corpus.DB, task string) (*index.TermRows, []bool, error) {
 	stats := db.Stats(task)
 	if stats == nil {
 		return nil, nil, fmt.Errorf("classifier: training database %s does not host task %s", db.Name, task)
 	}
-	feats := make([]map[string]bool, len(db.Docs))
 	labels := make([]bool, len(db.Docs))
-	for i, doc := range db.Docs {
-		set := map[string]bool{}
-		for _, tok := range index.Tokenize(doc.Text) {
-			set[tok] = true
-		}
-		feats[i] = set
+	for i := range labels {
 		labels[i] = stats.Class[i] == corpus.Good
 	}
-	return feats, labels, nil
+	return index.NewTermRows(db.Texts()), labels, nil
 }
 
 // Bayes is a naive-Bayes document classifier over binary term features.
@@ -101,24 +96,23 @@ type Bayes struct {
 // the decision boundary (0 = maximum a posteriori); positive values trade
 // Ctp for lower Cfp.
 func TrainBayes(db *corpus.DB, task string, threshold float64) (*Bayes, error) {
-	feats, labels, err := labelledDocs(db, task)
+	rows, labels, err := labelledRows(db, task)
 	if err != nil {
 		return nil, err
 	}
 	var nGood, nRest int
-	countGood := map[string]int{}
-	countRest := map[string]int{}
-	for i, set := range feats {
+	countGood := make([]int, len(rows.Terms))
+	countRest := make([]int, len(rows.Terms))
+	for i, row := range rows.Rows {
+		count := countRest
 		if labels[i] {
 			nGood++
-			for t := range set {
-				countGood[t]++
-			}
+			count = countGood
 		} else {
 			nRest++
-			for t := range set {
-				countRest[t]++
-			}
+		}
+		for _, id := range row {
+			count[id]++
 		}
 	}
 	if nGood == 0 || nRest == 0 {
@@ -127,35 +121,21 @@ func TrainBayes(db *corpus.DB, task string, threshold float64) (*Bayes, error) {
 	b := &Bayes{
 		logPriorGood: math.Log(float64(nGood) / float64(nGood+nRest)),
 		logPriorRest: math.Log(float64(nRest) / float64(nGood+nRest)),
-		terms:        map[string][2]float64{},
+		terms:        make(map[string][2]float64, len(rows.Terms)),
+		numTerms:     len(rows.Terms),
 		threshold:    threshold,
 	}
-	seen := map[string]bool{}
-	for t := range countGood {
-		seen[t] = true
-	}
-	for t := range countRest {
-		seen[t] = true
-	}
-	vocab := make([]string, 0, len(seen))
-	for t := range seen {
-		vocab = append(vocab, t)
-	}
-	sort.Strings(vocab) // deterministic float accumulation order
-	for _, t := range vocab {
-		pg := (float64(countGood[t]) + 1) / (float64(nGood) + 2)
-		pr := (float64(countRest[t]) + 1) / (float64(nRest) + 2)
+	// Term IDs ascend in string order, which fixes the float accumulation
+	// order. The base score assumes every term absent; per-present-term
+	// adjustments are stored relative to absence, so classification is
+	// O(|doc|).
+	for id, t := range rows.Terms {
+		pg := (float64(countGood[id]) + 1) / (float64(nGood) + 2)
+		pr := (float64(countRest[id]) + 1) / (float64(nRest) + 2)
 		b.terms[t] = [2]float64{math.Log(pg) - math.Log(1-pg), math.Log(pr) - math.Log(1-pr)}
-	}
-	// Base score assuming every term absent; per-present-term adjustments
-	// are stored relative to absence, so classification is O(|doc|).
-	for _, t := range vocab {
-		pg := (float64(countGood[t]) + 1) / (float64(nGood) + 2)
-		pr := (float64(countRest[t]) + 1) / (float64(nRest) + 2)
 		b.absentGood += math.Log(1 - pg)
 		b.absentRest += math.Log(1 - pr)
 	}
-	b.numTerms = len(vocab)
 	return b, nil
 }
 
@@ -194,31 +174,26 @@ type Rules struct {
 // task on db. Each rule greedily maximizes covered positives while keeping
 // precision at least minPrecision on the remaining training documents.
 func TrainRules(db *corpus.DB, task string, maxRules, maxTerms int, minPrecision float64) (*Rules, error) {
-	feats, labels, err := labelledDocs(db, task)
+	rows, labels, err := labelledRows(db, task)
 	if err != nil {
 		return nil, err
 	}
 	if maxRules <= 0 || maxTerms <= 0 {
 		return nil, fmt.Errorf("classifier: invalid rule shape %dx%d", maxRules, maxTerms)
 	}
-	remaining := map[int]bool{} // uncovered positive docs
-	for i, l := range labels {
-		if l {
-			remaining[i] = true
-		}
-	}
-	if len(remaining) == 0 {
+	remaining := slices.Clone(labels) // uncovered positive docs
+	if !slices.Contains(remaining, true) {
 		return nil, fmt.Errorf("classifier: no positive training documents")
 	}
 	out := &Rules{}
-	for len(out.Set) < maxRules && len(remaining) > 0 {
-		rule, covered := growRule(feats, labels, remaining, maxTerms, minPrecision)
+	for len(out.Set) < maxRules && slices.Contains(remaining, true) {
+		rule, covered := growRule(rows, labels, remaining, maxTerms, minPrecision)
 		if rule == nil {
 			break
 		}
 		out.Set = append(out.Set, *rule)
 		for _, i := range covered {
-			delete(remaining, i)
+			remaining[i] = false
 		}
 	}
 	if len(out.Set) == 0 {
@@ -228,66 +203,57 @@ func TrainRules(db *corpus.DB, task string, maxRules, maxTerms int, minPrecision
 }
 
 // growRule greedily builds one conjunctive rule maximizing coverage of
-// remaining positives subject to the precision floor.
-func growRule(feats []map[string]bool, labels []bool, remaining map[int]bool, maxTerms int, minPrecision float64) (*Rule, []int) {
-	// Candidate terms: those appearing in remaining positives.
-	candSet := map[string]bool{}
-	for i := range remaining {
-		for t := range feats[i] {
-			candSet[t] = true
-		}
-	}
-	cands := make([]string, 0, len(candSet))
-	for t := range candSet {
-		cands = append(cands, t)
-	}
-	sort.Strings(cands)
-
+// remaining positives subject to the precision floor. Each term level
+// counts, in one pass over the rows of the documents the rule still
+// matches, how many contain each term (n), how many of those are good
+// (pos) and how many are uncovered positives (rem). The candidates are the
+// terms of the uncovered positives, so exactly the terms with rem > 0; they
+// are scored in ascending ID order, which is term order, and the strict
+// comparison hands a tie to the smaller term. A term already in the rule
+// matches every current document and stays a candidate.
+func growRule(rows *index.TermRows, labels, remaining []bool, maxTerms int, minPrecision float64) (*Rule, []int) {
+	type termCount struct{ n, pos, rem int }
+	counts := make([]termCount, len(rows.Terms))
 	var rule Rule
-	matches := make([]int, 0, len(feats)) // docs matching the rule so far
-	for i := range feats {
-		matches = append(matches, i)
+	matches := make([]int, len(rows.Rows)) // docs matching the rule so far, ascending
+	for i := range matches {
+		matches[i] = i
 	}
 	for len(rule.Terms) < maxTerms {
-		bestTerm, bestScore := "", -1.0
-		var bestMatches []int
-		for _, t := range cands {
-			var m []int
-			var pos, rem int
-			for _, i := range matches {
-				if !feats[i][t] {
-					continue
-				}
-				m = append(m, i)
+		clear(counts)
+		for _, i := range matches {
+			for _, id := range rows.Rows[i] {
+				c := &counts[id]
+				c.n++
 				if labels[i] {
-					pos++
+					c.pos++
 				}
 				if remaining[i] {
-					rem++
+					c.rem++
 				}
 			}
-			if len(m) == 0 || rem == 0 {
+		}
+		best, bestScore := -1, -1.0
+		for id, c := range counts {
+			if c.rem == 0 {
 				continue
 			}
-			prec := float64(pos) / float64(len(m))
-			score := prec * float64(rem)
+			prec := float64(c.pos) / float64(c.n)
+			score := prec * float64(c.rem)
 			if score > bestScore {
-				bestTerm, bestScore, bestMatches = t, score, m
+				best, bestScore = id, score
 			}
 		}
-		if bestTerm == "" {
+		if best < 0 {
 			break
 		}
-		rule.Terms = append(rule.Terms, bestTerm)
-		matches = bestMatches
+		rule.Terms = append(rule.Terms, rows.Terms[best])
+		matches = slices.DeleteFunc(matches, func(i int) bool {
+			_, found := slices.BinarySearch(rows.Rows[i], int32(best))
+			return !found
+		})
 		// Stop early once the precision floor is met.
-		pos := 0
-		for _, i := range matches {
-			if labels[i] {
-				pos++
-			}
-		}
-		if float64(pos)/float64(len(matches)) >= minPrecision {
+		if float64(counts[best].pos)/float64(len(matches)) >= minPrecision {
 			break
 		}
 	}

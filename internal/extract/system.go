@@ -176,7 +176,8 @@ var scratchPool = sync.Pool{New: func() any {
 }}
 
 // Scan performs the actual sentence-level extraction pass, bypassing the
-// candidate cache (cost calibration measures the real pipeline with it).
+// candidate cache (perfbench's extract.scan timing measures the real
+// pipeline with it).
 func (s *System) Scan(text string) []Candidate {
 	sc := scratchPool.Get().(*scanScratch)
 	defer scratchPool.Put(sc)

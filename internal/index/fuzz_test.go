@@ -1,6 +1,7 @@
 package index
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"unicode"
@@ -20,13 +21,28 @@ func FuzzTokenize(f *testing.F) {
 			if tok == "" {
 				t.Fatal("empty token")
 			}
+			// Lowered, not free of upper-case runes: some have no
+			// lower-case form (ϓ, U+03D3), so ToLower keeps them.
+			if lower := strings.ToLower(tok); lower != tok {
+				t.Fatalf("token %q not lower-cased (want %q)", tok, lower)
+			}
 			for _, r := range tok {
-				if unicode.IsUpper(r) {
-					t.Fatalf("token %q not lower-cased", tok)
-				}
 				if !unicode.IsLetter(r) && !unicode.IsDigit(r) {
 					t.Fatalf("token %q contains separator rune %q", tok, r)
 				}
+			}
+		}
+		// One text's term rows: its distinct tokens in order, IDs 0..n-1.
+		distinct := slices.Clone(tokens)
+		slices.Sort(distinct)
+		distinct = slices.Compact(distinct)
+		tr := NewTermRows([]string{text})
+		if !slices.Equal(tr.Terms, distinct) || len(tr.Rows[0]) != len(distinct) {
+			t.Fatalf("term rows %v %v, want terms %v", tr.Terms, tr.Rows[0], distinct)
+		}
+		for k, id := range tr.Rows[0] {
+			if int(id) != k {
+				t.Fatalf("row %v, want IDs 0..%d", tr.Rows[0], len(distinct)-1)
 			}
 		}
 	})

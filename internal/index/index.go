@@ -85,6 +85,58 @@ func appendToken(out []string, raw string, lower bool, in Interner) []string {
 	return append(out, in.lower(raw))
 }
 
+// TermRows is a document collection tokenized once for counting: Terms
+// numbers the vocabulary in ascending string order, and Rows[d] holds the
+// IDs of document d's distinct terms in ascending order. Training code
+// (rule induction, naive Bayes, query generation) counts over these integer
+// rows instead of probing a string set per document.
+type TermRows struct {
+	Terms []string
+	Rows  [][]int32
+}
+
+// NewTermRows tokenizes each text with TokenizeInto and interns its terms.
+func NewTermRows(texts []string) *TermRows {
+	ids := map[string]int32{} // term → ID in first-seen order
+	var lastDoc []int         // ID → last document listing the term
+	rows := make([][]int32, len(texts))
+	in := Interner{}
+	var toks []string
+	var row []int32
+	for d, text := range texts {
+		toks, row = TokenizeInto(text, toks[:0], in), row[:0]
+		for _, tok := range toks {
+			id, ok := ids[tok]
+			if !ok {
+				id = int32(len(ids))
+				ids[tok] = id
+				lastDoc = append(lastDoc, -1)
+			}
+			if lastDoc[id] != d {
+				lastDoc[id] = d
+				row = append(row, id)
+			}
+		}
+		rows[d] = slices.Clone(row)
+	}
+	terms := make([]string, 0, len(ids))
+	for t := range ids {
+		terms = append(terms, t)
+	}
+	slices.Sort(terms)
+	renum := make([]int32, len(terms))
+	for id, t := range terms {
+		renum[ids[t]] = int32(id)
+	}
+	for _, row := range rows {
+		for k, id := range row {
+			row[k] = renum[id]
+		}
+		slices.Sort(row)
+	}
+	return &TermRows{Terms: terms, Rows: rows}
+}
+
 // Query is a conjunctive keyword query: a document matches iff it contains
 // every term.
 type Query struct {

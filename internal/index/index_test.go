@@ -203,3 +203,42 @@ func TestQueryString(t *testing.T) {
 		t.Errorf("got %q", q.String())
 	}
 }
+
+// TestNewTermRows: the vocabulary is every token in ascending string
+// order, and each row lists exactly its document's distinct tokens as
+// ascending IDs — the same terms Tokenize yields, duplicates and case
+// folded away.
+func TestNewTermRows(t *testing.T) {
+	texts := append([]string{"", "Pine pine PINE bluff", "ÉCLAIR éclair Zed 42 zed"}, docs...)
+	tr := NewTermRows(texts)
+	if len(tr.Rows) != len(texts) {
+		t.Fatalf("%d rows for %d texts", len(tr.Rows), len(texts))
+	}
+	for i := 1; i < len(tr.Terms); i++ {
+		if tr.Terms[i-1] >= tr.Terms[i] {
+			t.Fatalf("terms not strictly ascending at %d: %q, %q", i, tr.Terms[i-1], tr.Terms[i])
+		}
+	}
+	vocab := map[string]bool{}
+	for d, text := range texts {
+		want := map[string]bool{}
+		for _, tok := range Tokenize(text) {
+			want[tok], vocab[tok] = true, true
+		}
+		row := tr.Rows[d]
+		for k, id := range row {
+			if k > 0 && row[k-1] >= id {
+				t.Errorf("row %d not strictly ascending: %v", d, row)
+			}
+			if !want[tr.Terms[id]] {
+				t.Errorf("row %d lists %q, not a token of %q", d, tr.Terms[id], text)
+			}
+		}
+		if len(row) != len(want) {
+			t.Errorf("row %d has %d terms, want the %d distinct tokens of %q", d, len(row), len(want), text)
+		}
+	}
+	if len(tr.Terms) != len(vocab) {
+		t.Errorf("%d terms, want the %d distinct tokens of all texts", len(tr.Terms), len(vocab))
+	}
+}

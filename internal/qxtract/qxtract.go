@@ -13,6 +13,7 @@ package qxtract
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"joinopt/internal/corpus"
@@ -40,65 +41,59 @@ func Learn(train *corpus.DB, task string, maxQueries int) ([]Query, error) {
 	if maxQueries <= 0 {
 		return nil, fmt.Errorf("qxtract: maxQueries must be positive")
 	}
+	rows := index.NewTermRows(train.Texts())
 	var nGood, nRest int
-	countGood := map[string]int{}
-	countRest := map[string]int{}
-	docTerms := make([]map[string]bool, len(train.Docs))
-	for i, doc := range train.Docs {
-		set := map[string]bool{}
-		for _, tok := range index.Tokenize(doc.Text) {
-			set[tok] = true
-		}
-		docTerms[i] = set
+	countGood := make([]int, len(rows.Terms))
+	countRest := make([]int, len(rows.Terms))
+	for i, row := range rows.Rows {
+		count := countRest
 		if stats.Class[i] == corpus.Good {
 			nGood++
-			for t := range set {
-				countGood[t]++
-			}
+			count = countGood
 		} else {
 			nRest++
-			for t := range set {
-				countRest[t]++
-			}
+		}
+		for _, id := range row {
+			count[id]++
 		}
 	}
 	if nGood == 0 {
 		return nil, fmt.Errorf("qxtract: no good documents in training database")
 	}
 	type scored struct {
-		term  string
+		id    int32
 		score float64
 	}
 	var ranked []scored
-	for t, gc := range countGood {
+	for id, gc := range countGood {
+		if gc == 0 {
+			continue
+		}
 		pg := (float64(gc) + 1) / (float64(nGood) + 2)
-		pr := (float64(countRest[t]) + 1) / (float64(nRest) + 2)
-		ranked = append(ranked, scored{term: t, score: math.Log(pg / pr)})
+		pr := (float64(countRest[id]) + 1) / (float64(nRest) + 2)
+		ranked = append(ranked, scored{id: int32(id), score: math.Log(pg / pr)})
 	}
+	// Term IDs ascend in string order, so they break score ties by term.
 	sort.Slice(ranked, func(i, j int) bool {
 		if ranked[i].score != ranked[j].score {
 			return ranked[i].score > ranked[j].score
 		}
-		return ranked[i].term < ranked[j].term
+		return ranked[i].id < ranked[j].id
 	})
-	nTop := maxQueries
-	if nTop > len(ranked) {
-		nTop = len(ranked)
-	}
-	top := ranked[:nTop]
+	top := ranked[:min(maxQueries, len(ranked))]
 
-	evaluate := func(terms []string) Query {
+	evaluate := func(ids ...int32) Query {
+		terms := make([]string, len(ids))
+		for k, id := range ids {
+			terms[k] = rows.Terms[id]
+		}
 		matches, good := 0, 0
-		for i, set := range docTerms {
-			ok := true
-			for _, t := range terms {
-				if !set[t] {
-					ok = false
-					break
+	docs:
+		for i, row := range rows.Rows {
+			for _, id := range ids {
+				if _, ok := slices.BinarySearch(row, id); !ok {
+					continue docs
 				}
-			}
-			if !ok {
-				continue
 			}
 			matches++
 			if stats.Class[i] == corpus.Good {
@@ -114,12 +109,12 @@ func Learn(train *corpus.DB, task string, maxQueries int) ([]Query, error) {
 
 	var out []Query
 	for _, s := range top {
-		out = append(out, evaluate([]string{s.term}))
+		out = append(out, evaluate(s.id))
 	}
 	// Pairwise conjunctions of the strongest terms sharpen precision.
 	for i := 0; i < len(top) && len(out) < maxQueries*2; i++ {
 		for j := i + 1; j < len(top) && len(out) < maxQueries*2; j++ {
-			q := evaluate([]string{top[i].term, top[j].term})
+			q := evaluate(top[i].id, top[j].id)
 			if q.TrainMatches > 0 {
 				out = append(out, q)
 			}

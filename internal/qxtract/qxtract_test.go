@@ -12,6 +12,13 @@ import (
 
 func makeDB(t *testing.T, seed int64) *corpus.DB {
 	t.Helper()
+	return makeDBSized(t, seed, 700)
+}
+
+// makeDBSized generates a labelled HQ split of numDocs documents (at least
+// 210: 150 good, 60 bad).
+func makeDBSized(t *testing.T, seed int64, numDocs int) *corpus.DB {
+	t.Helper()
 	g := textgen.NewGazetteer(300, 240, 120)
 	g.Companies = textgen.Shuffled(stat.NewRNG(99), g.Companies)
 	spec := corpus.RelationSpec{
@@ -28,7 +35,7 @@ func makeDB(t *testing.T, seed int64) *corpus.DB {
 		BadInGoodRate: 0.3,
 	}
 	db, err := corpus.Generate(corpus.Config{
-		Name: "qx", NumDocs: 700, Seed: seed,
+		Name: "qx", NumDocs: numDocs, Seed: seed,
 		Relations:  []corpus.RelationSpec{spec},
 		CasualRate: 0.25, CasualPool: g.Companies,
 	})

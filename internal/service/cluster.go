@@ -173,11 +173,7 @@ func (s *Service) ownerFor(req JobRequest) (name, url string, self bool) {
 func (s *Service) replicateCheckpoint(j *Job, ckWire []byte) {
 	c := s.opts.Cluster
 	_, url, ok := c.StandbyTarget(j.key)
-	if !ok {
-		return
-	}
-	reqWire, err := json.Marshal(j.req)
-	if err != nil {
+	if !ok || j.reqWire == nil {
 		return
 	}
 	j.mu.Lock()
@@ -188,7 +184,7 @@ func (s *Service) replicateCheckpoint(j *Job, ckWire []byte) {
 	j.mu.Unlock()
 	if err := s.sendStandby(url, standbyWire{
 		ID: j.ID, Tenant: j.Tenant, Origin: c.SelfName(),
-		Request: reqWire, Checkpoint: ckWire,
+		Request: j.reqWire, Checkpoint: ckWire,
 	}); err != nil {
 		s.logf("cluster: replicating checkpoint of %s to %s: %v", j.ID, url, err)
 	}
@@ -218,12 +214,38 @@ func (s *Service) retireStandby(j *Job) {
 	}
 }
 
+// marshal encodes w as json.Marshal does, appending Request and
+// Checkpoint as they are: both are json.Marshal output (the request's
+// encoding, ck.MarshalJSON), already compact and HTML-escaped, which
+// json.Marshal would scan again to compact.
+func (w standbyWire) marshal() []byte {
+	b := make([]byte, 0, len(w.Request)+len(w.Checkpoint)+128)
+	for _, f := range [...]struct{ key, val string }{{`{"id":`, w.ID}, {`,"tenant":`, w.Tenant}, {`,"origin":`, w.Origin}} {
+		b = append(b, f.key...)
+		val, _ := json.Marshal(f.val) // a string always encodes
+		b = append(b, val...)
+	}
+	b = append(b, `,"request":`...)
+	if w.Request == nil {
+		b = append(b, "null"...)
+	}
+	b = append(b, w.Request...)
+	if len(w.Checkpoint) > 0 {
+		b = append(b, `,"checkpoint":`...)
+		b = append(b, w.Checkpoint...)
+	}
+	if w.Activate {
+		b = append(b, `,"activate":true`...)
+	}
+	if w.Done {
+		b = append(b, `,"done":true`...)
+	}
+	return append(b, '}')
+}
+
 // sendStandby posts one standby message to a peer. Best-effort.
 func (s *Service) sendStandby(url string, w standbyWire) error {
-	body, err := json.Marshal(w)
-	if err != nil {
-		return err
-	}
+	body := w.marshal()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url+"/v1/cluster/standby", bytes.NewReader(body))
@@ -281,9 +303,7 @@ func (s *Service) acceptStandby(w standbyWire) error {
 	}
 	s.standby.put(w)
 	if d := s.opts.Durable; d != nil {
-		if payload, err := json.Marshal(w); err == nil {
-			d.SaveStandby(w.ID, payload)
-		}
+		d.SaveStandby(w.ID, w.marshal())
 	}
 	return nil
 }
@@ -355,6 +375,7 @@ func (s *Service) adopt(w standbyWire, how string) error {
 		seq:       seq,
 		req:       req,
 		plan:      plan,
+		reqWire:   w.Request,
 		key:       CanonicalWorkloadKey(req),
 		node:      s.selfNode(),
 		ctx:       ctx,
@@ -436,8 +457,7 @@ func (s *Service) Handoff(ctx context.Context) int {
 				ckWire = wire
 			}
 		}
-		reqWire, err := json.Marshal(j.req)
-		if err != nil {
+		if j.reqWire == nil {
 			continue
 		}
 		_, url, ok := c.StandbyTarget(j.key)
@@ -447,7 +467,7 @@ func (s *Service) Handoff(ctx context.Context) int {
 		}
 		if err := s.sendStandby(url, standbyWire{
 			ID: j.ID, Tenant: j.Tenant, Origin: c.SelfName(),
-			Request: reqWire, Checkpoint: ckWire, Activate: true,
+			Request: j.reqWire, Checkpoint: ckWire, Activate: true,
 		}); err != nil {
 			s.logf("cluster: handing job %s to %s failed: %v", j.ID, url, err)
 			continue

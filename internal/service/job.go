@@ -271,6 +271,11 @@ type Job struct {
 
 	req  JobRequest
 	plan *joinopt.Plan // parsed, execute mode only
+	// reqWire is req encoded once, write-once at construction: the
+	// journal's submitted record, every checkpoint replication and the
+	// drain handoff send these bytes. Nil when the service has neither a
+	// journal nor a cluster.
+	reqWire []byte
 	// key is the canonical workload key (cluster routing + checkpoint
 	// replication target); node is the cluster replica name serving the
 	// job. Write-once at construction.

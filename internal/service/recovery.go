@@ -47,6 +47,7 @@ func (s *Service) recover(rec *durable.Recovered) {
 			Priority:  req.Priority,
 			seq:       rj.Seq,
 			req:       req,
+			reqWire:   rj.Request,
 			key:       CanonicalWorkloadKey(req),
 			node:      s.selfNode(),
 			ctx:       ctx,

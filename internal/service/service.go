@@ -267,6 +267,12 @@ func (s *Service) Submit(req JobRequest) (*Job, error) {
 		}
 	}
 
+	var reqWire []byte
+	if s.opts.Durable != nil || s.opts.Cluster != nil {
+		// A request that does not encode stays nil: never journaled or replicated.
+		reqWire, _ = json.Marshal(req)
+	}
+
 	seq := s.seq.Add(1)
 	ctx, cancel := context.WithCancel(context.Background())
 	j := &Job{
@@ -276,6 +282,7 @@ func (s *Service) Submit(req JobRequest) (*Job, error) {
 		seq:       seq,
 		req:       req,
 		plan:      plan,
+		reqWire:   reqWire,
 		key:       CanonicalWorkloadKey(req),
 		node:      s.selfNode(),
 		ctx:       ctx,
@@ -299,14 +306,11 @@ func (s *Service) Submit(req JobRequest) (*Job, error) {
 		return nil, err
 	}
 	s.storeJob(j)
-	if s.opts.Durable != nil {
+	if s.opts.Durable != nil && reqWire != nil {
 		// Journal the acceptance before acknowledging it: a daemon that
 		// dies after this line re-runs the job; one that dies before it
 		// never confirmed the submission.
-		raw, err := json.Marshal(req)
-		if err == nil {
-			s.journal(durable.Record{Seq: seq, Event: durable.EventSubmitted, JobID: j.ID, Tenant: j.Tenant, Request: raw})
-		}
+		s.journal(durable.Record{Seq: seq, Event: durable.EventSubmitted, JobID: j.ID, Tenant: j.Tenant, Request: reqWire})
 	}
 	m.Counter(obs.Series(MetricJobsSubmitted, "tenant", j.Tenant)).Inc()
 	s.publishPool()

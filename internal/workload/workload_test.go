@@ -334,24 +334,6 @@ func TestPairValidation(t *testing.T) {
 	}
 }
 
-func TestCalibrateCosts(t *testing.T) {
-	w := testWorkload(t)
-	for i := 0; i < 2; i++ {
-		c := w.CalibrateCosts(i)
-		if c.TR != 1 {
-			t.Errorf("side %d TR = %v, want the 1µs stand-in", i, c.TR)
-		}
-		if c.TE <= 0 || c.TF <= 0 || c.TQ <= 0 {
-			t.Errorf("side %d non-positive calibration %+v", i, c)
-		}
-		// Extraction tags and scores every sentence; it should dominate a
-		// single capped index lookup.
-		if c.TE < c.TQ/10 {
-			t.Errorf("side %d extraction (%v) implausibly cheaper than querying (%v)", i, c.TE, c.TQ)
-		}
-	}
-}
-
 func TestAsymmetricSizes(t *testing.T) {
 	w, err := HQJoinEX(Params{NumDocs: 600, NumDocs2: 1800, Seed: 31})
 	if err != nil {
