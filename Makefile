@@ -6,10 +6,10 @@ GO ?= go
 # clean build, the test suites of both modules, the race detector over the concurrent
 # packages (the optimizer's parallel plan-space search, the join executors
 # it drives, the fault injection/tolerance layer, and the estimator grid and
-# classifier scratch that concurrent jobs share), the zero-rate
-# fault-transparency property (a profile with rate 0 must leave every
-# execution bit-identical), the public-API drift gate, and a smoke run of
-# the n-ary enumerator benchmark.
+# classifier scratch that concurrent jobs share), the transparency
+# properties (a fault profile with rate 0, and any worker or shard layout,
+# must leave every execution bit-identical), the public-API drift gate, and
+# a smoke run of the n-ary enumerator benchmark.
 check: fmt vet build test race transparency api-check bench-enum
 
 # fmt fails when any Go file is not gofmt-clean, listing the offenders.
@@ -36,8 +36,12 @@ race:
 	$(GO) test -race ./internal/optimizer/... ./internal/join/... ./internal/faults/... ./internal/workload/... ./internal/obs/... ./internal/pipeline/... ./internal/shard/... ./internal/service/... ./internal/durable/... ./internal/cluster/... ./internal/estimate/... ./internal/classifier/...
 	$(GO) test -race -run TestConcurrentRunsOnOneTask -count=1 .
 
+# transparency runs the two properties that say an execution knob must leave
+# every answer bit-identical: a fault profile with rate 0, and any
+# execution-worker or shard layout (adaptive answers and n-ary plans alike).
 transparency:
 	$(GO) test ./internal/join/ -run TestZeroRateFaultTransparency -count=1
+	$(GO) test . -run TestRunExecWorkersIdenticalOutcome -count=1
 
 # fuzz runs every Fuzz* target of the root module for FUZZTIME each (plain
 # `go test` runs only their seed corpora). go test -fuzz takes one target

@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"hash/crc32"
+	"slices"
 	"testing"
 
 	"joinopt"
@@ -122,24 +124,53 @@ func TestShardedCheckpointResumeMatchesUninterrupted(t *testing.T) {
 	if !bytes.Contains(wire, []byte(`"shard_docs"`)) {
 		t.Errorf("sharded checkpoint wire carries no per-shard progress: %s", wire)
 	}
-	decoded, err := joinopt.DecodeCheckpoint(wire)
+
+	// Checkpoints written while plan search still priced shards carry
+	// "Shards":4 in their inputs, right after CacheHitRate. A state dir or
+	// standby store may still hold one; it must decode and resume the same.
+	var env struct {
+		Version    int             `json:"version"`
+		CRC        uint32          `json:"crc"`
+		Checkpoint json.RawMessage `json:"checkpoint"`
+	}
+	if err := json.Unmarshal(wire, &env); err != nil {
+		t.Fatal(err)
+	}
+	payload := env.Checkpoint
+	at := bytes.Index(payload, []byte(`"CacheHitRate":[`))
+	if at < 0 {
+		t.Fatalf("checkpoint inputs carry no CacheHitRate: %s", payload)
+	}
+	at += bytes.IndexByte(payload[at:], ']') + 1
+	env.Checkpoint = slices.Concat(payload[:at], []byte(`,"Shards":4`), payload[at:])
+	env.CRC = crc32.ChecksumIEEE(env.Checkpoint)
+	legacy, err := json.Marshal(env)
 	if err != nil {
-		t.Fatalf("decoding checkpoint: %v", err)
+		t.Fatal(err)
 	}
 
-	resumed, err := shardedTask().Run(context.Background(), req, joinopt.WithCheckpoint(decoded))
-	if err != nil {
-		t.Fatalf("resume from decoded checkpoint failed: %v", err)
-	}
-	if resumed.Outcome.GoodTuples != base.Outcome.GoodTuples ||
-		resumed.Outcome.BadTuples != base.Outcome.BadTuples ||
-		resumed.Outcome.Time != base.Outcome.Time ||
-		resumed.TotalTime != base.TotalTime {
-		t.Errorf("resumed sharded run diverged: good %d/%d bad %d/%d time %v/%v total %v/%v",
-			resumed.Outcome.GoodTuples, base.Outcome.GoodTuples,
-			resumed.Outcome.BadTuples, base.Outcome.BadTuples,
-			resumed.Outcome.Time, base.Outcome.Time,
-			resumed.TotalTime, base.TotalTime)
+	for _, c := range []struct {
+		name string
+		wire []byte
+	}{{"current", wire}, {"with inputs Shards", legacy}} {
+		decoded, err := joinopt.DecodeCheckpoint(c.wire)
+		if err != nil {
+			t.Fatalf("%s: decoding checkpoint: %v", c.name, err)
+		}
+		resumed, err := shardedTask().Run(context.Background(), req, joinopt.WithCheckpoint(decoded))
+		if err != nil {
+			t.Fatalf("%s: resume from decoded checkpoint failed: %v", c.name, err)
+		}
+		if resumed.Outcome.GoodTuples != base.Outcome.GoodTuples ||
+			resumed.Outcome.BadTuples != base.Outcome.BadTuples ||
+			resumed.Outcome.Time != base.Outcome.Time ||
+			resumed.TotalTime != base.TotalTime {
+			t.Errorf("%s: resumed sharded run diverged: good %d/%d bad %d/%d time %v/%v total %v/%v",
+				c.name, resumed.Outcome.GoodTuples, base.Outcome.GoodTuples,
+				resumed.Outcome.BadTuples, base.Outcome.BadTuples,
+				resumed.Outcome.Time, base.Outcome.Time,
+				resumed.TotalTime, base.TotalTime)
+		}
 	}
 
 	// The sharded run itself must match the unsharded task on the same

@@ -48,9 +48,7 @@ func benchExec(b *testing.B, spec optimizer.PlanSpec) {
 // workers, so the shards are the only parallelism. shards1 is the
 // sequential executor (one uncached shard without workers gets no
 // extraction frontend). benchjson -check gates shards4 at ≥ 2.5× over
-// shards1 on multi-core runners (-min-shard-speedup); the
-// shard.EffectiveSpeedup curve the optimizer divides predicted
-// scan/extract time by is fitted to this benchmark's measurements.
+// shards1 on multi-core runners (-min-shard-speedup).
 func BenchmarkExecShardedIDJN8k(b *testing.B) {
 	spec := optimizer.PlanSpec{
 		JN:    optimizer.IDJN,

@@ -72,5 +72,19 @@ func FuzzSearchIsSubsetOfMatches(f *testing.F) {
 				t.Fatalf("result id %d out of range", id)
 			}
 		}
+		// Every token's postings equal a brute-force scan of the texts.
+		for _, text := range texts {
+			for _, tok := range Tokenize(text) {
+				var want []int
+				for id, other := range texts {
+					if slices.Contains(Tokenize(other), tok) {
+						want = append(want, id)
+					}
+				}
+				if got := ix.Matches(Query{Terms: []string{tok}}); !slices.Equal(got, want) {
+					t.Fatalf("Matches(%q) = %v, want %v", tok, got, want)
+				}
+			}
+		}
 	})
 }

@@ -162,20 +162,22 @@ type Index struct {
 }
 
 // New builds an index over docs (ID i = docs[i]) returning at most topK
-// results per query. topK <= 0 means unlimited.
+// results per query. topK <= 0 means unlimited. The postings come from the
+// texts' term rows: walking the duplicate-free rows in document order keeps
+// every posting list sorted and duplicate-free.
 func New(texts []string, topK int) *Index {
-	ix := &Index{postings: map[string][]int{}, numDocs: len(texts), topK: topK}
-	for id, text := range texts {
-		seen := map[string]bool{}
-		for _, tok := range Tokenize(text) {
-			if seen[tok] {
-				continue
-			}
-			seen[tok] = true
-			ix.postings[tok] = append(ix.postings[tok], id)
+	tr := NewTermRows(texts)
+	lists := make([][]int, len(tr.Terms))
+	for d, row := range tr.Rows {
+		for _, id := range row {
+			lists[id] = append(lists[id], d)
 		}
 	}
-	return ix
+	postings := make(map[string][]int, len(lists))
+	for id, docs := range lists {
+		postings[tr.Terms[id]] = docs
+	}
+	return &Index{postings: postings, numDocs: len(texts), topK: topK}
 }
 
 // TopK returns the configured result cap (0 = unlimited).

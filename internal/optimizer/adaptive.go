@@ -52,22 +52,14 @@ type Env struct {
 	// BadInGoodPrior seeds the estimator (see estimate.Observation).
 	BadInGoodPrior float64
 
-	// ExecWorkers is the pipelined worker count executions will run under,
-	// forwarded into every Inputs the adaptive protocol assembles so plan
-	// time predictions account for extraction overlap (see
-	// Inputs.ExecWorkers). 0/1 = sequential.
-	ExecWorkers int
-
-	// CacheHitRate, when set, reports the observed extraction-cache hit
-	// rate of side so far (0 when cold). Checkpoint re-optimizations fold
-	// it into Inputs.CacheHitRate: documents the cache already holds are
-	// free to re-extract under a plan switch.
+	// CacheHitRate, when set, reports the extraction cache's observed hit
+	// rate so far for side (0 when cold). Every estimation folds it into
+	// Inputs.CacheHitRate: documents the cache already holds are free to
+	// re-extract under a plan switch. workload.NewEnv reports one rate for
+	// both sides: the cache's lifetime hits over lookups, summed over both
+	// sides and every shard slice, so plan choice follows the cache's
+	// history.
 	CacheHitRate func(side int) float64
-
-	// Shards is the corpus shard count executions will run under, forwarded
-	// into every Inputs the adaptive protocol assembles (see Inputs.Shards).
-	// 0/1 = unsharded.
-	Shards int
 
 	// Trace and Metrics, when set, observe the adaptive protocol itself:
 	// pilot completion, plan decisions, checkpoints (and their non-fatal
@@ -603,14 +595,12 @@ func effectiveDocs(st *join.State, side, numDocs int) int {
 // state and assembles the optimizer inputs for every knob setting.
 func (env *Env) estimateInputs(st *join.State, obsTheta float64) (*Inputs, error) {
 	in := &Inputs{
-		Thetas:      env.Thetas,
-		Ov:          model.Overlaps{},
-		Costs:       env.Costs,
-		CasualHits:  env.CasualHits,
-		Mentioned:   env.Mentioned,
-		SeedCount:   env.SeedCount,
-		ExecWorkers: env.ExecWorkers,
-		Shards:      env.Shards,
+		Thetas:     env.Thetas,
+		Ov:         model.Overlaps{},
+		Costs:      env.Costs,
+		CasualHits: env.CasualHits,
+		Mentioned:  env.Mentioned,
+		SeedCount:  env.SeedCount,
 	}
 	if env.CacheHitRate != nil {
 		in.CacheHitRate = [2]float64{env.CacheHitRate(0), env.CacheHitRate(1)}

@@ -146,17 +146,6 @@ type NaryInputs struct {
 	// Inputs.Workers; any worker count returns the identical choice.
 	Workers int
 
-	// ExecWorkers and CacheHitRate adjust predicted extraction charges
-	// exactly as in the binary optimizer (Amdahl overlap, expected cache
-	// hits; see effectiveCosts).
-	ExecWorkers  int
-	CacheHitRate []float64
-
-	// Shards is the corpus shard count, dividing predicted scan/extract
-	// charges by the measured shard-scaling curve exactly as Inputs.Shards
-	// does (quality composition unchanged — costs are additive over shards).
-	Shards int
-
 	classMu   sync.Mutex
 	classMemo map[uint64]map[relation.ClassMask]int
 }
@@ -186,16 +175,6 @@ func (in *NaryInputs) subsetClasses(subset uint64) map[relation.ClassMask]int {
 	c := in.Classes(subset)
 	in.classMemo[subset] = c
 	return c
-}
-
-// effCostsAt returns relation rel's cost parameters as plan-time
-// prediction should see them (see effectiveCosts).
-func (in *NaryInputs) effCostsAt(rel int) model.Costs {
-	hr := 0.0
-	if rel < len(in.CacheHitRate) {
-		hr = in.CacheHitRate[rel]
-	}
-	return effectiveCosts(in.Costs[rel], hr, in.ExecWorkers, in.Shards)
 }
 
 func (in *NaryInputs) validate(g *querygraph.Graph) error {
@@ -418,11 +397,7 @@ func evalNaryConfig(g *querygraph.Graph, in *NaryInputs, req Requirement, cfg na
 	}
 	out.Feasible = true
 
-	costs := make([]model.Costs, n)
-	for i := 0; i < n; i++ {
-		costs[i] = in.effCostsAt(i)
-	}
-	out.Time, err = m.Time(efforts, costs)
+	out.Time, err = m.Time(efforts, in.Costs)
 	if err != nil {
 		return NaryEval{}, err
 	}

@@ -12,9 +12,7 @@ import (
 	"fmt"
 
 	"joinopt/internal/model"
-	"joinopt/internal/pipeline"
 	"joinopt/internal/retrieval"
-	"joinopt/internal/shard"
 )
 
 // Algorithm names a join algorithm.
@@ -125,64 +123,24 @@ type Inputs struct {
 	// list (lowest predicted time, ties broken by plan order).
 	Workers int
 
-	// ExecWorkers is the pipelined execution worker count the chosen plan
-	// will run under (0/1 = sequential). Prediction only: the model divides
-	// the per-document extraction charge by the overlap the pool actually
-	// delivers (pipeline.EffectiveOverlap — Amdahl's law over the measured
-	// serial fraction, not the raw worker count). Executed cost accounting
-	// is unaffected.
+	// ExecWorkers is a v1 checkpoint wire field that plan search ignores:
+	// execution workers overlap wall-clock work and never change a plan's
+	// predicted time or quality.
 	ExecWorkers int
 
 	// CacheHitRate is the expected extraction-cache hit rate per side in
 	// [0, 1]; a hit makes that document's extraction free. Zero (the
 	// default) models a cold or absent cache.
 	CacheHitRate [2]float64
-
-	// Shards is the corpus shard count the chosen plan will execute under
-	// (0/1 = unsharded). The cost model is additive over documents, hence
-	// over shards: per-shard costs sum back to the unsharded total, and
-	// tp/fp and quality composition are unchanged. What sharding buys is
-	// wall-clock overlap, so prediction divides the per-document scan and
-	// extraction charges by shard.EffectiveSpeedup — the scaling curve
-	// measured from the sharded benchmark, not the ideal 1/N — and models
-	// any remaining per-shard worker pool on top (WorkersPerShard). The json
-	// tag keeps unsharded checkpoints byte-identical to the v1 wire format.
-	Shards int `json:"Shards,omitempty"`
 }
 
-// effCosts returns side's cost parameters as plan-time prediction should
-// see them (see effectiveCosts).
+// effCosts returns side's §V cost parameters as plan-time prediction sees
+// them: the expected extraction charge shrinks by the anticipated cache hit
+// rate. Executed runs still charge the full tE per cache miss.
 func (in *Inputs) effCosts(side int) model.Costs {
-	return effectiveCosts(in.Costs[side], in.CacheHitRate[side], in.ExecWorkers, in.Shards)
-}
-
-// effectiveCosts adjusts costs for pipelined, possibly sharded execution:
-// the expected extraction charge shrinks by the anticipated cache hit rate,
-// and by the overlap the worker pool actually delivers
-// (pipeline.EffectiveOverlap, the Amdahl curve measured on the batched
-// engine, not the raw worker count). Under sharding, retrieval and
-// extraction additionally divide by the measured shard-scaling curve
-// (shard.EffectiveSpeedup) with the worker budget split per shard —
-// per-shard costs still sum to the unsharded total; only predicted elapsed
-// time shrinks. Executed runs still charge the full tE per cache miss —
-// this adjustment only sharpens predictions. The binary and n-ary
-// optimizers share it.
-func effectiveCosts(c model.Costs, hitRate float64, execWorkers, shards int) model.Costs {
-	if hitRate > 0 {
-		if hitRate > 1 {
-			hitRate = 1
-		}
-		c.TE *= 1 - hitRate
-	}
-	if shards > 1 {
-		f := shard.EffectiveSpeedup(shards)
-		c.TR /= f
-		c.TE /= f
-		if wps := shard.WorkersPerShard(execWorkers, shards); wps > 1 {
-			c.TE /= pipeline.EffectiveOverlap(wps)
-		}
-	} else if execWorkers > 1 {
-		c.TE /= pipeline.EffectiveOverlap(execWorkers)
+	c := in.Costs[side]
+	if hr := in.CacheHitRate[side]; hr > 0 {
+		c.TE *= 1 - min(hr, 1)
 	}
 	return c
 }

@@ -449,30 +449,3 @@ func (e *Engine) Drop(k Key) {
 		e.orphans[k] = fut
 	}
 }
-
-// serialFraction is the measured share of pipelined execution that stays on
-// the consumer goroutine and cannot overlap with extraction: stream
-// accounting, tuple joining, reorder-buffer bookkeeping, and the announce
-// pass. Profiling the executor benchmarks puts extraction at ~93% of
-// sequential runtime with the remainder serial, and the batched engine adds
-// a small consumer-side share of its own — ~3% serial matches the measured
-// scaling of the fixed executors.
-const serialFraction = 0.03
-
-// EffectiveOverlap returns the extraction-time divisor a pool of n workers
-// actually delivers, per Amdahl's law over the measured serial fraction:
-// n / (1 + s·(n−1)). The optimizer divides its effective tE by this instead
-// of the raw worker count, so predictions track the measured scaling curve
-// rather than the old optimistic (and, before the batched engine, inverted)
-// near-linear model. Overlap is also bounded by the reorder window — the
-// engine never speculates further ahead than MaxWindow documents.
-func EffectiveOverlap(workers int) float64 {
-	n := workers
-	if n > MaxWindow {
-		n = MaxWindow
-	}
-	if n <= 1 {
-		return 1
-	}
-	return float64(n) / (1 + serialFraction*float64(n-1))
-}

@@ -483,29 +483,3 @@ func TestEngineConcurrentResolve(t *testing.T) {
 		}
 	}
 }
-
-// TestEffectiveOverlap pins the Amdahl-style scaling model the optimizer's
-// cost estimates divide by: no benefit at or below one worker, strictly
-// more overlap with more workers, but always sublinear (the sequential
-// consumer bounds it) and saturating at the MaxWindow cap.
-func TestEffectiveOverlap(t *testing.T) {
-	for _, n := range []int{-1, 0, 1} {
-		if got := EffectiveOverlap(n); got != 1 {
-			t.Errorf("EffectiveOverlap(%d) = %v, want 1", n, got)
-		}
-	}
-	prev := 1.0
-	for n := 2; n <= 64; n *= 2 {
-		got := EffectiveOverlap(n)
-		if got <= prev {
-			t.Errorf("EffectiveOverlap(%d) = %v, want > EffectiveOverlap(%d) = %v", n, got, n/2, prev)
-		}
-		if got >= float64(n) {
-			t.Errorf("EffectiveOverlap(%d) = %v, want < %d (overlap must be sublinear)", n, got, n)
-		}
-		prev = got
-	}
-	if a, b := EffectiveOverlap(MaxWindow), EffectiveOverlap(MaxWindow*4); a != b {
-		t.Errorf("EffectiveOverlap should saturate at MaxWindow: got %v at %d, %v at %d", a, MaxWindow, b, MaxWindow*4)
-	}
-}

@@ -2,9 +2,9 @@
 // and runs one pipelined extraction engine per shard. An unsharded run is a
 // group of one shard, so Group is the only extraction frontend the join
 // executors drive. The cost model is additive over documents, therefore
-// additive over shards: the optimizer models shard parallelism with a
-// measured scaling curve (EffectiveSpeedup) exactly the way it models worker
-// overlap inside one engine (pipeline.EffectiveOverlap).
+// additive over shards: shards overlap wall-clock work and never change a
+// run's cost-model charges, so plan choice does not depend on the shard
+// count.
 //
 // Determinism is the package's load-bearing promise. Document ownership is a
 // pure function of (side, docID) — independent of shard count ordering,
@@ -102,25 +102,4 @@ func WorkersPerShard(execWorkers, shards int) int {
 		w = 1
 	}
 	return w
-}
-
-// shardSerialFraction is the non-parallelizable fraction of a sharded run,
-// measured from BenchmarkExecShardedIDJN8k rather than assumed ideal: the
-// consumer goroutine still merges every tuple stream and charges every cost
-// in canonical order, so scatter-gather has a higher serial share than
-// worker overlap inside one engine (pipeline.EffectiveOverlap's 3%). With
-// s = 0.06 the curve gives 1.9× at 2 shards, 3.4× at 4, 5.6× at 8 — the
-// 4-shard point sits above the 2.5× benchmark gate with margin for runner
-// noise.
-const shardSerialFraction = 0.06
-
-// EffectiveSpeedup returns the scan/extract-time divisor n shards buy,
-// following the same Amdahl form as pipeline.EffectiveOverlap but with the
-// shard-scaling serial fraction measured from the benchmark. n < 2 returns
-// 1 (no sharding, no speedup).
-func EffectiveSpeedup(n int) float64 {
-	if n < 2 {
-		return 1
-	}
-	return float64(n) / (1 + shardSerialFraction*float64(n-1))
 }

@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"math"
 	"testing"
 
 	"joinopt/internal/pipeline"
@@ -81,29 +80,6 @@ func TestWorkersPerShard(t *testing.T) {
 		if got := WorkersPerShard(c.workers, c.shards); got != c.want {
 			t.Errorf("WorkersPerShard(%d, %d) = %d, want %d", c.workers, c.shards, got, c.want)
 		}
-	}
-}
-
-// TestEffectiveSpeedup pins the measured scaling curve: identity below two
-// shards, monotone, sublinear, and above the 2.5× benchmark gate at 4.
-func TestEffectiveSpeedup(t *testing.T) {
-	if EffectiveSpeedup(0) != 1 || EffectiveSpeedup(1) != 1 {
-		t.Error("n < 2 must not promise speedup")
-	}
-	prev := 1.0
-	for n := 2; n <= 16; n++ {
-		f := EffectiveSpeedup(n)
-		if f <= prev || f >= float64(n) {
-			t.Errorf("EffectiveSpeedup(%d) = %v: want monotone and sublinear", n, f)
-		}
-		prev = f
-	}
-	if f := EffectiveSpeedup(4); f < 2.5 {
-		t.Errorf("EffectiveSpeedup(4) = %v below the 2.5x benchmark gate", f)
-	}
-	want := 4 / (1 + shardSerialFraction*3)
-	if got := EffectiveSpeedup(4); math.Abs(got-want) > 1e-12 {
-		t.Errorf("EffectiveSpeedup(4) = %v, want %v", got, want)
 	}
 }
 

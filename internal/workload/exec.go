@@ -136,14 +136,8 @@ func (w *Workload) NewEnv(thetas []float64) (*optimizer.Env, error) {
 		SeedCount:      len(w.Seeds),
 		TopK:           [2]int{w.Ix[0].TopK(), w.Ix[1].TopK()},
 		BadInGoodPrior: 0.3,
-		ExecWorkers:    w.ExecWorkers,
 	}
 	if set := w.ShardSet; set != nil {
-		// One shard stays 0: Inputs.Shards is serialized omitempty, so
-		// unsharded checkpoints keep their original encoding.
-		if set.Part.N >= 2 {
-			env.Shards = set.Part.N
-		}
 		env.CacheHitRate = func(int) float64 { return set.HitRate() }
 	}
 	for i := 0; i < 2; i++ {

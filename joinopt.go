@@ -216,10 +216,10 @@ type Task struct {
 	// scatter-gather over per-shard pipelined executors, each owning its
 	// slice of the shared extraction cache (ExtractCacheBytes splits evenly
 	// across shards). Output — tuples, counters, traces — is bit-identical
-	// to the unsharded run at any shard count; what changes is wall-clock
-	// overlap, which the optimizer models with the measured shard-scaling
-	// curve. 0 or 1 = unsharded. The task keeps one cache layout: a run at
-	// a different shard count (or capacity) than the last rebuilds it cold.
+	// to the unsharded run at any shard count, and plan choice ignores the
+	// shard count; what changes is wall-clock overlap. 0 or 1 = unsharded.
+	// The task keeps one cache layout: a run at a different shard count (or
+	// capacity) than the last rebuilds it cold.
 	Shards int
 
 	// MergeCost (n-ary tasks) is the cost-model time charged per expected

@@ -2,35 +2,150 @@ package joinopt_test
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"joinopt"
+	"joinopt/internal/experiments"
 )
 
-// TestRunExecWorkersIdenticalOutcome is the facade-level identity smoke: the
-// pipelined engine behind WithExecWorkers must leave every user-visible
-// quantity of a run untouched.
+// execLayout is one setting of the execution knobs, which may change
+// wall-clock time but never an answer.
+type execLayout struct {
+	name                string
+	execWorkers, shards int
+}
+
+var execLayouts = []execLayout{
+	{name: "plain"},
+	{name: "workers4", execWorkers: 4},
+	{name: "shards2", shards: 2},
+	{name: "shards4-workers4", execWorkers: 4, shards: 4},
+}
+
+func (l execLayout) opts() []joinopt.RunOption {
+	return []joinopt.RunOption{joinopt.WithExecWorkers(l.execWorkers), joinopt.WithShards(l.shards)}
+}
+
+// layoutRows are the Table II rows with a feasible plan at 2,000 documents.
+func layoutRows() []joinopt.Requirement {
+	var reqs []joinopt.Requirement
+	for _, r := range experiments.Table2Reqs {
+		if r.TauG <= 256 {
+			reqs = append(reqs, joinopt.Requirement(r))
+		}
+	}
+	return reqs
+}
+
+// adaptiveAnswers runs every row in order on tk under layout l and renders
+// what each run answered: its plans, its tuples, and its billed time.
+func adaptiveAnswers(t *testing.T, tk *joinopt.Task, l execLayout, reqs []joinopt.Requirement) []string {
+	t.Helper()
+	out := make([]string, len(reqs))
+	for i, req := range reqs {
+		res, err := tk.Run(context.Background(), req, l.opts()...)
+		if err != nil {
+			t.Fatalf("%s τ=%d/%d: %v", l.name, req.TauG, req.TauB, err)
+		}
+		out[i] = fmt.Sprintf("plans %v good %d bad %d total %v",
+			res.Plans, res.Outcome.GoodTuples, res.Outcome.BadTuples, res.TotalTime)
+	}
+	return out
+}
+
+// TestRunExecWorkersIdenticalOutcome pins the promise that execution
+// workers and shards are bit-identical at any setting: a fixed plan's
+// outcome, every adaptive answer over the Table II rows (with and without
+// an extraction cache), and the n-ary plan choice are the same under every
+// layout. With a cache, answers follow the cache's history, so each layout
+// runs the rows in the same order on a fresh task whose 1 GiB cache evicts
+// nothing: the same history gives the same hit rate at every estimation.
 func TestRunExecWorkersIdenticalOutcome(t *testing.T) {
-	tk := facadeTask(t)
-	req := joinopt.Requirement{}
-	base, err := tk.Run(context.Background(), req, joinopt.WithPlan(scanPlan()))
-	if err != nil {
-		t.Fatal(err)
+	t.Run("fixed-plan", func(t *testing.T) {
+		tk := facadeTask(t)
+		base, err := tk.Run(context.Background(), joinopt.Requirement{}, joinopt.WithPlan(scanPlan()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, l := range execLayouts[1:] {
+			res, err := tk.Run(context.Background(), joinopt.Requirement{},
+				append(l.opts(), joinopt.WithPlan(scanPlan()))...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, p := base.Outcome, res.Outcome
+			if b.GoodTuples != p.GoodTuples || b.BadTuples != p.BadTuples || b.Time != p.Time ||
+				b.DocsProcessed != p.DocsProcessed || b.DocsRetrieved != p.DocsRetrieved ||
+				b.Queries != p.Queries || base.TotalTime != res.TotalTime {
+				t.Errorf("%s outcome diverged from plain:\nplain %+v total %v\n%s %+v total %v",
+					l.name, b, base.TotalTime, l.name, p, res.TotalTime)
+			}
+		}
+	})
+
+	params := joinopt.WorkloadParams{NumDocs: 2000, Seed: 1}
+	reqs := layoutRows()
+	compare := func(t *testing.T, l execLayout, want, got []string) {
+		t.Helper()
+		for i, req := range reqs {
+			if got[i] != want[i] {
+				t.Errorf("%s τ=%d/%d diverged from plain:\nplain %s\n%s %s",
+					l.name, req.TauG, req.TauB, want[i], l.name, got[i])
+			}
+		}
 	}
-	piped, err := tk.Run(context.Background(), req, joinopt.WithPlan(scanPlan()),
-		joinopt.WithExecWorkers(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, p := base.Outcome, piped.Outcome
-	if b.GoodTuples != p.GoodTuples || b.BadTuples != p.BadTuples || b.Time != p.Time ||
-		b.DocsProcessed != p.DocsProcessed || b.DocsRetrieved != p.DocsRetrieved ||
-		b.Queries != p.Queries {
-		t.Errorf("4-worker outcome diverged from sequential:\nseq  %+v\npipe %+v", b, p)
-	}
-	if base.TotalTime != piped.TotalTime {
-		t.Errorf("total time diverged: %v vs %v", base.TotalTime, piped.TotalTime)
-	}
+
+	t.Run("adaptive", func(t *testing.T) {
+		tk, err := joinopt.NewHQJoinEX(params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := adaptiveAnswers(t, tk, execLayouts[0], reqs)
+		for _, l := range execLayouts[1:] {
+			compare(t, l, want, adaptiveAnswers(t, tk, l, reqs))
+		}
+	})
+
+	t.Run("adaptive-cached", func(t *testing.T) {
+		answers := func(l execLayout) []string {
+			tk, err := joinopt.NewHQJoinEX(params)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tk.ExtractCacheBytes = 1 << 30
+			return adaptiveAnswers(t, tk, l, reqs)
+		}
+		want := answers(execLayouts[0])
+		for _, l := range execLayouts[1:] {
+			compare(t, l, want, answers(l))
+		}
+	})
+
+	t.Run("nary", func(t *testing.T) {
+		tk, err := joinopt.NewQuery(joinopt.WorkloadParams{NumDocs: 1000, Seed: 1},
+			joinopt.Query{Relations: []string{"HQ", "EX", "MG"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		plans := func(l execLayout) []string {
+			tk.ExecWorkers, tk.Shards = l.execWorkers, l.shards
+			out := make([]string, len(reqs))
+			for i, req := range reqs {
+				qp, err := tk.OptimizeQuery(req)
+				if err != nil {
+					t.Fatalf("%s τ=%d/%d: %v", l.name, req.TauG, req.TauB, err)
+				}
+				out[i] = fmt.Sprintf("%v good %v bad %v time %v merge %v", qp,
+					qp.EstimatedGood, qp.EstimatedBad, qp.EstimatedTime, qp.EstimatedMergeTuples)
+			}
+			return out
+		}
+		want := plans(execLayouts[0])
+		for _, l := range execLayouts[1:] {
+			compare(t, l, want, plans(l))
+		}
+	})
 }
 
 // TestRunExtractionCacheStats smokes the cache through the facade: a repeated

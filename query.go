@@ -182,8 +182,8 @@ func (t *Task) binaryOnly(op string) error {
 }
 
 // naryInputs assembles the n-ary optimizer inputs from the task's measured
-// workload parameters and knobs.
-func (t *Task) naryInputs(workers, execWorkers, shards int) (*querygraph.Graph, *optimizer.NaryInputs, error) {
+// workload parameters and merge cost; workers bounds the plan search.
+func (t *Task) naryInputs(workers int) (*querygraph.Graph, *optimizer.NaryInputs, error) {
 	g, err := t.mw.Graph(t.joins)
 	if err != nil {
 		return nil, nil, err
@@ -193,8 +193,6 @@ func (t *Task) naryInputs(workers, execWorkers, shards int) (*querygraph.Graph, 
 		return nil, nil, err
 	}
 	in.Workers = workers
-	in.ExecWorkers = execWorkers
-	in.Shards = shards
 	in.TJ = t.MergeCost
 	return g, in, nil
 }
@@ -262,7 +260,7 @@ func (t *Task) OptimizeQuery(req Requirement) (QueryPlan, error) {
 			EstimatedTime: best.Time,
 		}, nil
 	}
-	g, in, err := t.naryInputs(t.Workers, t.ExecWorkers, t.Shards)
+	g, in, err := t.naryInputs(t.Workers)
 	if err != nil {
 		return QueryPlan{}, err
 	}
@@ -322,7 +320,7 @@ func (t *Task) runQuery(ctx context.Context, req Requirement, opts []RunOption) 
 			"mode": "query", "relations": t.Arity(), "tau_g": req.TauG, "tau_b": req.TauB,
 		})
 	}
-	g, in, err := t.naryInputs(workers, execWorkers, shards)
+	g, in, err := t.naryInputs(workers)
 	if err != nil {
 		return nil, err
 	}

@@ -92,9 +92,8 @@ func WithExecWorkers(n int) RunOption {
 // unsharded). The run partitions each database into that many deterministic
 // shards and executes as a scatter-gather over per-shard pipelined engines,
 // each owning a slice of the extraction cache. Any shard count produces
-// bit-identical tuples, counters, and traces; sharding only overlaps
-// wall-clock work, which the optimizer models with the measured
-// shard-scaling curve.
+// bit-identical tuples, counters, and traces, and plan choice ignores it;
+// sharding only overlaps wall-clock work.
 func WithShards(n int) RunOption {
 	return func(c *runConfig) { c.shards = &n }
 }
