@@ -5,8 +5,9 @@ GO ?= go
 # check is the full pre-merge gate: gofmt-clean sources, static checks, a
 # clean build, the test suites of both modules, the race detector over the concurrent
 # packages (the optimizer's parallel plan-space search, the join executors
-# it drives, the fault injection/tolerance layer, and the estimator grid and
-# classifier scratch that concurrent jobs share), the transparency
+# it drives, the fault injection/tolerance layer, and the estimator grid,
+# classifier scratch and extraction candidate memo that concurrent jobs
+# share), the transparency
 # properties (a fault profile with rate 0, and any worker or shard layout,
 # must leave every execution bit-identical), the public-API drift gate, and
 # a smoke run of the n-ary enumerator benchmark.
@@ -33,7 +34,7 @@ test:
 	cd perfbench && $(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/optimizer/... ./internal/join/... ./internal/faults/... ./internal/workload/... ./internal/obs/... ./internal/pipeline/... ./internal/shard/... ./internal/service/... ./internal/durable/... ./internal/cluster/... ./internal/estimate/... ./internal/classifier/...
+	$(GO) test -race ./internal/optimizer/... ./internal/join/... ./internal/faults/... ./internal/workload/... ./internal/obs/... ./internal/pipeline/... ./internal/shard/... ./internal/service/... ./internal/durable/... ./internal/cluster/... ./internal/estimate/... ./internal/classifier/... ./internal/extract/...
 	$(GO) test -race -run TestConcurrentRunsOnOneTask -count=1 .
 
 # transparency runs the two properties that say an execution knob must leave

@@ -205,40 +205,6 @@ func BenchmarkAblationFrequencyCoupling(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationSquareVsRect validates the optimizer's square-traversal
-// heuristic: for the same good-pair target, the square IDJN traversal and a
-// skewed 4:1 rectangle are compared on cost-model time.
-func BenchmarkAblationSquareVsRect(b *testing.B) {
-	w := benchWorkload(b)
-	const target = 64
-	run := func(b *testing.B, r1, r2 float64) float64 {
-		var tm float64
-		for i := 0; i < b.N; i++ {
-			x1, _ := w.NewStrategy(0, retrieval.SC)
-			x2, _ := w.NewStrategy(1, retrieval.SC)
-			e, err := join.NewIDJN(w.Side(0, 0.4), w.Side(1, 0.4), x1, x2)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := e.SetRates(r1, r2); err != nil {
-				b.Fatal(err)
-			}
-			st, err := join.Run(e, func(s *join.State) bool { return s.GoodPairs >= target })
-			if err != nil {
-				b.Fatal(err)
-			}
-			tm = st.Time
-		}
-		return tm
-	}
-	b.Run("square-1to1", func(b *testing.B) {
-		b.ReportMetric(run(b, 1, 1), "cost-time")
-	})
-	b.Run("rect-4to1", func(b *testing.B) {
-		b.ReportMetric(run(b, 4, 1), "cost-time")
-	})
-}
-
 // BenchmarkAblationClassifier compares the two Filtered Scan classifiers:
 // rule induction (Ripper-like, the paper's choice) versus naive Bayes, on
 // measured Ctp/Cfp over the target database.

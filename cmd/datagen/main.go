@@ -4,7 +4,7 @@
 //	datagen -docs 4000 -seed 1 -out ./data
 //
 // The files carry full document text plus gold mention annotations, so they
-// can be reloaded with corpus.LoadFile for offline experimentation.
+// can be reloaded with corpus.Load for offline experimentation.
 package main
 
 import (

@@ -131,7 +131,7 @@ func TestClusterSmoke(t *testing.T) {
 		Workload: service.WorkloadSpec{NumDocs: 5000, Seed: 21},
 	}
 	key := service.CanonicalWorkloadKey(req)
-	ownerURL := ring.Owner(key)
+	ownerURL := ring.OwnerAmong(key, nil)
 	survivorURL := ring.Successor(key, nil)
 	owner, survivor := daemons[ownerURL], daemons[survivorURL]
 	names := map[string]string{}

@@ -158,9 +158,6 @@ func (noopWriter) Write(p []byte) (int, error) { return len(p), nil }
 // SelfName returns this replica's stable short name ("n0").
 func (c *Cluster) SelfName() string { return c.selfName }
 
-// SelfURL returns this replica's advertised base URL.
-func (c *Cluster) SelfURL() string { return c.cfg.Self }
-
 // Size returns the configured fleet size.
 func (c *Cluster) Size() int { return len(c.urlOf) }
 

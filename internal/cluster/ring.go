@@ -49,7 +49,6 @@ type ringPoint struct {
 // the eligibility filter, not by rebuilding the ring, so "member X is down"
 // moves exactly the keys X owned and nothing else.
 type Ring struct {
-	vnodes  int
 	members []string // sorted, distinct
 	points  []ringPoint
 }
@@ -71,7 +70,7 @@ func NewRing(members []string, vnodes int) (*Ring, error) {
 			return nil, fmt.Errorf("cluster: duplicate ring member %q", sorted[i])
 		}
 	}
-	r := &Ring{vnodes: vnodes, members: sorted}
+	r := &Ring{members: sorted}
 	r.points = make([]ringPoint, 0, len(sorted)*vnodes)
 	for _, m := range sorted {
 		for i := 0; i < vnodes; i++ {
@@ -89,15 +88,6 @@ func NewRing(members []string, vnodes int) (*Ring, error) {
 
 // Members returns the sorted member list the ring was built over.
 func (r *Ring) Members() []string { return append([]string(nil), r.members...) }
-
-// VNodes returns the virtual nodes per member.
-func (r *Ring) VNodes() int { return r.vnodes }
-
-// Owner returns the member owning key: the first virtual node clockwise
-// from the key's hash.
-func (r *Ring) Owner(key string) string {
-	return r.OwnerAmong(key, nil)
-}
 
 // OwnerAmong returns the first member clockwise from key whose eligible(m)
 // is true (nil eligible admits every member). This is how membership folds

@@ -38,7 +38,7 @@ func TestRingBalance(t *testing.T) {
 		}
 		counts := map[string]int{}
 		for _, k := range keys {
-			counts[r.Owner(k)]++
+			counts[r.OwnerAmong(k, nil)]++
 		}
 		if len(counts) != n {
 			t.Fatalf("n=%d: only %d members own keys", n, len(counts))
@@ -77,7 +77,7 @@ func TestRingMinimalMovement(t *testing.T) {
 
 	moved := 0
 	for _, k := range keys {
-		before, after := small.Owner(k), big.Owner(k)
+		before, after := small.OwnerAmong(k, nil), big.OwnerAmong(k, nil)
 		if before == after {
 			continue
 		}
@@ -96,7 +96,7 @@ func TestRingMinimalMovement(t *testing.T) {
 	// filtered out must agree with the small ring everywhere.
 	notJoiner := func(m string) bool { return m != joiner }
 	for _, k := range keys {
-		if got, want := big.OwnerAmong(k, notJoiner), small.Owner(k); got != want {
+		if got, want := big.OwnerAmong(k, notJoiner), small.OwnerAmong(k, nil); got != want {
 			t.Fatalf("key %q: owner after leave %s, want %s", k, got, want)
 		}
 	}
@@ -125,7 +125,7 @@ func TestRingOwnershipGolden(t *testing.T) {
 		"q_HQ-EX-HQ-EX_j0.1_j1.2_j2.3_n400-0_s5_k0": "http://127.0.0.1:9003",
 	}
 	for key, want := range golden {
-		if got := r.Owner(key); got != want {
+		if got := r.OwnerAmong(key, nil); got != want {
 			t.Errorf("Owner(%q) = %s, want %s (ring hash or vnode label format changed: flag day)", key, got, want)
 		}
 	}
@@ -141,7 +141,7 @@ func TestRingSuccessor(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, k := range syntheticKeys(2000) {
-		owner := r.Owner(k)
+		owner := r.OwnerAmong(k, nil)
 		succ := r.Successor(k, nil)
 		if succ == owner {
 			t.Fatalf("key %q: successor == owner (%s)", k, owner)
@@ -175,7 +175,7 @@ func TestRingDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, k := range syntheticKeys(1000) {
-		if r1.Owner(k) != r2.Owner(k) {
+		if r1.OwnerAmong(k, nil) != r2.OwnerAmong(k, nil) {
 			t.Fatalf("key %q: owner differs by construction order", k)
 		}
 	}

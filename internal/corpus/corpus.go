@@ -11,11 +11,9 @@
 package corpus
 
 import (
-	"fmt"
 	"sort"
 
 	"joinopt/internal/relation"
-	"joinopt/internal/textgen"
 )
 
 // DocClass partitions documents with respect to one extraction task
@@ -208,14 +206,4 @@ func computeStats(task string, docs []*Document) *TaskStats {
 		}
 	}
 	return s
-}
-
-// VocabForTask resolves the standard task vocabulary, wrapping the textgen
-// lookup with an error.
-func VocabForTask(task string) (textgen.TaskVocab, error) {
-	v, ok := textgen.VocabByTask(task)
-	if !ok {
-		return textgen.TaskVocab{}, fmt.Errorf("corpus: unknown task %q", task)
-	}
-	return v, nil
 }

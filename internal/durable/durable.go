@@ -112,9 +112,6 @@ func Open(dir string, opts Options) (*Store, *Recovered, error) {
 
 func (s *Store) journalPath() string { return filepath.Join(s.dir, "journal.ndjson") }
 
-// Dir returns the state directory the store is rooted in.
-func (s *Store) Dir() string { return s.dir }
-
 // Degraded reports whether the store has fallen back to memory-only
 // operation, and why. Degradation is sticky for the life of the process:
 // a disk that failed under load is not trusted again until a restart

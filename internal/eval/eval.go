@@ -121,21 +121,6 @@ func (t Table) String() string {
 	return b.String()
 }
 
-// CSV renders the series as comma-separated rows with a header, for
-// plotting outside the harness.
-func (s Series) CSV() string {
-	var b strings.Builder
-	x := s.XLabel
-	if x == "" {
-		x = "x"
-	}
-	fmt.Fprintf(&b, "%s,estimated,actual\n", strings.ReplaceAll(x, ",", ";"))
-	for _, p := range s.Points {
-		fmt.Fprintf(&b, "%g,%g,%g\n", p.X, p.Est, p.Act)
-	}
-	return b.String()
-}
-
 // CSV renders every series of the figure, prefixing each row with the
 // series label.
 func (f Figure) CSV() string {

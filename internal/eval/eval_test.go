@@ -101,17 +101,6 @@ func TestTableWithoutTitle(t *testing.T) {
 	}
 }
 
-func TestSeriesCSV(t *testing.T) {
-	s := Series{XLabel: "% docs", Points: []Point{{X: 10, Est: 5.5, Act: 4}}}
-	csv := s.CSV()
-	if !strings.HasPrefix(csv, "% docs,estimated,actual\n") {
-		t.Errorf("csv header wrong:\n%s", csv)
-	}
-	if !strings.Contains(csv, "10,5.5,4\n") {
-		t.Errorf("csv row wrong:\n%s", csv)
-	}
-}
-
 func TestFigureCSV(t *testing.T) {
 	f := Figure{Series: []Series{
 		{Label: "good, tuples", Points: []Point{{X: 1, Est: 2, Act: 3}}},

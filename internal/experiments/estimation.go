@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 
 	"joinopt/internal/estimate"
 	"joinopt/internal/eval"
@@ -91,38 +90,4 @@ func Estimation(w *workload.Workload) (*eval.Table, error) {
 		})
 	}
 	return t, nil
-}
-
-// EstimationSummary condenses the estimation experiment into the largest
-// relative population error across windows of at least minWindowPct.
-func EstimationSummary(w *workload.Workload, minWindowPct int) (float64, error) {
-	p0, err := w.TrueParams(0, 0.4)
-	if err != nil {
-		return 0, err
-	}
-	trueTotal := float64(p0.Ag + p0.Ab)
-	worst := 0.0
-	for _, pct := range []int{minWindowPct, minWindowPct * 2} {
-		x1, _ := w.NewStrategy(0, retrieval.SC)
-		x2, _ := w.NewStrategy(1, retrieval.SC)
-		e, err := join.NewIDJN(w.Side(0, 0.4), w.Side(1, 0.4), x1, x2)
-		if err != nil {
-			return 0, err
-		}
-		dr := w.DB[0].Size() * pct / 100
-		st, err := join.Run(e, func(s *join.State) bool { return s.DocsRetrieved[0] >= dr })
-		if err != nil {
-			return 0, err
-		}
-		obs := estimate.FromState(st, 0, w.DB[0].Size(), p0.TP, p0.FP, 0.3)
-		est, err := estimate.Estimate(obs)
-		if err != nil {
-			return 0, err
-		}
-		rel := math.Abs(float64(est.Params.Ag+est.Params.Ab)-trueTotal) / trueTotal
-		if rel > worst {
-			worst = rel
-		}
-	}
-	return worst, nil
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
 	"sync"
 
 	"joinopt/internal/eval"
@@ -228,16 +227,4 @@ func ChosenAlgorithms(rows []Table2Row) []string {
 		out = append(out, string(r.Chosen.JN))
 	}
 	return out
-}
-
-// SortRowsByRequirement orders rows by (τg, τb); Table2 already produces
-// them in this order, but external callers composing custom requirement
-// sets can normalize with this.
-func SortRowsByRequirement(rows []Table2Row) {
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].Req.TauG != rows[j].Req.TauG {
-			return rows[i].Req.TauG < rows[j].Req.TauG
-		}
-		return rows[i].Req.TauB < rows[j].Req.TauB
-	})
 }

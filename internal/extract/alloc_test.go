@@ -62,6 +62,9 @@ func TestTagIntoWarmZeroAlloc(t *testing.T) {
 // strings, entity slices, masks, context maps); the budget pins the pooled
 // regime so it cannot silently creep back.
 func TestScanAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own; the budget holds in plain go test")
+	}
 	db, g := testCorpus(t, 7)
 	sys := hqSystem(t, g)
 	for _, d := range db.Docs { // warm the scratch pool and interner
@@ -84,6 +87,9 @@ func TestScanAllocBudget(t *testing.T) {
 // threshold + dedup + sort): only the emitted tuple slice may allocate on
 // top of Scan's candidates.
 func TestExtractAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own; the budget holds in plain go test")
+	}
 	db, g := testCorpus(t, 11)
 	sys := hqSystem(t, g)
 	for _, d := range db.Docs {

@@ -56,12 +56,6 @@ func (r *Rates) TP(theta float64) float64 { return fracAtLeast(r.goodScores, the
 // FP returns fp(θ).
 func (r *Rates) FP(theta float64) float64 { return fracAtLeast(r.badScores, theta) }
 
-// GoodTotal returns the number of extractable good occurrences.
-func (r *Rates) GoodTotal() int { return len(r.goodScores) }
-
-// BadTotal returns the number of extractable bad occurrences.
-func (r *Rates) BadTotal() int { return len(r.badScores) }
-
 func fracAtLeast(sorted []float64, theta float64) float64 {
 	if len(sorted) == 0 {
 		return 0

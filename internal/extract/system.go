@@ -130,9 +130,9 @@ func NewSystemFromVocab(v textgen.TaskVocab, tagger *Tagger) (*System, error) {
 }
 
 // Candidates scans text and returns every candidate tuple with its score,
-// before thresholding. Extract applies the knob; Candidates is exposed for
-// rate measurement and training. The returned slice must not be modified
-// when the cache is enabled.
+// before thresholding. Extract applies the knob; rate measurement
+// (MeasureRates) and the template verifier read the scores directly. The
+// returned slice must not be modified when the cache is enabled.
 func (s *System) Candidates(text string) []Candidate {
 	s.cacheMu.RLock()
 	cached := s.cache != nil

@@ -256,7 +256,6 @@ func newInjector(seed int64, op Op, side int, spec Spec) injector {
 // decision is the injector's verdict for one call.
 type decision struct {
 	fault     bool
-	stall     bool
 	permanent bool
 	cost      float64
 	call      int
@@ -284,7 +283,6 @@ func (in *injector) next() decision {
 		return d
 	}
 	if in.spec.StallProb > 0 && u01(in.stream, n, 2) < in.spec.StallProb {
-		d.stall = true
 		d.cost = in.spec.ExtraCost
 		in.counts.Stalls++
 		in.counts.ExtraCost += d.cost

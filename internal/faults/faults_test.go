@@ -226,7 +226,7 @@ func TestFaultyStrategyResumes(t *testing.T) {
 			t.Fatalf("got[%d] = %d; faulted pulls must not skip documents", i, id)
 		}
 	}
-	if fs.FaultCounts().Faults == 0 {
+	if fs.inj.counts.Faults == 0 {
 		t.Error("expected some injected faults at rate 0.3")
 	}
 }
@@ -243,7 +243,7 @@ func TestFaultyStrategyTransparentDelegates(t *testing.T) {
 			t.Fatalf("plain Next() = %d, %v; must bypass injection", id, ok)
 		}
 	}
-	if fs.FaultCounts().Faults != 0 {
+	if fs.inj.counts.Faults != 0 {
 		t.Error("plain Next must not consume the injection stream")
 	}
 }

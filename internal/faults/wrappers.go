@@ -140,9 +140,6 @@ func (f *FaultyStrategy) NextFallible() (int, bool, float64, error) {
 	return id, ok, cost + d.cost, err
 }
 
-// FaultCounts reports the injected behaviour so far.
-func (f *FaultyStrategy) FaultCounts() Counts { return f.inj.counts }
-
 // FaultyClassifier wraps a document classifier whose decisions can fail —
 // a flaky model service. The plain Classify delegates untouched; the
 // Filtered Scan surfaces ClassifyFallible errors as retrieval failures so
@@ -172,6 +169,3 @@ func (f *FaultyClassifier) ClassifyFallible(text string) (bool, float64, error) 
 	}
 	return f.c.Classify(text), d.cost, nil
 }
-
-// FaultCounts reports the injected behaviour so far.
-func (f *FaultyClassifier) FaultCounts() Counts { return f.inj.counts }

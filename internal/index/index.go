@@ -157,7 +157,6 @@ func (q Query) String() string { return "[" + strings.Join(q.Terms, " ") + "]" }
 // cap.
 type Index struct {
 	postings map[string][]int // term -> sorted doc IDs
-	numDocs  int
 	topK     int
 }
 
@@ -177,14 +176,11 @@ func New(texts []string, topK int) *Index {
 	for id, docs := range lists {
 		postings[tr.Terms[id]] = docs
 	}
-	return &Index{postings: postings, numDocs: len(texts), topK: topK}
+	return &Index{postings: postings, topK: topK}
 }
 
 // TopK returns the configured result cap (0 = unlimited).
 func (ix *Index) TopK() int { return ix.topK }
-
-// NumDocs returns the number of indexed documents.
-func (ix *Index) NumDocs() int { return ix.numDocs }
 
 // DocFreq returns the number of documents containing term.
 func (ix *Index) DocFreq(term string) int {

@@ -138,9 +138,6 @@ func TestDocFreq(t *testing.T) {
 	if ix.DocFreq("nope") != 0 {
 		t.Error("unknown term should have zero frequency")
 	}
-	if ix.NumDocs() != len(docs) {
-		t.Error("NumDocs wrong")
-	}
 }
 
 func TestSearchResultsSortedAndUnique(t *testing.T) {

@@ -134,7 +134,6 @@ type State struct {
 	Pipeline *shard.Group
 
 	totalPairs     int
-	golds          [2]*relation.Gold
 	rels           [2]*relation.Extracted
 	byVal          [2]map[string][]labeledTuple
 	deadlineTraced bool
@@ -171,7 +170,6 @@ func newState(s1, s2 *Side) *State {
 		R1:     relation.NewExtracted(schema1, s1.Gold),
 		R2:     relation.NewExtracted(schema2, s2.Gold),
 		Result: relation.NewJoinResult(),
-		golds:  [2]*relation.Gold{s1.Gold, s2.Gold},
 	}
 	st.rels = [2]*relation.Extracted{st.R1, st.R2}
 	st.byVal = [2]map[string][]labeledTuple{{}, {}}

@@ -10,17 +10,11 @@ import (
 // IDJN is the Independent Join (§IV-A): the two relations are extracted
 // independently — each with its own document retrieval strategy — and joined
 // as documents arrive, ripple-join style. The traversal of D1 × D2 is
-// "square" by default (one document from each database per step) or
-// "rectangle" with configurable per-side rates.
+// "square": one document from each database per step.
 type IDJN struct {
 	sides [2]*Side
 	strat [2]retrieval.Strategy
 	prev  [2]retrieval.Counts
-
-	// rates are documents pulled per step for each side; fractional rates
-	// accumulate (e.g. 0.5 pulls a document every other step).
-	rates [2]float64
-	acc   [2]float64
 
 	// ahead counts the already-announced prefix of each side's peek list, so
 	// the per-step announce pass touches only newly exposed documents. Each
@@ -33,7 +27,7 @@ type IDJN struct {
 }
 
 // NewIDJN builds an Independent Join over two sides with their retrieval
-// strategies. Rates default to the square traversal (1, 1).
+// strategies.
 func NewIDJN(s1, s2 *Side, x1, x2 retrieval.Strategy) (*IDJN, error) {
 	if err := s1.validate(1); err != nil {
 		return nil, err
@@ -47,20 +41,9 @@ func NewIDJN(s1, s2 *Side, x1, x2 retrieval.Strategy) (*IDJN, error) {
 	e := &IDJN{
 		sides: [2]*Side{s1, s2},
 		strat: [2]retrieval.Strategy{x1, x2},
-		rates: [2]float64{1, 1},
 	}
 	e.st = newState(s1, s2)
 	return e, nil
-}
-
-// SetRates switches to a rectangle traversal pulling r1 and r2 documents per
-// step from the respective databases. Rates must be positive.
-func (e *IDJN) SetRates(r1, r2 float64) error {
-	if r1 <= 0 || r2 <= 0 {
-		return fmt.Errorf("join: IDJN rates must be positive, got %v, %v", r1, r2)
-	}
-	e.rates = [2]float64{r1, r2}
-	return nil
 }
 
 // Algorithm implements Executor.
@@ -97,8 +80,8 @@ func (e *IDJN) announce() {
 	}
 }
 
-// Step retrieves and processes the next document(s) from each database at
-// the configured rates. It returns false once both strategies are exhausted.
+// Step retrieves and processes the next document from each database. It
+// returns false once both strategies are exhausted.
 func (e *IDJN) Step() (bool, error) {
 	e.st.Steps++
 	if e.done[0] && e.done[1] {
@@ -109,34 +92,30 @@ func (e *IDJN) Step() (bool, error) {
 		if e.done[i] {
 			continue
 		}
-		e.acc[i] += e.rates[i]
-		for e.acc[i] >= 1 {
-			e.acc[i]--
-			id, ok, skip, err := pullDoc(e.st, i, e.sides[i], e.strat[i])
-			now := e.strat[i].Counts()
-			e.st.chargeStrategy(i, e.sides[i].Costs, e.prev[i], now)
-			e.prev[i] = now
-			if err != nil {
-				return false, err
+		id, ok, skip, err := pullDoc(e.st, i, e.sides[i], e.strat[i])
+		now := e.strat[i].Counts()
+		e.st.chargeStrategy(i, e.sides[i].Costs, e.prev[i], now)
+		e.prev[i] = now
+		if err != nil {
+			return false, err
+		}
+		if ok && e.ahead[i] > 0 {
+			// The pull consumed the head of the peek list.
+			e.ahead[i]--
+		}
+		if skip {
+			continue
+		}
+		if !ok {
+			e.done[i] = true
+			if e.st.Trace.Enabled() {
+				e.st.Trace.EmitAt(e.st.Time, obs.KindSideExhausted, i+1,
+					map[string]any{"alg": "IDJN", "docs": e.st.DocsProcessed[i]})
 			}
-			if ok && e.ahead[i] > 0 {
-				// The pull consumed the head of the peek list.
-				e.ahead[i]--
-			}
-			if skip {
-				continue
-			}
-			if !ok {
-				e.done[i] = true
-				if e.st.Trace.Enabled() {
-					e.st.Trace.EmitAt(e.st.Time, obs.KindSideExhausted, i+1,
-						map[string]any{"alg": "IDJN", "docs": e.st.DocsProcessed[i]})
-				}
-				break
-			}
-			if _, err := processDoc(e.st, i, e.sides[i], id); err != nil {
-				return false, err
-			}
+			continue
+		}
+		if _, err := processDoc(e.st, i, e.sides[i], id); err != nil {
+			return false, err
 		}
 	}
 	return !(e.done[0] && e.done[1]), nil

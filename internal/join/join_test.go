@@ -135,25 +135,6 @@ func TestIDJNHigherThetaCleanerOutput(t *testing.T) {
 	}
 }
 
-func TestIDJNRectangleRates(t *testing.T) {
-	w := testWorkload(t)
-	e := idjnSC(t, w, 0.4)
-	if err := e.SetRates(2, 0.5); err != nil {
-		t.Fatal(err)
-	}
-	st, err := join.Run(e, func(s *join.State) bool { return s.DocsProcessed[0] >= 200 })
-	if err != nil {
-		t.Fatal(err)
-	}
-	ratio := float64(st.DocsProcessed[0]) / float64(st.DocsProcessed[1])
-	if ratio < 3.5 || ratio > 4.5 {
-		t.Errorf("rate ratio %.2f, want ~4", ratio)
-	}
-	if err := e.SetRates(0, 1); err == nil {
-		t.Error("expected error for non-positive rate")
-	}
-}
-
 func TestIDJNWithFilteredScan(t *testing.T) {
 	w := testWorkload(t)
 	x1, err := w.NewStrategy(0, retrieval.FS)
@@ -297,10 +278,6 @@ func TestZGJNReachesBothRelations(t *testing.T) {
 	// ZGJN reach is bounded; it must not scan the whole database.
 	if st.DocsProcessed[0] >= w.DB[0].Size() {
 		t.Error("zig-zag should not reach every document")
-	}
-	q1, q2 := e.Pending()
-	if q1 != 0 || q2 != 0 {
-		t.Errorf("run ended with pending queries %d/%d", q1, q2)
 	}
 }
 

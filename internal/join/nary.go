@@ -10,12 +10,13 @@ import (
 	"joinopt/internal/shard"
 )
 
-// Tree-shaped n-ary execution: NaryExec generalizes MultiIDJN to run the
-// join tree an optimizer chose (optimizer.ChooseNary) — per-side retrieval
-// strategies and effort caps, with exact merge-cost accounting at every
-// internal node of the tree. At TJ = 0 with no caps and no pipeline engine
-// the execution is bit-identical to MultiIDJN: the tree only adds
-// intermediate-cardinality counters and their time charges.
+// Tree-shaped n-ary execution: NaryExec runs the n-ary Independent Join
+// over the join tree an optimizer chose (optimizer.ChooseNary) — per-side
+// retrieval strategies and effort caps, with exact merge-cost accounting at
+// every internal node of the tree. At TJ = 0 with no caps and no pipeline
+// engine the tree only adds intermediate-cardinality counters: the
+// execution is bit-identical to the flat n-ary IDJN it replaced, as
+// internal/workload/testdata/multi_idjn.golden pins.
 
 // TreeNode is a join-tree node: a leaf names a relation index, an internal
 // node joins its two children. It mirrors the optimizer's chosen tree
@@ -170,7 +171,6 @@ func NewNaryExec(sides []*Side, strats []retrieval.Strategy, plan NaryPlan) (*Na
 		DocsRetrieved: make([]int, n),
 		DocsFiltered:  make([]int, n),
 		Queries:       make([]int, n),
-		golds:         make([]*relation.Gold, n),
 	}
 	for i, s := range sides {
 		if err := s.validate(i + 1); err != nil {
@@ -184,7 +184,6 @@ func NewNaryExec(sides []*Side, strats []retrieval.Strategy, plan NaryPlan) (*Na
 			schema = s.Gold.Schema
 		}
 		mst.Rels[i] = relation.NewExtracted(schema, s.Gold)
-		mst.golds[i] = s.Gold
 	}
 	return &NaryExec{
 		sides: sides,
@@ -330,8 +329,7 @@ func (e *NaryExec) Step() (bool, error) {
 	return any, nil
 }
 
-// charge folds a strategy's counter growth into the state (identical to
-// MultiIDJN's accounting).
+// charge folds a strategy's counter growth into the state.
 func (e *NaryExec) charge(i int, prev, now retrieval.Counts) {
 	c := e.sides[i].Costs
 	dRetr := now.Retrieved - prev.Retrieved

@@ -133,7 +133,3 @@ func (e *ZGJN) Step() (bool, error) {
 	e.st.Metrics.QueueDepth(1, len(e.queues[1]))
 	return true, nil
 }
-
-// Pending returns the number of queued queries per side, exposed for
-// experiment instrumentation.
-func (e *ZGJN) Pending() (q1, q2 int) { return len(e.queues[0]), len(e.queues[1]) }

@@ -265,7 +265,13 @@ func TestOIJNModelBasics(t *testing.T) {
 	if q2.Good <= q1.Good {
 		t.Errorf("outer effort should grow output: %v -> %v", q1.Good, q2.Good)
 	}
-	queries, docs, err := m.InnerWork(1000)
+	// With free outer costs and a unit inner tQ (tR), Time is the expected
+	// inner query (document) count.
+	queries, err := m.Time(1000, Costs{}, Costs{TQ: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	docs, err := m.Time(1000, Costs{}, Costs{TR: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

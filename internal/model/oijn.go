@@ -204,15 +204,3 @@ func (m *OIJNModel) Time(effortOuter int, cOuter, cInner Costs) (float64, error)
 	eff := m.effort(covO)
 	return sideTime(procO, cOuter) + eff.Queries*cInner.TQ + eff.Docs*(cInner.TR+cInner.TE), nil
 }
-
-// InnerWork exposes the expected inner-side effort for a given outer
-// effort; experiments use it to compare predicted and actual work.
-func (m *OIJNModel) InnerWork(effortOuter int) (queries, docs float64, err error) {
-	po, _, _ := m.orient()
-	procO, err := po.ProcessedAfter(m.XOuter, effortOuter)
-	if err != nil {
-		return 0, 0, err
-	}
-	eff := m.effort(po.CoverageOf(procO))
-	return eff.Queries, eff.Docs, nil
-}

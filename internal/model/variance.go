@@ -62,12 +62,6 @@ func (q QualityDist) BadUCB(z float64) float64 {
 	return q.Bad + z*math.Sqrt(math.Max(q.VarBad, 0))
 }
 
-// MeetsRobust reports whether the estimate satisfies (τg, τb) with a
-// z-sigma margin on both sides.
-func (q QualityDist) MeetsRobust(tauG, tauB int, z float64) bool {
-	return q.GoodLCB(z) >= float64(tauG) && q.BadUCB(z) <= float64(tauB)
-}
-
 // ComposeDist runs the general composition scheme returning variances
 // alongside the expectations. It uses the independence coupling (variance
 // under the correlated coupling is not defined by the paper's sketch).

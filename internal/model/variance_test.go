@@ -80,15 +80,9 @@ func TestQualityDistBounds(t *testing.T) {
 	if got := q.BadUCB(2); math.Abs(got-58) > 1e-12 {
 		t.Errorf("UCB %v, want 58", got)
 	}
-	if !q.MeetsRobust(90, 58, 2) {
-		t.Error("boundary should meet")
-	}
-	if q.MeetsRobust(91, 58, 2) || q.MeetsRobust(90, 57, 2) {
-		t.Error("violations should fail")
-	}
-	// z = 0 degenerates to the point check.
-	if !q.MeetsRobust(100, 50, 0) {
-		t.Error("z=0 should reduce to the point estimate")
+	// z = 0 degenerates to the point estimate.
+	if q.GoodLCB(0) != 100 || q.BadUCB(0) != 50 {
+		t.Errorf("z=0 bounds (%v, %v), want the point estimate (100, 50)", q.GoodLCB(0), q.BadUCB(0))
 	}
 }
 

@@ -103,7 +103,7 @@ func (m *ZGJNModel) sideTransforms(p *RelationParams) (h, ga stat.GenFunc, err e
 	if err != nil {
 		// All documents emit zero values: the cascade dies after the seed
 		// sweep; represent Ga as the point mass at zero.
-		ga = stat.MustGenFunc([]float64{1})
+		ga = stat.GenFunc{Coef: []float64{1}}
 	}
 	return h, ga, nil
 }

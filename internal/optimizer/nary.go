@@ -67,24 +67,6 @@ func (n *NaryNode) String() string {
 	return "(" + n.Left.String() + "⋈" + n.Right.String() + ")"
 }
 
-// InternalSets returns the relation sets of the internal nodes in
-// deterministic (post-order) sequence — the sets whose intermediate
-// cardinalities the merge cost charges.
-func (n *NaryNode) InternalSets() []uint64 {
-	var out []uint64
-	var walk func(*NaryNode)
-	walk = func(nd *NaryNode) {
-		if nd == nil || nd.Leaf() {
-			return
-		}
-		walk(nd.Left)
-		walk(nd.Right)
-		out = append(out, nd.Set)
-	}
-	walk(n)
-	return out
-}
-
 // NaryEval is the optimizer's assessment of one n-ary configuration (or,
 // for the whole query, the chosen plan).
 type NaryEval struct {
@@ -138,8 +120,8 @@ type NaryInputs struct {
 	Classes func(subset uint64) map[relation.ClassMask]int
 
 	// TJ is the merge cost charged per expected intermediate tuple at every
-	// internal node of the join tree. Zero (the default) reproduces the
-	// legacy MultiIDJN accounting, where tuple composition is free.
+	// internal node of the join tree. Zero (the default) makes tuple
+	// composition free, the flat n-ary IDJN's accounting.
 	TJ float64
 
 	// Workers bounds the parallel configuration sweep exactly like

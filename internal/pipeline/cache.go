@@ -226,18 +226,3 @@ func (c *Cache) Stats() CacheStats {
 		Bytes: c.bytes, Entries: c.lru.Len(), TierHits: c.tierHits,
 	}
 }
-
-// HitRate returns the observed hit fraction so far (0 before any lookup).
-// The optimizer feeds it into its effective-cost predictions.
-func (c *Cache) HitRate() float64 {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	total := c.hits + c.misses
-	if total == 0 {
-		return 0
-	}
-	return float64(c.hits) / float64(total)
-}

@@ -96,9 +96,6 @@ func Chain(n int) (*Graph, error) {
 // All returns the full relation set.
 func (g *Graph) All() uint64 { return (1 << g.N) - 1 }
 
-// HasEdge reports whether relations a and b are joined directly.
-func (g *Graph) HasEdge(a, b int) bool { return g.adj[a]&(1<<b) != 0 }
-
 // Neighbors returns N(S): the union of the members' adjacency sets minus S.
 func (g *Graph) Neighbors(s uint64) uint64 {
 	var n uint64

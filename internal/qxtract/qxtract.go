@@ -133,37 +133,3 @@ func Learn(train *corpus.DB, task string, maxQueries int) ([]Query, error) {
 	}
 	return out, nil
 }
-
-// QueryStats are the execution-time statistics of one query on a target
-// database: the number of matching documents H(q) and the precision P(q)
-// (fraction of matches that are good documents).
-type QueryStats struct {
-	Hits int
-	Prec float64
-}
-
-// Stats measures H(q) and P(q) for each query against the target database.
-// The model-accuracy experiments use these as perfect-knowledge parameters;
-// optimizer runs estimate them from retrieved samples instead.
-func Stats(queries []Query, ix *index.Index, db *corpus.DB, task string) ([]QueryStats, error) {
-	stats := db.Stats(task)
-	if stats == nil {
-		return nil, fmt.Errorf("qxtract: database %s does not host task %s", db.Name, task)
-	}
-	out := make([]QueryStats, len(queries))
-	for i, q := range queries {
-		matches := ix.Matches(q.IndexQuery())
-		good := 0
-		for _, id := range matches {
-			if stats.Class[id] == corpus.Good {
-				good++
-			}
-		}
-		s := QueryStats{Hits: len(matches)}
-		if len(matches) > 0 {
-			s.Prec = float64(good) / float64(len(matches))
-		}
-		out[i] = s
-	}
-	return out, nil
-}

@@ -106,9 +106,6 @@ func (e *Extracted) Add(t Tuple) bool {
 // Size returns the number of distinct tuples.
 func (e *Extracted) Size() int { return len(e.tuples) }
 
-// Occurrences returns the number of document occurrences recorded for t.
-func (e *Extracted) Occurrences(t Tuple) int { return e.tuples[t] }
-
 // Tuples returns the distinct tuples in deterministic order.
 func (e *Extracted) Tuples() []Tuple {
 	out := make([]Tuple, 0, len(e.tuples))
@@ -131,18 +128,6 @@ func (e *Extracted) GoodOcc(a string) int { return e.goodOcc[a] }
 // BadOcc returns br(a): the number of bad occurrences of join-attribute
 // value a observed so far.
 func (e *Extracted) BadOcc(a string) int { return e.badOcc[a] }
-
-// GoodBadCounts returns the number of good and bad distinct tuples.
-func (e *Extracted) GoodBadCounts() (good, bad int) {
-	for t := range e.tuples {
-		if e.gold == nil || e.gold.IsGood(t) {
-			good++
-		} else {
-			bad++
-		}
-	}
-	return good, bad
-}
 
 // JoinValues returns the distinct join-attribute values present, in
 // deterministic order.

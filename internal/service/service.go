@@ -53,7 +53,7 @@ type Options struct {
 	// evicted beyond it (default 1024).
 	MaxJobs int
 	// Metrics receives service and registry metrics (nil creates a private
-	// registry; expose it via Service.Metrics).
+	// registry, exposed only through /metrics).
 	Metrics *obs.Registry
 	// TraceSink, when set, additionally receives every job's trace events
 	// (e.g. a daemon-wide NDJSON flight recorder). The service does not
@@ -197,13 +197,6 @@ func New(opts Options) *Service {
 	}
 	return s
 }
-
-// Metrics returns the registry the service publishes into (the /metrics
-// exposition).
-func (s *Service) Metrics() *obs.Registry { return s.opts.Metrics }
-
-// Registry returns the workload registry (shared Tasks).
-func (s *Service) WorkloadRegistry() *Registry { return s.registry }
 
 // Draining reports whether a drain has started (readyz turns 503).
 func (s *Service) Draining() bool { return s.draining.Load() }
@@ -662,18 +655,12 @@ func (s *Service) finish(j *Job, res *JobResult, err error) {
 	default:
 		state, msg = StateFailed, err.Error()
 	}
-	j.mu.Lock()
-	j.state = state
-	j.err = msg
-	j.result = res
-	j.finished = now
-	j.mu.Unlock()
-	j.events.Close()
-
 	if d := s.opts.Durable; d != nil {
 		// Persist the result first, then journal the transition: replay
 		// treats the journal as the commit record, so a finished entry
-		// whose result write was lost just re-runs the job.
+		// whose result write was lost just re-runs the job. Both happen
+		// before the terminal state is published, so a client that has
+		// seen a job finish never sees a restart re-run it.
 		if res != nil {
 			if payload, err := json.Marshal(res); err == nil {
 				d.SaveResult(j.ID, payload)
@@ -681,6 +668,14 @@ func (s *Service) finish(j *Job, res *JobResult, err error) {
 		}
 		s.journal(durable.Record{Seq: j.seq, Event: durable.EventFinished, JobID: j.ID, State: state, Error: msg})
 	}
+
+	j.mu.Lock()
+	j.state = state
+	j.err = msg
+	j.result = res
+	j.finished = now
+	j.mu.Unlock()
+	j.events.Close()
 
 	j.mu.Lock()
 	drainCanceled := j.drainCanceled

@@ -49,12 +49,16 @@ func (g *gate) Emit(obs.Event) {
 }
 
 type env struct {
-	svc *service.Service
-	srv *httptest.Server
+	svc     *service.Service
+	srv     *httptest.Server
+	metrics *obs.Registry
 }
 
 func newEnv(t *testing.T, opts service.Options) *env {
 	t.Helper()
+	if opts.Metrics == nil {
+		opts.Metrics = obs.NewRegistry()
+	}
 	svc := service.New(opts)
 	srv := httptest.NewServer(svc.Handler())
 	t.Cleanup(func() {
@@ -63,7 +67,12 @@ func newEnv(t *testing.T, opts service.Options) *env {
 		defer cancel()
 		svc.Drain(ctx)
 	})
-	return &env{svc: svc, srv: srv}
+	return &env{svc: svc, srv: srv, metrics: opts.Metrics}
+}
+
+// resident reports how many workload Tasks the service's registry holds.
+func (e *env) resident() int {
+	return int(e.metrics.Snapshot().Gauges[service.MetricWorkloadResident])
 }
 
 // submit POSTs a job and decodes the response, asserting the status code.
@@ -325,7 +334,7 @@ func TestAdmissionControl(t *testing.T) {
 		t.Fatalf("blocker finished %s (%s)", st.State, st.Error)
 	}
 
-	snap := e.svc.Metrics().Snapshot()
+	snap := e.metrics.Snapshot()
 	if n := snap.Counters[obs.Series(service.MetricJobsRejected, "reason", "tenant_quota")]; n != 1 {
 		t.Errorf("tenant_quota rejections = %d, want 1", n)
 	}
@@ -488,10 +497,10 @@ func TestRegistrySharesWorkloads(t *testing.T) {
 	e.await(t, a.ID)
 	e.await(t, b.ID)
 
-	if n := e.svc.WorkloadRegistry().Size(); n != 1 {
+	if n := e.resident(); n != 1 {
 		t.Errorf("registry holds %d workloads, want 1", n)
 	}
-	snap := e.svc.Metrics().Snapshot()
+	snap := e.metrics.Snapshot()
 	if n := snap.Counters[service.MetricWorkloadBuilds]; n != 1 {
 		t.Errorf("workload builds = %d, want 1", n)
 	}

@@ -99,7 +99,6 @@ func (s *Set) cache(i int) *pipeline.Cache {
 // order, never of worker scheduling.
 type Group struct {
 	part     Partition
-	sizes    []int // per-side corpus sizes, for range partitioning
 	engines  []*pipeline.Engine
 	resolved []int // documents resolved per shard this execution
 	primed   []int // resume floor: suppress speculation below these counts
@@ -112,10 +111,8 @@ type Group struct {
 // cache nor workers NewGroup returns nil and the executors extract inline.
 // Two or more shards split the budget as WorkersPerShard (each shard always
 // speculates with at least one worker — with shards, the shards are the
-// parallelism). sizes gives the per-side corpus sizes, indexed by
-// pipeline.Key.Side, used only by range partitioning. extract must be a
-// pure function of the key.
-func NewGroup(set *Set, execWorkers int, sizes []int, extract func(pipeline.Key) []relation.Tuple) *Group {
+// parallelism). extract must be a pure function of the key.
+func NewGroup(set *Set, execWorkers int, extract func(pipeline.Key) []relation.Tuple) *Group {
 	var part Partition
 	if set != nil {
 		part = set.Part
@@ -130,7 +127,6 @@ func NewGroup(set *Set, execWorkers int, sizes []int, extract func(pipeline.Key)
 	}
 	g := &Group{
 		part:     part,
-		sizes:    append([]int(nil), sizes...),
 		engines:  make([]*pipeline.Engine, part.N),
 		resolved: make([]int, part.N),
 		primed:   make([]int, part.N),
@@ -142,13 +138,7 @@ func NewGroup(set *Set, execWorkers int, sizes []int, extract func(pipeline.Key)
 }
 
 // owner returns the shard index owning k.
-func (g *Group) owner(k pipeline.Key) int {
-	size := 0
-	if k.Side >= 0 && k.Side < len(g.sizes) {
-		size = g.sizes[k.Side]
-	}
-	return g.part.Owner(k.Side, k.DocID, size)
-}
+func (g *Group) owner(k pipeline.Key) int { return g.part.Owner(k.Side, k.DocID) }
 
 // HasCache reports whether any shard engine has a cache slice attached.
 func (g *Group) HasCache() bool {

@@ -17,37 +17,13 @@
 // count.
 package shard
 
-// Kind selects the partitioning function mapping documents to shards.
-type Kind int
-
-const (
-	// KindHash spreads documents by a mixed hash of (side, docID). This is
-	// the default: neighbouring doc IDs land on different shards, so skewed
-	// corpora (long documents clustered at one end) still balance.
-	KindHash Kind = iota
-	// KindRange assigns contiguous docID ranges to shards: shard s owns
-	// docIDs in [s·size/N, (s+1)·size/N). Useful when locality matters more
-	// than balance (e.g. a future disk layout with one file per shard).
-	KindRange
-)
-
-// String names the partitioning kind for traces and error messages.
-func (k Kind) String() string {
-	switch k {
-	case KindHash:
-		return "hash"
-	case KindRange:
-		return "range"
-	default:
-		return "unknown"
-	}
-}
-
-// Partition describes how a corpus is split: N shards under one of the
-// partitioning kinds. N below 2 means unsharded: one shard owns everything.
+// Partition describes how a corpus is split: N shards, each document owned
+// by the shard a mixed hash of (side, docID) picks. Neighbouring doc IDs
+// land on different shards, so skewed corpora (long documents clustered at
+// one end) still balance. N below 2 means unsharded: one shard owns
+// everything.
 type Partition struct {
-	N    int
-	Kind Kind
+	N int
 }
 
 // mix64 is a SplitMix64-style finalizer: a fast, high-quality avalanche of
@@ -62,31 +38,15 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// Owner returns the shard owning docID on the given side of a database with
-// dbSize documents. It is a pure function: the same (side, docID) maps to
-// the same shard on every run. Partitions with N < 2 own everything on
-// shard 0.
-func (p Partition) Owner(side, docID, dbSize int) int {
+// Owner returns the shard owning docID on the given side. It is a pure
+// function: the same (side, docID) maps to the same shard on every run.
+// Partitions with N < 2 own everything on shard 0.
+func (p Partition) Owner(side, docID int) int {
 	if p.N < 2 {
 		return 0
 	}
-	switch p.Kind {
-	case KindRange:
-		if dbSize <= 0 {
-			return 0
-		}
-		s := docID * p.N / dbSize
-		if s < 0 {
-			s = 0
-		}
-		if s >= p.N {
-			s = p.N - 1
-		}
-		return s
-	default:
-		h := mix64(uint64(side)<<32 ^ uint64(uint32(docID)))
-		return int(h % uint64(p.N))
-	}
+	h := mix64(uint64(side)<<32 ^ uint64(uint32(docID)))
+	return int(h % uint64(p.N))
 }
 
 // WorkersPerShard splits an execution's worker budget across shards:

@@ -63,15 +63,6 @@ func LogChoose(n, k int) float64 {
 	return logFact(n) - logFact(k) - logFact(n-k)
 }
 
-// Choose returns C(n, k) as a float64 (0 when out of range).
-func Choose(n, k int) float64 {
-	lc := LogChoose(n, k)
-	if math.IsInf(lc, -1) {
-		return 0
-	}
-	return math.Exp(lc)
-}
-
 // BinomialPMF returns Bnm(n, k, p) = C(n,k) p^k (1-p)^(n-k), the probability
 // of k successes in n independent trials with success probability p.
 func BinomialPMF(n, k int, p float64) float64 {
@@ -93,9 +84,6 @@ func BinomialPMF(n, k int, p float64) float64 {
 	lp := LogChoose(n, k) + float64(k)*math.Log(p) + float64(n-k)*math.Log(1-p)
 	return math.Exp(lp)
 }
-
-// BinomialMean returns n*p, the mean of the binomial distribution.
-func BinomialMean(n int, p float64) float64 { return float64(n) * p }
 
 // Binomial draws a binomial variate. For large n it uses a normal
 // approximation with continuity correction, clamped to [0, n]; exact
@@ -144,14 +132,6 @@ func HypergeometricPMF(D, S, g, k int) float64 {
 	return math.Exp(lp)
 }
 
-// HypergeometricMean returns S·g/D, the mean number of marked items drawn.
-func HypergeometricMean(D, S, g int) float64 {
-	if D <= 0 {
-		return 0
-	}
-	return float64(S) * float64(g) / float64(D)
-}
-
 // Hypergeometric draws a hypergeometric variate by sequential sampling.
 func (r *RNG) Hypergeometric(D, S, g int) int {
 	if D <= 0 || S <= 0 || g <= 0 {
@@ -176,14 +156,4 @@ func (r *RNG) Hypergeometric(D, S, g int) int {
 		}
 	}
 	return k
-}
-
-// SupportSum validates that a PMF over [0, n] sums to roughly 1; used by
-// tests and sanity assertions.
-func SupportSum(n int, pmf func(k int) float64) float64 {
-	var s float64
-	for k := 0; k <= n; k++ {
-		s += pmf(k)
-	}
-	return s
 }

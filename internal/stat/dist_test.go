@@ -10,6 +10,35 @@ func almostEqual(a, b, tol float64) bool {
 	return math.Abs(a-b) <= tol
 }
 
+// Choose returns C(n, k) from LogChoose (0 when out of range).
+func Choose(n, k int) float64 {
+	lc := LogChoose(n, k)
+	if math.IsInf(lc, -1) {
+		return 0
+	}
+	return math.Exp(lc)
+}
+
+// BinomialMean returns n*p, the mean of the binomial distribution.
+func BinomialMean(n int, p float64) float64 { return float64(n) * p }
+
+// HypergeometricMean returns S·g/D, the mean number of marked items drawn.
+func HypergeometricMean(D, S, g int) float64 {
+	if D <= 0 {
+		return 0
+	}
+	return float64(S) * float64(g) / float64(D)
+}
+
+// SupportSum sums a PMF over [0, n].
+func SupportSum(n int, pmf func(k int) float64) float64 {
+	var s float64
+	for k := 0; k <= n; k++ {
+		s += pmf(k)
+	}
+	return s
+}
+
 func TestLogChooseSmallValues(t *testing.T) {
 	cases := []struct {
 		n, k int

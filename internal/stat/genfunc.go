@@ -44,25 +44,6 @@ func NewGenFunc(coef []float64) (GenFunc, error) {
 	return GenFunc{Coef: out}, nil
 }
 
-// MustGenFunc is NewGenFunc that panics on error.
-func MustGenFunc(coef []float64) GenFunc {
-	g, err := NewGenFunc(coef)
-	if err != nil {
-		panic(err)
-	}
-	return g
-}
-
-// Eval returns G(x).
-func (g GenFunc) Eval(x float64) float64 {
-	// Horner evaluation from the highest degree down.
-	var v float64
-	for i := len(g.Coef) - 1; i >= 0; i-- {
-		v = v*x + g.Coef[i]
-	}
-	return v
-}
-
 // Mean returns E[X] = G'(1) (the Moments property).
 func (g GenFunc) Mean() float64 {
 	var m float64

@@ -6,6 +6,24 @@ import (
 	"testing/quick"
 )
 
+// MustGenFunc is NewGenFunc that panics on error.
+func MustGenFunc(coef []float64) GenFunc {
+	g, err := NewGenFunc(coef)
+	if err != nil {
+		panic(err)
+	}
+	return g
+}
+
+// Eval returns G(x) by Horner evaluation.
+func (g GenFunc) Eval(x float64) float64 {
+	var v float64
+	for i := len(g.Coef) - 1; i >= 0; i-- {
+		v = v*x + g.Coef[i]
+	}
+	return v
+}
+
 // randomGenFunc builds a normalized PGF from raw bytes; used by property
 // tests.
 func randomGenFunc(raw []byte) (GenFunc, bool) {

@@ -50,8 +50,7 @@ func (w *Workload) NewExecutor(plan optimizer.PlanSpec) (join.Executor, error) {
 	st.Deadline = w.Deadline
 	st.Trace = w.Trace
 	st.Metrics = w.execMetrics()
-	st.Pipeline = shard.NewGroup(w.ShardSet, w.ExecWorkers,
-		[]int{w.DB[0].Size(), w.DB[1].Size()}, w.extractFn())
+	st.Pipeline = shard.NewGroup(w.ShardSet, w.ExecWorkers, w.extractFn())
 	// Bind the trace clock to this executor's cost-model time so sites
 	// without State access (fault injectors, retrieval wrappers) stamp their
 	// events consistently with the executor's own.

@@ -13,9 +13,9 @@ import (
 )
 
 // multiGoldenPath holds the output of the flat n-ary Independent Join
-// (join.MultiIDJN, which NaryExec replaced) on the fixture workloads: θ=0.4
-// and a Scan on every side, run to exhaustion. NaryExec at TJ=0 must
-// reproduce it bit for bit.
+// (join.MultiIDJN, which NaryExec replaced and which wrote the file before
+// its deletion) on the fixture workloads: θ=0.4 and a Scan on every side,
+// run to exhaustion. NaryExec at TJ=0 must reproduce it bit for bit.
 const multiGoldenPath = "testdata/multi_idjn.golden"
 
 // multiFixtures are the workloads the fixture pins: the triple the n-ary
@@ -60,24 +60,13 @@ func scanSides(mw *workload.MultiWorkload) ([]*join.Side, []retrieval.Strategy) 
 // time — as the fixture records it.
 func TestNaryExecGoldenVsMultiIDJN(t *testing.T) {
 	const head = "# join.MultiIDJN, θ=0.4 and Scan on every side, run to exhaustion.\n"
-	legacy, tree := head, head
+	tree := head
 	for _, fx := range multiFixtures {
 		mw, err := workload.Multi(workload.Params{NumDocs: fx.docs, Seed: fx.seed}, fx.tasks)
 		if err != nil {
 			t.Fatal(err)
 		}
 		sides, strats := scanSides(mw)
-		e, err := join.NewMultiIDJN(sides, strats)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lst, err := join.RunMulti(e, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		legacy += renderMulti(fx.tasks, fx.docs, fx.seed, lst)
-
-		sides, strats = scanSides(mw)
 		exec, err := join.NewNaryExec(sides, strats, join.NaryPlan{})
 		if err != nil {
 			t.Fatal(err)
@@ -92,17 +81,9 @@ func TestNaryExecGoldenVsMultiIDJN(t *testing.T) {
 			t.Errorf("%v: root node tuples %d != good+bad %d", fx.tasks, root, nst.GoodTuples+nst.BadTuples)
 		}
 	}
-	if *updateGolden {
-		if err := os.WriteFile(multiGoldenPath, []byte(legacy), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
 	want, err := os.ReadFile(multiGoldenPath)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if legacy != string(want) {
-		t.Errorf("MultiIDJN output differs from %s:\n%s", multiGoldenPath, legacy)
 	}
 	if tree != string(want) {
 		t.Errorf("NaryExec output differs from %s:\n%s", multiGoldenPath, tree)

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"joinopt/internal/join"
+	"joinopt/internal/model"
 	"joinopt/internal/relation"
 	"joinopt/internal/retrieval"
 )
@@ -76,19 +77,29 @@ func TestMultiRepeatedTasks(t *testing.T) {
 	}
 }
 
+// naryIDJN runs the n-way Independent Join over every document of mw at
+// θ=0.4: NaryExec at TJ=0 with a Scan on every side.
+func naryIDJN(t *testing.T, mw *MultiWorkload) *join.NaryState {
+	t.Helper()
+	sides, strats := narySides(mw, 0.4)
+	e, err := join.NewNaryExec(sides, strats, join.NaryPlan{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := join.RunNary(e, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// TestMultiIDJNExecution checks the n-way Independent Join's incremental
+// output counters against a direct recomputation of Σ_a Π_i over the
+// extracted relations.
 func TestMultiIDJNExecution(t *testing.T) {
 	mw := triple(t)
-	sides := []*join.Side{mw.Side(0, 0.4), mw.Side(1, 0.4), mw.Side(2, 0.4)}
-	strats := []retrieval.Strategy{mw.Scan(0), mw.Scan(1), mw.Scan(2)}
-	e, err := join.NewMultiIDJN(sides, strats)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := join.RunMulti(e, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range sides {
+	st := naryIDJN(t, mw)
+	for i := range mw.DBs {
 		if st.DocsProcessed[i] != mw.DBs[i].Size() {
 			t.Errorf("side %d processed %d docs", i, st.DocsProcessed[i])
 		}
@@ -124,20 +135,16 @@ func TestMultiIDJNExecution(t *testing.T) {
 
 func TestMultiModelAccuracy(t *testing.T) {
 	mw := triple(t)
-	m, err := mw.TrueMultiModel(0.4)
-	if err != nil {
-		t.Fatal(err)
+	m := &model.MultiIDJNModel{Classes: relation.MultiOverlaps(mw.Golds())}
+	for i := range mw.DBs {
+		p, err := mw.trueParams(i, 0.4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.P = append(m.P, p)
+		m.X = append(m.X, retrieval.SC)
 	}
-	sides := []*join.Side{mw.Side(0, 0.4), mw.Side(1, 0.4), mw.Side(2, 0.4)}
-	strats := []retrieval.Strategy{mw.Scan(0), mw.Scan(1), mw.Scan(2)}
-	e, err := join.NewMultiIDJN(sides, strats)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := join.RunMulti(e, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := naryIDJN(t, mw)
 	D := mw.DBs[0].Size()
 	est, err := m.Estimate([]int{D, D, D})
 	if err != nil {
@@ -154,19 +161,22 @@ func TestMultiModelAccuracy(t *testing.T) {
 	}
 }
 
+// TestMultiIDJNValidation checks the n-way executor's constructor rejects
+// a single side, a strategy count that does not match the sides, and a
+// missing strategy.
 func TestMultiIDJNValidation(t *testing.T) {
 	mw := triple(t)
-	if _, err := join.NewMultiIDJN([]*join.Side{mw.Side(0, 0.4)}, []retrieval.Strategy{mw.Scan(0)}); err == nil {
+	if _, err := join.NewNaryExec([]*join.Side{mw.Side(0, 0.4)}, []retrieval.Strategy{mw.Scan(0)}, join.NaryPlan{}); err == nil {
 		t.Error("expected error for 1 side")
 	}
-	if _, err := join.NewMultiIDJN(
+	if _, err := join.NewNaryExec(
 		[]*join.Side{mw.Side(0, 0.4), mw.Side(1, 0.4)},
-		[]retrieval.Strategy{mw.Scan(0)}); err == nil {
+		[]retrieval.Strategy{mw.Scan(0)}, join.NaryPlan{}); err == nil {
 		t.Error("expected error for arity mismatch")
 	}
-	if _, err := join.NewMultiIDJN(
+	if _, err := join.NewNaryExec(
 		[]*join.Side{mw.Side(0, 0.4), mw.Side(1, 0.4)},
-		[]retrieval.Strategy{mw.Scan(0), nil}); err == nil {
+		[]retrieval.Strategy{mw.Scan(0), nil}, join.NaryPlan{}); err == nil {
 		t.Error("expected error for nil strategy")
 	}
 }

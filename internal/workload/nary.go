@@ -100,11 +100,7 @@ func (mw *MultiWorkload) NewNaryExecutor(ev optimizer.NaryEval, tj float64, exec
 	if err != nil {
 		return nil, err
 	}
-	sizes := make([]int, len(mw.DBs))
-	for i, db := range mw.DBs {
-		sizes[i] = db.Size()
-	}
-	exec.Pipeline = shard.NewGroup(set, execWorkers, sizes, func(k pipeline.Key) []relation.Tuple {
+	exec.Pipeline = shard.NewGroup(set, execWorkers, func(k pipeline.Key) []relation.Tuple {
 		return mw.Sys[k.Side].Extract(mw.DBs[k.Side].Doc(k.DocID).Text, k.Theta)
 	})
 	return exec, nil

@@ -170,11 +170,6 @@ func (w *Workload) execMetrics() *obs.ExecMetrics {
 // database, EX on an NYT95-like database.
 func HQJoinEX(p Params) (*Workload, error) { return Pair(p, "HQ", "EX") }
 
-// MGJoinEX builds the workload of the paper's motivating Example 1.1:
-// Mergers (hosted on a SeekingAlpha-like database) joined with Executives
-// (hosted on a WSJ-like database).
-func MGJoinEX(p Params) (*Workload, error) { return Pair(p, "MG", "EX") }
-
 // Pair builds a two-task workload over the standard tasks ("HQ", "EX",
 // "MG"), with controlled value overlap between the two relations and
 // same-shaped training databases for the classifier and query learners.

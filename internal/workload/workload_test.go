@@ -175,7 +175,13 @@ func TestOIJNModelAccuracy(t *testing.T) {
 		if est.Bad <= float64(st.BadPairs) {
 			t.Logf("note: OIJN bad estimate %.0f did not overestimate actual %d on this seed", est.Bad, st.BadPairs)
 		}
-		q, docs, err := m.InnerWork(dr)
+		// With free outer costs and a unit inner tQ (tR), the predicted
+		// time is the expected inner query (document) count.
+		q, err := m.Time(dr, model.Costs{}, model.Costs{TQ: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		docs, err := m.Time(dr, model.Costs{}, model.Costs{TR: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -294,7 +300,7 @@ func TestNewStrategyKinds(t *testing.T) {
 }
 
 func TestMGJoinEXWorkload(t *testing.T) {
-	w, err := MGJoinEX(Params{NumDocs: 800, Seed: 11})
+	w, err := Pair(Params{NumDocs: 800, Seed: 11}, "MG", "EX")
 	if err != nil {
 		t.Fatal(err)
 	}

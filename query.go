@@ -275,10 +275,7 @@ func (t *Task) OptimizeQuery(req Requirement) (QueryPlan, error) {
 // DP join-tree enumerator, and the chosen plan runs on the tree executor
 // with the leaf efforts as caps.
 func (t *Task) runQuery(ctx context.Context, req Requirement, opts []RunOption) (*RunResult, error) {
-	cfg := &runConfig{}
-	for _, o := range opts {
-		o(cfg)
-	}
+	cfg := t.newRunConfig(opts)
 	switch {
 	case cfg.plan != nil:
 		return nil, fmt.Errorf("joinopt: WithPlan pins two-relation plans; n-ary queries are planned by the query optimizer")
@@ -290,29 +287,8 @@ func (t *Task) runQuery(ctx context.Context, req Requirement, opts []RunOption) 
 		return nil, fmt.Errorf("joinopt: retry policies apply to two-relation runs only")
 	case cfg.metrics != nil:
 		return nil, fmt.Errorf("joinopt: metrics instrumentation covers two-relation runs only")
-	}
-	if (cfg.faultsSet && cfg.faults != nil) || (!cfg.faultsSet && t.Faults != nil) {
+	case cfg.faults != nil:
 		return nil, fmt.Errorf("joinopt: fault injection applies to two-relation runs only")
-	}
-	workers := t.Workers
-	if cfg.workers != nil {
-		workers = *cfg.workers
-	}
-	execWorkers := t.ExecWorkers
-	if cfg.execWorkers != nil {
-		execWorkers = *cfg.execWorkers
-	}
-	cacheBytes := t.ExtractCacheBytes
-	if cfg.cacheBytes != nil {
-		cacheBytes = *cfg.cacheBytes
-	}
-	shards := t.Shards
-	if cfg.shards != nil {
-		shards = *cfg.shards
-	}
-	deadline := t.Deadline
-	if cfg.deadline != nil {
-		deadline = *cfg.deadline
 	}
 
 	if cfg.trace.Enabled() {
@@ -320,7 +296,7 @@ func (t *Task) runQuery(ctx context.Context, req Requirement, opts []RunOption) 
 			"mode": "query", "relations": t.Arity(), "tau_g": req.TauG, "tau_b": req.TauB,
 		})
 	}
-	g, in, err := t.naryInputs(workers)
+	g, in, err := t.naryInputs(cfg.workers)
 	if err != nil {
 		return nil, err
 	}
@@ -334,11 +310,11 @@ func (t *Task) runQuery(ctx context.Context, req Requirement, opts []RunOption) 
 			"plan": qp.String(), "est_good": qp.EstimatedGood, "est_bad": qp.EstimatedBad, "est_time": qp.EstimatedTime,
 		})
 	}
-	exec, err := t.mw.NewNaryExecutor(best, in.TJ, execWorkers, t.shardSet(cacheBytes, shards))
+	exec, err := t.mw.NewNaryExecutor(best, in.TJ, cfg.execWorkers, t.shardSet(cfg.cacheBytes, cfg.shards))
 	if err != nil {
 		return nil, err
 	}
-	st, deadlineHit, err := t.runNaryExec(ctx, exec, deadline, cfg.qstop)
+	st, deadlineHit, err := t.runNaryExec(ctx, exec, cfg.deadline, cfg.qstop)
 	qo := queryOutcomeOf(qp, st, deadlineHit)
 	res := &RunResult{Query: qo, TotalTime: st.Time}
 	if cfg.trace.Enabled() {

@@ -12,8 +12,8 @@ import (
 )
 
 // RunOption configures one Run call. Options override the task-level
-// defaults (Task.Faults, Task.Retry, Task.Deadline, Task.Workers) for that
-// call only.
+// defaults (Task.Faults, Task.Retry, Task.Deadline, Task.Workers,
+// Task.ExecWorkers, Task.ExtractCacheBytes, Task.Shards) for that call only.
 type RunOption func(*runConfig)
 
 type runConfig struct {
@@ -23,17 +23,36 @@ type runConfig struct {
 	metrics *Metrics
 	ck      *AdaptiveCheckpoint
 	ckSink  func(*AdaptiveCheckpoint)
+	retry   *RetryPolicy
 
+	// The fault profile and the execution knobs start from the Task's
+	// fields (newRunConfig) and the With* options override them.
 	faults      *FaultProfile
-	faultsSet   bool
-	retry       *RetryPolicy
-	deadline    *float64
-	workers     *int
-	execWorkers *int
-	cacheBytes  *int64
-	shards      *int
+	deadline    float64
+	workers     int
+	execWorkers int
+	cacheBytes  int64
+	shards      int
 
 	qstop func(QueryProgress) bool
+}
+
+// newRunConfig seeds one run's configuration with the Task's fault profile
+// and execution knobs, then applies opts over them. Binary and n-ary runs
+// both resolve their options here.
+func (t *Task) newRunConfig(opts []RunOption) *runConfig {
+	cfg := &runConfig{
+		faults:      t.Faults,
+		deadline:    t.Deadline,
+		workers:     t.Workers,
+		execWorkers: t.ExecWorkers,
+		cacheBytes:  t.ExtractCacheBytes,
+		shards:      t.Shards,
+	}
+	for _, o := range opts {
+		o(cfg)
+	}
+	return cfg
 }
 
 // WithPlan pins the run to a specific execution plan instead of letting the
@@ -60,7 +79,7 @@ func WithQueryStop(stop func(QueryProgress) bool) RunOption {
 // WithFaults overrides the task's fault profile for this run (nil disables
 // injection).
 func WithFaults(p *FaultProfile) RunOption {
-	return func(c *runConfig) { c.faults = p; c.faultsSet = true }
+	return func(c *runConfig) { c.faults = p }
 }
 
 // WithRetries overrides the task's retry policy for this run.
@@ -72,12 +91,12 @@ func WithRetries(p RetryPolicy) RunOption {
 // (0 = none). A deadline-stopped Run returns its partial result together
 // with an error wrapping ErrDeadline.
 func WithDeadline(d float64) RunOption {
-	return func(c *runConfig) { c.deadline = &d }
+	return func(c *runConfig) { c.deadline = d }
 }
 
 // WithWorkers overrides the task's optimizer worker bound for this run.
 func WithWorkers(n int) RunOption {
-	return func(c *runConfig) { c.workers = &n }
+	return func(c *runConfig) { c.workers = n }
 }
 
 // WithExecWorkers overrides the task's pipelined execution worker count for
@@ -85,7 +104,7 @@ func WithWorkers(n int) RunOption {
 // results, accounting, and traces; workers only overlap extraction
 // wall-clock time.
 func WithExecWorkers(n int) RunOption {
-	return func(c *runConfig) { c.execWorkers = &n }
+	return func(c *runConfig) { c.execWorkers = n }
 }
 
 // WithShards overrides the task's corpus shard count for this run (0 or 1 =
@@ -95,7 +114,7 @@ func WithExecWorkers(n int) RunOption {
 // bit-identical tuples, counters, and traces, and plan choice ignores it;
 // sharding only overlaps wall-clock work.
 func WithShards(n int) RunOption {
-	return func(c *runConfig) { c.shards = &n }
+	return func(c *runConfig) { c.shards = n }
 }
 
 // WithExtractionCache overrides the task's extraction-cache capacity in
@@ -104,7 +123,7 @@ func WithShards(n int) RunOption {
 // the same capacity — so re-extracting a cached document at the same θ is
 // charged zero extraction time.
 func WithExtractionCache(bytes int64) RunOption {
-	return func(c *runConfig) { c.cacheBytes = &bytes }
+	return func(c *runConfig) { c.cacheBytes = bytes }
 }
 
 // WithTracer attaches a trace to the run: executors, fault injectors,
@@ -156,48 +175,23 @@ type RunResult struct {
 	Query *QueryOutcome
 }
 
-// configure merges the task defaults with the per-run options and pushes the
-// result into a private per-run clone of the workload, so concurrent Run
-// calls never observe each other's configuration. It returns the merged
-// config and the clone the run must execute against.
+// configure resolves the per-run options and pushes the result into a
+// private per-run clone of the workload, so concurrent Run calls never
+// observe each other's configuration. It returns the resolved config and
+// the clone the run must execute against.
 func (t *Task) configure(opts []RunOption) (*runConfig, *workload.Workload) {
-	cfg := &runConfig{}
-	for _, o := range opts {
-		o(cfg)
-	}
+	cfg := t.newRunConfig(opts)
 	var fp *faults.Profile
-	switch {
-	case cfg.faultsSet && cfg.faults != nil:
+	if cfg.faults != nil {
 		fp = cfg.faults.p
-	case !cfg.faultsSet && t.Faults != nil:
-		fp = t.Faults.p
 	}
 	retry := t.Retry
 	if cfg.retry != nil {
 		retry = *cfg.retry
 	}
-	deadline := t.Deadline
-	if cfg.deadline != nil {
-		deadline = *cfg.deadline
-	}
-	if cfg.workers == nil {
-		cfg.workers = &t.Workers
-	}
-	execWorkers := t.ExecWorkers
-	if cfg.execWorkers != nil {
-		execWorkers = *cfg.execWorkers
-	}
-	cacheBytes := t.ExtractCacheBytes
-	if cfg.cacheBytes != nil {
-		cacheBytes = *cfg.cacheBytes
-	}
-	shards := t.Shards
-	if cfg.shards != nil {
-		shards = *cfg.shards
-	}
 	w := t.w.Clone()
-	w.ExecWorkers = execWorkers
-	w.ShardSet = t.shardSet(cacheBytes, shards)
+	w.ExecWorkers = cfg.execWorkers
+	w.ShardSet = t.shardSet(cfg.cacheBytes, cfg.shards)
 	w.Faults = fp
 	w.Retry = join.RetryPolicy{
 		MaxRetries:    retry.MaxRetries,
@@ -205,7 +199,7 @@ func (t *Task) configure(opts []RunOption) (*runConfig, *workload.Workload) {
 		MaxDelay:      retry.MaxDelay,
 		FailureBudget: retry.FailureBudget,
 	}
-	w.Deadline = deadline
+	w.Deadline = cfg.deadline
 	w.Trace = cfg.trace
 	w.Metrics = cfg.metrics
 	return cfg, w
@@ -225,8 +219,9 @@ func (t *Task) configure(opts []RunOption) (*runConfig, *workload.Workload) {
 // instead plans the query with the DP join-tree enumerator against
 // perfect-knowledge measured parameters and executes the chosen tree: the
 // result's Query field carries the plan and per-relation statistics, and
-// WithQueryStop, WithWorkers, WithExecWorkers, WithExtractionCache,
-// WithDeadline, and WithTracer apply; the two-relation-only options
+// WithQueryStop, WithWorkers, WithExecWorkers, WithShards,
+// WithExtractionCache, WithDeadline, and WithTracer apply; the
+// two-relation-only options
 // (WithPlan, WithStop, fault injection, retries, checkpoints, metrics)
 // return a descriptive error.
 //
@@ -294,7 +289,7 @@ func (t *Task) runAdaptive(ctx context.Context, w *workload.Workload, req Requir
 	if err != nil {
 		return nil, err
 	}
-	oopts := optimizer.Options{ChooseWorkers: *cfg.workers}
+	oopts := optimizer.Options{ChooseWorkers: cfg.workers}
 	if sink := cfg.ckSink; sink != nil {
 		oopts.Persist = func(c *optimizer.Checkpoint) { sink(&AdaptiveCheckpoint{ck: c}) }
 	}
