@@ -27,8 +27,8 @@ func benchExec(b *testing.B, spec optimizer.PlanSpec) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			w.Sys[0].ResetCache()
-			w.Sys[1].ResetCache()
+			w.Tables[0].ResetCache()
+			w.Tables[1].ResetCache()
 			exec, err := w.NewExecutor(spec)
 			if err != nil {
 				b.Fatal(err)
@@ -63,8 +63,8 @@ func BenchmarkExecShardedIDJN8k(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			w.Sys[0].ResetCache()
-			w.Sys[1].ResetCache()
+			w.Tables[0].ResetCache()
+			w.Tables[1].ResetCache()
 			exec, err := w.NewExecutor(spec)
 			if err != nil {
 				b.Fatal(err)

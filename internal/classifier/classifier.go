@@ -24,15 +24,6 @@ type Classifier interface {
 	Classify(text string) bool
 }
 
-// Fallible is a classifier whose decisions can fail — a remote model behind
-// a flaky service. A failed call makes no decision; the caller retries or
-// gives up. cost is extra cost-model time incurred by the call beyond the
-// per-document filtering charge.
-type Fallible interface {
-	Classifier
-	ClassifyFallible(text string) (accept bool, cost float64, err error)
-}
-
 // Measure computes Ctp and Cfp of a classifier against a database's true
 // document classes for a task: Ctp is the acceptance rate on good documents
 // and Cfp the acceptance rate on the rest.
@@ -65,18 +56,34 @@ func Measure(c Classifier, db *corpus.DB, task string) (ctp, cfp float64, err er
 	return ctp, cfp, nil
 }
 
-// labelledRows tokenizes db's documents into term rows and labels each
-// good or not for task.
-func labelledRows(db *corpus.DB, task string) (*index.TermRows, []bool, error) {
+// goodLabels marks each of db's documents good or not for task.
+func goodLabels(db *corpus.DB, task string) ([]bool, error) {
 	stats := db.Stats(task)
 	if stats == nil {
-		return nil, nil, fmt.Errorf("classifier: training database %s does not host task %s", db.Name, task)
+		return nil, fmt.Errorf("classifier: training database %s does not host task %s", db.Name, task)
 	}
-	labels := make([]bool, len(db.Docs))
-	for i := range labels {
-		labels[i] = stats.Class[i] == corpus.Good
+	out := make([]bool, len(db.Docs))
+	for i := range out {
+		out[i] = stats.Class[i] == corpus.Good
 	}
-	return index.NewTermRows(db.Texts()), labels, nil
+	return out, nil
+}
+
+// Decisions returns c's decision on every document of db, indexed by
+// document ID; ix must index db's texts. A rule set reads its decisions off
+// the index: a rule fires on a document iff the document is in the posting
+// list of every term of the rule, and the index tokenizes with the same
+// TokenizeInto as Classify, so the decisions equal Classify's without
+// tokenizing a document. Any other classifier classifies each text once.
+func Decisions(c Classifier, db *corpus.DB, ix *index.Index) []bool {
+	if r, ok := c.(*Rules); ok {
+		return r.acceptSet(ix, db.Size())
+	}
+	out := make([]bool, db.Size())
+	for i, d := range db.Docs {
+		out[i] = c.Classify(d.Text)
+	}
+	return out
 }
 
 // Bayes is a naive-Bayes document classifier over binary term features.
@@ -96,7 +103,13 @@ type Bayes struct {
 // the decision boundary (0 = maximum a posteriori); positive values trade
 // Ctp for lower Cfp.
 func TrainBayes(db *corpus.DB, task string, threshold float64) (*Bayes, error) {
-	rows, labels, err := labelledRows(db, task)
+	return TrainBayesRows(index.NewTermRows(db.Texts()), db, task, threshold)
+}
+
+// TrainBayesRows is TrainBayes over db's term rows, so a caller that
+// trains several models on one split tokenizes it once.
+func TrainBayesRows(rows *index.TermRows, db *corpus.DB, task string, threshold float64) (*Bayes, error) {
+	labels, err := goodLabels(db, task)
 	if err != nil {
 		return nil, err
 	}
@@ -174,7 +187,13 @@ type Rules struct {
 // task on db. Each rule greedily maximizes covered positives while keeping
 // precision at least minPrecision on the remaining training documents.
 func TrainRules(db *corpus.DB, task string, maxRules, maxTerms int, minPrecision float64) (*Rules, error) {
-	rows, labels, err := labelledRows(db, task)
+	return TrainRulesRows(index.NewTermRows(db.Texts()), db, task, maxRules, maxTerms, minPrecision)
+}
+
+// TrainRulesRows is TrainRules over db's term rows, so a caller that
+// trains several models on one split tokenizes it once.
+func TrainRulesRows(rows *index.TermRows, db *corpus.DB, task string, maxRules, maxTerms int, minPrecision float64) (*Rules, error) {
+	labels, err := goodLabels(db, task)
 	if err != nil {
 		return nil, err
 	}
@@ -313,4 +332,32 @@ func (r *Rules) Classify(text string) bool {
 		}
 	}
 	return false
+}
+
+// acceptSet returns the documents r accepts among the n documents ix
+// indexes, by document ID: the union over rules of the documents matching
+// every term. Classify compares a rule's terms with the text's tokens as
+// they are, while the index lower-cases query terms, so a rule with a term
+// that is not a token (one Tokenize does not return unchanged) fires on no
+// document and is skipped; a rule with no terms fires on every document.
+func (r *Rules) acceptSet(ix *index.Index, n int) []bool {
+	out := make([]bool, n)
+rules:
+	for _, rule := range r.Set {
+		for _, t := range rule.Terms {
+			if toks := index.Tokenize(t); len(toks) != 1 || toks[0] != t {
+				continue rules
+			}
+		}
+		if len(rule.Terms) == 0 {
+			for i := range out {
+				out[i] = true
+			}
+			break
+		}
+		for _, id := range ix.Matches(index.Query{Terms: rule.Terms}) {
+			out[id] = true
+		}
+	}
+	return out
 }

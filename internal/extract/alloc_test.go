@@ -105,22 +105,21 @@ func TestExtractAllocBudget(t *testing.T) {
 	}
 }
 
-// TestExtractCachedAllocBudget covers the memoized path the plan sweeps
-// rely on: with the candidate cache enabled and hot, Extract pays only for
-// the tuple slice it emits.
+// TestExtractCachedAllocBudget covers the memoized path the executors
+// read: with a table's rows filled, an extraction by document ID pays only
+// for the tuple slice it emits.
 func TestExtractCachedAllocBudget(t *testing.T) {
 	db, g := testCorpus(t, 13)
-	sys := hqSystem(t, g)
-	sys.EnableCache()
-	for _, d := range db.Docs {
-		sys.Extract(d.Text, 0.4)
+	tab := hqSystem(t, g).NewTable(db)
+	for id := range db.Docs {
+		tab.Extract(id, 0.4)
 	}
 	perDoc := testing.AllocsPerRun(5, func() {
-		for _, d := range db.Docs {
-			sys.Extract(d.Text, 0.4)
+		for id := range db.Docs {
+			tab.Extract(id, 0.4)
 		}
 	}) / float64(len(db.Docs))
 	if perDoc > 3 {
-		t.Errorf("Extract with hot candidate cache: %.2f allocs per document, want <= 3", perDoc)
+		t.Errorf("Extract through a filled table: %.2f allocs per document, want <= 3", perDoc)
 	}
 }

@@ -140,7 +140,7 @@ func TestExtractKnobScoreBoundaries(t *testing.T) {
 		r := stat.NewRNG(int64(k))
 		sent := textgen.MentionSentenceK(r, textgen.VocabHQ, g.Companies[0], g.Locations[0], k)
 		text := textgen.Render([]textgen.Sentence{sent})
-		cands := sys.Candidates(text)
+		cands := sys.Scan(text)
 		if len(cands) != 1 {
 			t.Fatalf("k=%d candidates %v", k, cands)
 		}
@@ -225,6 +225,36 @@ func TestExtractDeduplicates(t *testing.T) {
 	sys := hqSystem(t, g)
 	if got := sys.Extract(text, 0.5); len(got) != 1 {
 		t.Errorf("duplicate tuples not merged: %v", got)
+	}
+}
+
+// TestExtractKeepsBestScore: a tuple mentioned twice is emitted at θ iff
+// its strongest mention scores at least θ, whichever mention comes first,
+// through the text entry point and through a table alike.
+func TestExtractKeepsBestScore(t *testing.T) {
+	g := testGazetteer()
+	sys := hqSystem(t, g)
+	r := stat.NewRNG(9)
+	weak := textgen.MentionSentenceK(r, textgen.VocabHQ, g.Companies[0], g.Locations[0], 1)
+	strong := textgen.MentionSentenceK(r, textgen.VocabHQ, g.Companies[0], g.Locations[0], 4)
+	db := &corpus.DB{Docs: []*corpus.Document{
+		{ID: 0, Text: textgen.Render([]textgen.Sentence{weak, strong})},
+		{ID: 1, Text: textgen.Render([]textgen.Sentence{strong, weak})},
+	}}
+	tab := sys.NewTable(db)
+	best := 4 / math.Sqrt(24)
+	for id, d := range db.Docs {
+		for _, theta := range []float64{0.1, best} {
+			if got := sys.Extract(d.Text, theta); len(got) != 1 {
+				t.Errorf("doc %d θ=%.3f: Extract = %v, want the tuple once", id, theta, got)
+			}
+			if got := tab.Extract(id, theta); len(got) != 1 {
+				t.Errorf("doc %d θ=%.3f: table = %v, want the tuple once", id, theta, got)
+			}
+		}
+		if got := tab.Extract(id, math.Nextafter(best, 1)); got != nil {
+			t.Errorf("doc %d above the best score: table = %v, want nil", id, got)
+		}
 	}
 }
 

@@ -30,7 +30,7 @@ func MeasureRates(sys *System, db *corpus.DB) (*Rates, error) {
 	}
 	r := &Rates{}
 	for _, doc := range db.Docs {
-		for _, c := range sys.Candidates(doc.Text) {
+		for _, c := range sys.Scan(doc.Text) {
 			if !gold.Known(c.Tuple) {
 				// Spurious candidate (e.g. a casual mention colliding with
 				// relation context); count as a bad occurrence.

@@ -62,7 +62,9 @@ type Candidate struct {
 
 // System is a configured IE system for one extraction task: E in the
 // paper's notation. Its knob θ (minSim) is supplied per extraction call, so
-// one System serves every knob configuration of a plan space.
+// one System serves every knob configuration of a plan space. Executors
+// read a database's documents through a Table over it (NewTable), which
+// scans each document once for every θ.
 type System struct {
 	Task     string
 	Slot1    textgen.EntityType
@@ -72,39 +74,14 @@ type System struct {
 	tagger *Tagger
 
 	extracts atomic.Int64
-
-	cacheMu sync.RWMutex
-	cache   map[string][]Candidate
 }
 
-// Extracts returns the number of Extract calls made so far — the real
-// extractor invocations, counted regardless of the candidate cache. Tests
-// use it to assert that the pipelined extraction cache actually avoids work.
+// Extracts returns the number of extraction calls made so far through
+// Extract and every Table over the system — the real extractor
+// invocations, counted whether or not a table row was already filled.
+// Tests use it to assert that the pipelined extraction cache actually
+// avoids work.
 func (s *System) Extracts() int64 { return s.extracts.Load() }
-
-// EnableCache memoizes candidate extraction per document text. Tagging and
-// scoring dominate extraction cost; plan sweeps that process the same
-// documents under many knob settings reuse the scored candidates and apply
-// only the threshold. The cache is guarded, so concurrent executions over
-// the same System are safe.
-func (s *System) EnableCache() {
-	s.cacheMu.Lock()
-	if s.cache == nil {
-		s.cache = map[string][]Candidate{}
-	}
-	s.cacheMu.Unlock()
-}
-
-// ResetCache drops every memoized candidate entry but keeps the cache
-// enabled. Benchmarks reset between iterations so each measures the full
-// extraction pipeline rather than a map lookup.
-func (s *System) ResetCache() {
-	s.cacheMu.Lock()
-	if s.cache != nil {
-		s.cache = map[string][]Candidate{}
-	}
-	s.cacheMu.Unlock()
-}
 
 // NewSystem builds an IE system with the given task slots and patterns over
 // a tagger.
@@ -129,55 +106,31 @@ func NewSystemFromVocab(v textgen.TaskVocab, tagger *Tagger) (*System, error) {
 	return NewSystem(v.Task, v.Slot1, v.Slot2, patterns, tagger)
 }
 
-// Candidates scans text and returns every candidate tuple with its score,
-// before thresholding. Extract applies the knob; rate measurement
-// (MeasureRates) and the template verifier read the scores directly. The
-// returned slice must not be modified when the cache is enabled.
-func (s *System) Candidates(text string) []Candidate {
-	s.cacheMu.RLock()
-	cached := s.cache != nil
-	if cached {
-		if c, ok := s.cache[text]; ok {
-			s.cacheMu.RUnlock()
-			return c
-		}
-	}
-	s.cacheMu.RUnlock()
-	out := s.Scan(text)
-	if cached {
-		s.cacheMu.Lock()
-		s.cache[text] = out
-		s.cacheMu.Unlock()
-	}
-	return out
-}
-
 // scanScratch is the reusable working state of one extraction pass: token,
-// entity, and mask buffers, the context and dedup maps (cleared, not
-// reallocated, between uses), and a per-scratch intern table for lowered
-// token spans. Scratches cycle through a sync.Pool, so concurrent pipeline
-// workers each hold their own and the per-sentence loop stays allocation-free
-// once warm (the alloc-budget tests guard this).
+// entity, and mask buffers, the context map (cleared, not reallocated,
+// between uses), and a per-scratch intern table for lowered token spans.
+// Scratches cycle through a sync.Pool, so concurrent pipeline workers each
+// hold their own and the per-sentence loop stays allocation-free once warm
+// (the alloc-budget tests guard this).
 type scanScratch struct {
 	tokens   []string
 	entities []Entity
 	covered  []bool
 	context  map[string]int
-	seen     map[relation.Tuple]bool
 	interner index.Interner
 }
 
 var scratchPool = sync.Pool{New: func() any {
 	return &scanScratch{
 		context:  map[string]int{},
-		seen:     map[relation.Tuple]bool{},
 		interner: index.Interner{},
 	}
 }}
 
-// Scan performs the actual sentence-level extraction pass, bypassing the
-// candidate cache (perfbench's extract.scan timing measures the real
-// pipeline with it).
+// Scan performs the sentence-level extraction pass and returns every
+// candidate occurrence with its score, before thresholding and in sentence
+// order. Rate measurement (MeasureRates) and the template verifier read
+// these per-occurrence scores; Extract and Table apply the knob.
 func (s *System) Scan(text string) []Candidate {
 	sc := scratchPool.Get().(*scanScratch)
 	defer scratchPool.Put(sc)
@@ -271,28 +224,53 @@ func (s *System) slotPair(entities []Entity) (relation.Tuple, bool) {
 }
 
 // Extract runs the system over text at knob configuration theta (minSim)
-// and returns the emitted tuples, deduplicated, in deterministic order.
+// and returns the emitted tuples, deduplicated, in deterministic order. It
+// scans the text on every call: executors read a database's documents
+// through a Table, which scans each document once.
 func (s *System) Extract(text string, theta float64) []relation.Tuple {
 	s.extracts.Add(1)
-	cands := s.Candidates(text)
-	var out []relation.Tuple
-	sc := scratchPool.Get().(*scanScratch)
-	clear(sc.seen)
+	return atLeast(distinct(s.Scan(text)), theta)
+}
+
+// distinct sorts cands by tuple and compacts them in place to one entry
+// per tuple carrying its best score. A tuple is emitted at θ iff one of its
+// occurrences scores at least θ, that is iff its best score does, so the
+// knob becomes a filter over the distinct tuples.
+func distinct(cands []Candidate) []Candidate {
+	slices.SortFunc(cands, func(a, b Candidate) int {
+		if c := strings.Compare(a.Tuple.A1, b.Tuple.A1); c != 0 {
+			return c
+		}
+		return strings.Compare(a.Tuple.A2, b.Tuple.A2)
+	})
+	out := cands[:0]
 	for _, c := range cands {
-		if c.Score >= theta && !sc.seen[c.Tuple] {
-			sc.seen[c.Tuple] = true
+		if n := len(out); n > 0 && out[n-1].Tuple == c.Tuple {
+			out[n-1].Score = max(out[n-1].Score, c.Score)
+			continue
+		}
+		out = append(out, c)
+	}
+	return out
+}
+
+// atLeast returns the tuples of the distinct, sorted candidates that score
+// at least theta, in one allocation (nil when none does).
+func atLeast(cands []Candidate, theta float64) []relation.Tuple {
+	n := 0
+	for _, c := range cands {
+		if c.Score >= theta {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]relation.Tuple, 0, n)
+	for _, c := range cands {
+		if c.Score >= theta {
 			out = append(out, c.Tuple)
 		}
 	}
-	scratchPool.Put(sc)
-	// Tuples are distinct after the dedup, so any comparison sort yields the
-	// same deterministic order; SortFunc avoids sort.Slice's interface and
-	// closure allocations.
-	slices.SortFunc(out, func(a, b relation.Tuple) int {
-		if c := strings.Compare(a.A1, b.A1); c != 0 {
-			return c
-		}
-		return strings.Compare(a.A2, b.A2)
-	})
 	return out
 }

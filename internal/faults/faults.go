@@ -1,7 +1,7 @@
 // Package faults is a seedable, deterministic fault injector for the join
-// execution substrate. It wraps the three fallible interfaces an execution
+// execution substrate. It covers the three fallible interfaces an execution
 // touches — document fetches (FaultyDB), retrieval streams (FaultyStrategy),
-// and Filtered Scan classifiers (FaultyClassifier) — and injects transient
+// and Filtered Scan classifier calls (FaultyClassifier) — and injects transient
 // or permanent failures, stalls (injected latency), and truncated documents,
 // all driven by per-operation fault specs from a single Profile.
 //

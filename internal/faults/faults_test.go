@@ -248,20 +248,13 @@ func TestFaultyStrategyTransparentDelegates(t *testing.T) {
 	}
 }
 
-type constClassifier bool
-
-func (c constClassifier) Classify(string) bool { return bool(c) }
-
 func TestFaultyClassifier(t *testing.T) {
 	p := &Profile{Seed: 8}
 	p.Classify[1] = Spec{Prob: 1, ExtraCost: 0.5}
-	fc := NewFaultyClassifier(constClassifier(true), p, 1)
-	if !fc.Classify("x") {
-		t.Error("plain Classify must bypass injection")
-	}
-	_, cost, err := fc.ClassifyFallible("x")
+	fc := NewFaultyClassifier(p, 1)
+	cost, err := fc.Call()
 	if err == nil || cost != 0.5 {
-		t.Fatalf("ClassifyFallible = cost %g, err %v; want injected fault", cost, err)
+		t.Fatalf("Call = cost %g, err %v; want injected fault", cost, err)
 	}
 	var fe *Error
 	if !errors.As(err, &fe) || !fe.Temporary() {

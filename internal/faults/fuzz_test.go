@@ -27,7 +27,7 @@ func newHarness(p *Profile) *harness {
 	for side := 0; side < 2; side++ {
 		h.dbs[side] = NewFaultyDB(testDB(1), p, side)
 		h.strat[side] = NewFaultyStrategy(retrieval.NewScan(1<<30), p, side)
-		h.class[side] = NewFaultyClassifier(constClassifier(true), p, side)
+		h.class[side] = NewFaultyClassifier(p, side)
 	}
 	return h
 }
@@ -50,7 +50,7 @@ func (h *harness) call(stream int) {
 			ev.msg = err.Error()
 		}
 	case 2:
-		_, cost, err := h.class[side].ClassifyFallible("text")
+		cost, err := h.class[side].Call()
 		ev = event{fault: err != nil, cost: cost}
 		if err != nil {
 			ev.msg = err.Error()

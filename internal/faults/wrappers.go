@@ -1,7 +1,6 @@
 package faults
 
 import (
-	"joinopt/internal/classifier"
 	"joinopt/internal/corpus"
 	"joinopt/internal/obs"
 	"joinopt/internal/retrieval"
@@ -140,32 +139,29 @@ func (f *FaultyStrategy) NextFallible() (int, bool, float64, error) {
 	return id, ok, cost + d.cost, err
 }
 
-// FaultyClassifier wraps a document classifier whose decisions can fail —
-// a flaky model service. The plain Classify delegates untouched; the
-// Filtered Scan surfaces ClassifyFallible errors as retrieval failures so
-// they flow into the executors' retry policy instead of silently
-// mislabelling documents.
+// FaultyClassifier fails a side's Filtered Scan classifier calls — a flaky
+// model service. It makes no decisions: the scan reads those from its
+// decision table after each successful call, and surfaces failed calls as
+// retrieval failures so they flow into the executors' retry policy instead
+// of silently mislabelling documents.
 type FaultyClassifier struct {
 	obsHooks
-	c    classifier.Classifier
 	side int
 	inj  injector
 }
 
-// NewFaultyClassifier wraps c as side's FS classifier under p.
-func NewFaultyClassifier(c classifier.Classifier, p *Profile, side int) *FaultyClassifier {
-	return &FaultyClassifier{c: c, side: side, inj: newInjector(p.Seed, OpClassify, side, p.Classify[side])}
+// NewFaultyClassifier returns side's classifier-call faults under p.
+func NewFaultyClassifier(p *Profile, side int) *FaultyClassifier {
+	return &FaultyClassifier{side: side, inj: newInjector(p.Seed, OpClassify, side, p.Classify[side])}
 }
 
-// Classify implements classifier.Classifier (fault-free delegate).
-func (f *FaultyClassifier) Classify(text string) bool { return f.c.Classify(text) }
-
-// ClassifyFallible implements classifier.Fallible.
-func (f *FaultyClassifier) ClassifyFallible(text string) (bool, float64, error) {
+// Call implements retrieval.ClassifierFaults: one draw from the side's
+// classify stream.
+func (f *FaultyClassifier) Call() (float64, error) {
 	d := f.inj.next()
 	if d.fault {
 		f.fault(OpClassify, f.side, d)
-		return false, d.cost, &Error{Op: OpClassify, Side: f.side, Call: d.call, Transient: !d.permanent}
+		return d.cost, &Error{Op: OpClassify, Side: f.side, Call: d.call, Transient: !d.permanent}
 	}
-	return f.c.Classify(text), d.cost, nil
+	return d.cost, nil
 }

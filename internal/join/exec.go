@@ -36,15 +36,18 @@ type Costs struct {
 var DefaultCosts = Costs{TR: 1, TE: 5, TF: 0.1, TQ: 2}
 
 // Side bundles everything a join execution needs about one relation: the
-// hosting database, its search interface, the tuned IE system, the gold set
-// used to label output (evaluation only), and the per-operation costs.
+// hosting database, its search interface, the tuned IE system's extraction
+// table over the database, the gold set used to label output (evaluation
+// only), and the per-operation costs.
 type Side struct {
-	DB     *corpus.DB
-	Index  *index.Index
-	System *extract.System
-	Theta  float64
-	Gold   *relation.Gold
-	Costs  Costs
+	DB    *corpus.DB
+	Index *index.Index
+	// Table resolves the extraction of DB's documents by document ID. It
+	// is built once per database and shared by every execution over it.
+	Table *extract.Table
+	Theta float64
+	Gold  *relation.Gold
+	Costs Costs
 
 	// Source, when set, replaces direct database reads on the document-fetch
 	// path with a fallible source (e.g. a faults.FaultyDB); Retry governs how
@@ -56,7 +59,7 @@ type Side struct {
 
 // validate checks that the side is usable.
 func (s *Side) validate(i int) error {
-	if s.DB == nil || s.System == nil {
+	if s.DB == nil || s.Table == nil {
 		return fmt.Errorf("join: side %d missing database or IE system", i)
 	}
 	return nil
@@ -307,13 +310,14 @@ func (st *State) chargeStrategy(i int, c Costs, prev, now retrieval.Counts) {
 // error); the error is non-nil only when the failure budget aborts the
 // execution.
 //
-// With a pipeline engine attached, extraction resolves through it: cache
-// hits are charged zero tE, and speculative worker results are collected
-// here, on the stepping goroutine, in stream order. A document whose fetch
-// returned modified text (a fault-truncated copy — detected by pointer
-// inequality against the database's own record) bypasses the engine
-// entirely: its tuples are not the document's canonical extraction and must
-// be neither served from nor inserted into the shared cache.
+// Extraction reads the side's table by document ID. With a pipeline engine
+// attached, it resolves through the engine: cache hits are charged zero tE,
+// and speculative worker results are collected here, on the stepping
+// goroutine, in stream order. A document whose fetch returned modified text
+// (a fault-truncated copy — detected by pointer inequality against the
+// database's own record) bypasses the table and the engine entirely: its
+// tuples are not the document's canonical extraction and must be neither
+// served from nor inserted into the shared table or cache.
 func processDoc(st *State, i int, s *Side, docID int) ([]relation.Tuple, error) {
 	doc, ok, err := fetchDoc(st, i, s, docID)
 	if err != nil {
@@ -324,31 +328,30 @@ func processDoc(st *State, i int, s *Side, docID int) ([]relation.Tuple, error) 
 	}
 	var tuples []relation.Tuple
 	hit := false
-	if st.Pipeline != nil {
-		key := pipeline.Key{Side: i, DocID: docID, Theta: s.Theta}
-		if doc == s.DB.Doc(docID) {
-			var evicted int
-			tuples, hit, evicted = st.Pipeline.Resolve(key, func() []relation.Tuple {
-				return s.System.Extract(doc.Text, s.Theta)
-			})
-			if st.Pipeline.HasCache() {
-				if hit {
-					st.Metrics.CacheHit(i)
-				} else {
-					st.Metrics.CacheMiss(i)
-				}
-				st.Metrics.CacheEvict(evicted)
-			}
-		} else {
-			// A faulted fetch handed out a different document body (a
-			// truncated copy) than the one workers speculated on: extract it
-			// inline, abandon the speculation, and keep the cache clean of
-			// truncated results.
+	key := pipeline.Key{Side: i, DocID: docID, Theta: s.Theta}
+	switch {
+	case doc != s.DB.Doc(docID):
+		// Abandon any speculation on the canonical document and extract
+		// the copy inline.
+		if st.Pipeline != nil {
 			st.Pipeline.Drop(key)
-			tuples = s.System.Extract(doc.Text, s.Theta)
 		}
-	} else {
-		tuples = s.System.Extract(doc.Text, s.Theta)
+		tuples = s.Table.System().Extract(doc.Text, s.Theta)
+	case st.Pipeline != nil:
+		var evicted int
+		tuples, hit, evicted = st.Pipeline.Resolve(key, func() []relation.Tuple {
+			return s.Table.Extract(docID, s.Theta)
+		})
+		if st.Pipeline.HasCache() {
+			if hit {
+				st.Metrics.CacheHit(i)
+			} else {
+				st.Metrics.CacheMiss(i)
+			}
+			st.Metrics.CacheEvict(evicted)
+		}
+	default:
+		tuples = s.Table.Extract(docID, s.Theta)
 	}
 	st.DocsProcessed[i]++
 	if hit {

@@ -305,16 +305,15 @@ func (e *NaryExec) Step() (bool, error) {
 		}
 		any = true
 		s := e.sides[i]
-		doc := s.DB.Doc(id)
 		var tuples []relation.Tuple
 		hit := false
 		if e.Pipeline != nil {
 			key := pipeline.Key{Side: i, DocID: id, Theta: s.Theta}
 			tuples, hit, _ = e.Pipeline.Resolve(key, func() []relation.Tuple {
-				return s.System.Extract(doc.Text, s.Theta)
+				return s.Table.Extract(id, s.Theta)
 			})
 		} else {
-			tuples = s.System.Extract(doc.Text, s.Theta)
+			tuples = s.Table.Extract(id, s.Theta)
 		}
 		e.st.DocsProcessed[i]++
 		if hit {

@@ -34,6 +34,12 @@ func (q Query) IndexQuery() index.Query { return index.Query{Terms: q.Terms} }
 // database. Queries are ordered by expected usefulness (precision ×
 // log-coverage on the training split).
 func Learn(train *corpus.DB, task string, maxQueries int) ([]Query, error) {
+	return LearnRows(index.NewTermRows(train.Texts()), train, task, maxQueries)
+}
+
+// LearnRows is Learn over the training database's term rows, so a caller
+// that also trains a classifier on the split tokenizes it once.
+func LearnRows(rows *index.TermRows, train *corpus.DB, task string, maxQueries int) ([]Query, error) {
 	stats := train.Stats(task)
 	if stats == nil {
 		return nil, fmt.Errorf("qxtract: training database %s does not host task %s", train.Name, task)
@@ -41,7 +47,6 @@ func Learn(train *corpus.DB, task string, maxQueries int) ([]Query, error) {
 	if maxQueries <= 0 {
 		return nil, fmt.Errorf("qxtract: maxQueries must be positive")
 	}
-	rows := index.NewTermRows(train.Texts())
 	var nGood, nRest int
 	countGood := make([]int, len(rows.Terms))
 	countRest := make([]int, len(rows.Terms))

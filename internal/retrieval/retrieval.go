@@ -7,7 +7,6 @@ package retrieval
 import (
 	"fmt"
 
-	"joinopt/internal/classifier"
 	"joinopt/internal/corpus"
 	"joinopt/internal/index"
 	"joinopt/internal/qxtract"
@@ -124,37 +123,51 @@ func (s *Scan) Kind() Kind { return SC }
 // Counts implements Strategy.
 func (s *Scan) Counts() Counts { return s.counts }
 
+// ClassifierFaults fails a Filtered Scan's classifier calls — a flaky
+// model service (faults.FaultyClassifier). On its fallible path the scan
+// makes one call per document it classifies, before reading the decision:
+// a failed call makes no decision, and cost is extra cost-model time
+// beyond the per-document filtering charge.
+type ClassifierFaults interface {
+	Call() (cost float64, err error)
+}
+
 // FilteredScan scans sequentially but hands out only documents the
 // classifier accepts. Rejected documents are still retrieved (and charged)
-// but not processed.
+// but not processed. The decisions come from a table computed once per
+// (classifier, database) by classifier.Decisions, so a pull reads a table
+// entry instead of classifying the document's text.
 type FilteredScan struct {
-	db     *corpus.DB
-	c      classifier.Classifier
+	accept []bool
+	faults ClassifierFaults
 	next   int
 	counts Counts
 
-	// Peek memo: documents in [next, peekPos) have been classified ahead,
-	// with the accepted IDs buffered in peekBuf. Peeking re-runs the
-	// classifier read-only; it never touches next or counts.
+	// Peek memo: documents in [next, peekPos) have been looked at ahead,
+	// with the accepted IDs buffered in peekBuf. Peeking never touches
+	// next, counts or the fault stream.
 	peekPos int
 	peekBuf []int
 }
 
-// NewFilteredScan returns a Filtered Scan over db using c.
-func NewFilteredScan(db *corpus.DB, c classifier.Classifier) (*FilteredScan, error) {
-	if c == nil {
-		return nil, fmt.Errorf("retrieval: filtered scan needs a classifier")
+// NewFilteredScan returns a Filtered Scan over db that hands out the
+// documents accept marks: accept[id] is the classifier's decision on
+// document id. faults, when non-nil, fails classifier calls on the
+// fallible path.
+func NewFilteredScan(db *corpus.DB, accept []bool, faults ClassifierFaults) (*FilteredScan, error) {
+	if len(accept) != db.Size() {
+		return nil, fmt.Errorf("retrieval: filtered scan needs a classifier decision for each of %d documents, got %d", db.Size(), len(accept))
 	}
-	return &FilteredScan{db: db, c: c}, nil
+	return &FilteredScan{accept: accept, faults: faults}, nil
 }
 
 // Next implements Strategy.
 func (f *FilteredScan) Next() (int, bool) {
-	for f.next < f.db.Size() {
+	for f.next < len(f.accept) {
 		id := f.next
 		f.next++
 		f.counts.Retrieved++
-		if f.c.Classify(f.db.Doc(id).Text) {
+		if f.accept[id] {
 			return id, true
 		}
 		f.counts.Filtered++
@@ -164,26 +177,21 @@ func (f *FilteredScan) Next() (int, bool) {
 
 // NextFallible implements Fallible. A classifier failure is surfaced before
 // the scan position advances or any work is counted, so a retried pull
-// re-classifies the same document.
+// classifies the same document again.
 func (f *FilteredScan) NextFallible() (int, bool, float64, error) {
-	fc, fallible := f.c.(classifier.Fallible)
 	var cost float64
-	for f.next < f.db.Size() {
+	for f.next < len(f.accept) {
 		id := f.next
-		accept := false
-		if fallible {
-			a, c, err := fc.ClassifyFallible(f.db.Doc(id).Text)
+		if f.faults != nil {
+			c, err := f.faults.Call()
 			cost += c
 			if err != nil {
 				return 0, false, cost, err
 			}
-			accept = a
-		} else {
-			accept = f.c.Classify(f.db.Doc(id).Text)
 		}
 		f.next++
 		f.counts.Retrieved++
-		if accept {
+		if f.accept[id] {
 			return id, true, cost, nil
 		}
 		f.counts.Filtered++
@@ -191,10 +199,10 @@ func (f *FilteredScan) NextFallible() (int, bool, float64, error) {
 	return 0, false, cost, nil
 }
 
-// Peek implements Peeker: it classifies ahead of the scan position (through
-// the plain, fault-free classifier path) and returns up to k upcoming
-// accepted documents. Results already consumed by Next are dropped from the
-// memo; positions classified ahead are never re-classified.
+// Peek implements Peeker: it reads the decisions ahead of the scan
+// position (fault-free) and returns up to k upcoming accepted documents.
+// Results already consumed by Next are dropped from the memo; positions
+// looked at ahead are never looked at again.
 func (f *FilteredScan) Peek(k int) []int {
 	drop := 0
 	for drop < len(f.peekBuf) && f.peekBuf[drop] < f.next {
@@ -206,10 +214,10 @@ func (f *FilteredScan) Peek(k int) []int {
 	if f.peekPos < f.next {
 		f.peekPos = f.next
 	}
-	for len(f.peekBuf) < k && f.peekPos < f.db.Size() {
+	for len(f.peekBuf) < k && f.peekPos < len(f.accept) {
 		id := f.peekPos
 		f.peekPos++
-		if f.c.Classify(f.db.Doc(id).Text) {
+		if f.accept[id] {
 			f.peekBuf = append(f.peekBuf, id)
 		}
 	}

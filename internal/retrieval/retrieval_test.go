@@ -1,9 +1,12 @@
 package retrieval
 
 import (
+	"errors"
+	"slices"
 	"strings"
 	"testing"
 
+	"joinopt/internal/classifier"
 	"joinopt/internal/corpus"
 	"joinopt/internal/index"
 	"joinopt/internal/qxtract"
@@ -76,7 +79,7 @@ func (a acceptContains) Classify(text string) bool { return strings.Contains(tex
 
 func TestFilteredScanFilters(t *testing.T) {
 	db := makeDB(t, 1)
-	fs, err := NewFilteredScan(db, acceptContains("headquartered"))
+	fs, err := NewFilteredScan(db, classifier.Decisions(acceptContains("headquartered"), db, nil), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,8 +111,81 @@ func TestFilteredScanFilters(t *testing.T) {
 
 func TestFilteredScanNeedsClassifier(t *testing.T) {
 	db := makeDB(t, 2)
-	if _, err := NewFilteredScan(db, nil); err == nil {
-		t.Error("expected error for nil classifier")
+	if _, err := NewFilteredScan(db, nil, nil); err == nil {
+		t.Error("expected error for missing classifier decisions")
+	}
+	if _, err := NewFilteredScan(db, make([]bool, db.Size()-1), nil); err == nil {
+		t.Error("expected error for a decision table of the wrong size")
+	}
+}
+
+// failEvery fails every nth classifier call and counts them all.
+type failEvery struct{ n, calls int }
+
+func (f *failEvery) Call() (float64, error) {
+	f.calls++
+	if f.calls%f.n == 0 {
+		return 0.5, errors.New("classifier unavailable")
+	}
+	return 0, nil
+}
+
+// TestFilteredScanCallsFaultsOncePerDocument: the fallible path makes one
+// classifier call per document it classifies, and a failed call neither
+// advances the scan nor counts work, so the retry classifies the same
+// document. Peek and plain Next never call.
+func TestFilteredScanCallsFaultsOncePerDocument(t *testing.T) {
+	db := makeDB(t, 7)
+	accept := classifier.Decisions(acceptContains("headquartered"), db, nil)
+	faults := &failEvery{n: 3}
+	fs, err := NewFilteredScan(db, accept, faults)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs.Peek(50)
+	if faults.calls != 0 {
+		t.Fatalf("Peek made %d classifier calls", faults.calls)
+	}
+	var got []int
+	failures := 0
+	for {
+		id, ok, _, err := fs.NextFallible()
+		if err != nil {
+			failures++
+		}
+		if r := fs.Counts().Retrieved; r != faults.calls-failures {
+			t.Fatalf("%d documents retrieved after %d successful classifier calls", r, faults.calls-failures)
+		}
+		if err != nil {
+			continue
+		}
+		if !ok {
+			break
+		}
+		got = append(got, id)
+	}
+	var want []int
+	for id, a := range accept {
+		if a {
+			want = append(want, id)
+		}
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("fallible scan handed out %d documents, want the %d accepted ones", len(got), len(want))
+	}
+	if faults.calls != db.Size()+failures {
+		t.Errorf("%d classifier calls for %d documents and %d failures", faults.calls, db.Size(), failures)
+	}
+
+	plain, _ := NewFilteredScan(db, accept, faults)
+	calls := faults.calls
+	for {
+		if _, ok := plain.Next(); !ok {
+			break
+		}
+	}
+	if faults.calls != calls {
+		t.Error("plain Next made classifier calls")
 	}
 }
 

@@ -403,20 +403,22 @@ func (s *Service) Cancel(id string) (*Job, error) {
 	return j, nil
 }
 
-// markCanceled transitions a never-started job to canceled.
+// markCanceled transitions a never-started job to canceled. As in finish,
+// the journal commits the transition before the job is seen canceled, so
+// a restart never re-queues a job a client already saw canceled; the job
+// lock is held across the write so a worker cannot start the job between
+// the two.
 func (s *Service) markCanceled(j *Job) {
 	j.mu.Lock()
 	transitioned := j.state == StateQueued
 	if transitioned {
+		s.journal(durable.Record{Seq: j.seq, Event: durable.EventFinished, JobID: j.ID, State: StateCanceled, Error: "canceled before start"})
 		j.state = StateCanceled
 		j.err = "canceled before start"
 		j.finished = time.Now()
 	}
 	j.mu.Unlock()
 	j.events.Close()
-	if transitioned {
-		s.journal(durable.Record{Seq: j.seq, Event: durable.EventFinished, JobID: j.ID, State: StateCanceled, Error: "canceled before start"})
-	}
 	s.opts.Metrics.Counter(obs.Series(MetricJobsCompleted, "state", StateCanceled)).Inc()
 }
 

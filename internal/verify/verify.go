@@ -63,7 +63,7 @@ func NewTemplateVerifier(db *corpus.DB, sys *extract.System, minScore float64, m
 		scores:    map[relation.Tuple][]float64{},
 	}
 	for _, doc := range db.Docs {
-		for _, c := range sys.Candidates(doc.Text) {
+		for _, c := range sys.Scan(doc.Text) {
 			v.scores[c.Tuple] = append(v.scores[c.Tuple], c.Score)
 		}
 	}

@@ -63,7 +63,7 @@ func (w *Workload) NewExecutor(plan optimizer.PlanSpec) (join.Executor, error) {
 // accounting state touched.
 func (w *Workload) extractFn() func(pipeline.Key) []relation.Tuple {
 	return func(k pipeline.Key) []relation.Tuple {
-		return w.Sys[k.Side].Extract(w.DB[k.Side].Doc(k.DocID).Text, k.Theta)
+		return w.Tables[k.Side].Extract(k.DocID, k.Theta)
 	}
 }
 

@@ -26,6 +26,8 @@ type MultiWorkload struct {
 	DBs    []*corpus.DB
 	Sys    []*extract.System
 	Costs  []join.Costs
+	// Tables[i] memoizes Sys[i]'s extraction over DBs[i] by document ID.
+	Tables []*extract.Table
 
 	// truth holds every relation's θ-independent perfect-knowledge
 	// parameters and rate curves. Measuring them walks each whole corpus,
@@ -134,8 +136,8 @@ func Multi(p Params, tasks []string) (*MultiWorkload, error) {
 		if err != nil {
 			return nil, err
 		}
-		sys.EnableCache()
 		mw.Sys = append(mw.Sys, sys)
+		mw.Tables = append(mw.Tables, sys.NewTable(db))
 		mw.Costs = append(mw.Costs, join.DefaultCosts)
 	}
 	return mw, nil
@@ -144,11 +146,11 @@ func Multi(p Params, tasks []string) (*MultiWorkload, error) {
 // Side builds a join.Side for side i at knob configuration theta.
 func (mw *MultiWorkload) Side(i int, theta float64) *join.Side {
 	return &join.Side{
-		DB:     mw.DBs[i],
-		System: mw.Sys[i],
-		Theta:  theta,
-		Gold:   mw.DBs[i].Gold(mw.Tasks[i]),
-		Costs:  mw.Costs[i],
+		DB:    mw.DBs[i],
+		Table: mw.Tables[i],
+		Theta: theta,
+		Gold:  mw.DBs[i].Gold(mw.Tasks[i]),
+		Costs: mw.Costs[i],
 	}
 }
 

@@ -101,7 +101,7 @@ func (mw *MultiWorkload) NewNaryExecutor(ev optimizer.NaryEval, tj float64, exec
 		return nil, err
 	}
 	exec.Pipeline = shard.NewGroup(set, execWorkers, func(k pipeline.Key) []relation.Tuple {
-		return mw.Sys[k.Side].Extract(mw.DBs[k.Side].Doc(k.DocID).Text, k.Theta)
+		return mw.Tables[k.Side].Extract(k.DocID, k.Theta)
 	})
 	return exec, nil
 }

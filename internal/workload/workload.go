@@ -52,7 +52,11 @@ type Params struct {
 // power-law and sampling behaviour to be visible, small enough for tests.
 var DefaultParams = Params{NumDocs: 4000, Seed: 1}
 
-// Workload is a fully wired two-database join task.
+// Workload is a fully wired two-database join task. Everything an
+// execution reads is built once, with the workload, and shared by every
+// execution over it and its clones: the trained machinery, each
+// database's extraction table (filled as documents are first read) and
+// each side's Filtered Scan decisions.
 type Workload struct {
 	Params Params
 
@@ -65,6 +69,13 @@ type Workload struct {
 	Cls        [2]classifier.Classifier
 	AQGQueries [2][]qxtract.Query
 	Costs      [2]join.Costs
+
+	// Tables[i] memoizes Sys[i]'s extraction over DB[i] by document ID,
+	// and Accept[i] holds Cls[i]'s decision on every document of DB[i]:
+	// every executor side reads its extraction from the one, and every
+	// Filtered Scan its decisions from the other.
+	Tables [2]*extract.Table
+	Accept [2][]bool
 
 	// Seeds are join values with good tuples in both relations, used to
 	// seed ZGJN executions.
@@ -120,11 +131,11 @@ type Workload struct {
 }
 
 // Clone returns a per-run view of the workload: the immutable machinery
-// (databases, IE systems, indexes, classifiers, learned queries, seeds) and
-// the internally synchronized shared state (extraction-system memo, env and
-// perfect-knowledge statistics) are shared, while the per-run knobs — fault
-// profile, retry policy, deadline, worker counts, extraction cache, trace,
-// and metrics — live on the copy. Cloning is how the facade keeps
+// (databases, IE systems, indexes, classifiers and their decisions, learned
+// queries, seeds) and the internally synchronized shared state (extraction
+// tables, env and perfect-knowledge statistics) are shared, while the
+// per-run knobs — fault profile, retry policy, deadline, worker counts,
+// extraction cache, trace, and metrics — live on the copy. Cloning is how the facade keeps
 // concurrent Task.Run calls from racing on each other's configuration.
 func (w *Workload) Clone() *Workload {
 	return &Workload{
@@ -137,6 +148,8 @@ func (w *Workload) Clone() *Workload {
 		Ix:         w.Ix,
 		Cls:        w.Cls,
 		AQGQueries: w.AQGQueries,
+		Tables:     w.Tables,
+		Accept:     w.Accept,
 		Costs:      w.Costs,
 		Seeds:      w.Seeds,
 
@@ -319,20 +332,20 @@ func Pair(p Params, task1, task2 string) (*Workload, error) {
 		if w.Sys[i], err = extract.NewSystemFromVocab(vocabs[i], tagger); err != nil {
 			return nil, err
 		}
-		// Plan sweeps re-process the same documents under many knob
-		// settings; memoizing the scored candidates makes the threshold the
-		// only per-plan work.
-		w.Sys[i].EnableCache()
+		w.Tables[i] = w.Sys[i].NewTable(w.DB[i])
 	}
 
 	for i := 0; i < 2; i++ {
 		w.Ix[i] = join.BuildIndex(w.DB[i], p.TopK)
 		w.Costs[i] = join.DefaultCosts
-		cls, err := classifier.TrainRules(w.Train[i], w.Task[i], 12, 2, 0.5)
+		// The classifier and the query learner count over the same
+		// tokenized training split.
+		rows := index.NewTermRows(w.Train[i].Texts())
+		cls, err := classifier.TrainRulesRows(rows, w.Train[i], w.Task[i], 12, 2, 0.5)
 		if err != nil {
 			// Fall back to naive Bayes when rule induction cannot meet the
 			// precision floor on this training draw.
-			b, berr := classifier.TrainBayes(w.Train[i], w.Task[i], 0)
+			b, berr := classifier.TrainBayesRows(rows, w.Train[i], w.Task[i], 0)
 			if berr != nil {
 				return nil, fmt.Errorf("workload: training side-%d classifier: %v (bayes: %v)", i+1, err, berr)
 			}
@@ -340,9 +353,10 @@ func Pair(p Params, task1, task2 string) (*Workload, error) {
 		} else {
 			w.Cls[i] = cls
 		}
-		if w.AQGQueries[i], err = qxtract.Learn(w.Train[i], w.Task[i], 12); err != nil {
+		if w.AQGQueries[i], err = qxtract.LearnRows(rows, w.Train[i], w.Task[i], 12); err != nil {
 			return nil, fmt.Errorf("workload: learning side-%d queries: %w", i+1, err)
 		}
+		w.Accept[i] = classifier.Decisions(w.Cls[i], w.DB[i], w.Ix[i])
 	}
 
 	// ZGJN seeds: good values shared by both relations with nonzero
@@ -368,13 +382,13 @@ func Pair(p Params, task1, task2 string) (*Workload, error) {
 // source under the workload's retry policy.
 func (w *Workload) Side(i int, theta float64) *join.Side {
 	s := &join.Side{
-		DB:     w.DB[i],
-		Index:  w.Ix[i],
-		System: w.Sys[i],
-		Theta:  theta,
-		Gold:   w.DB[i].Gold(w.Task[i]),
-		Costs:  w.Costs[i],
-		Retry:  w.Retry,
+		DB:    w.DB[i],
+		Index: w.Ix[i],
+		Table: w.Tables[i],
+		Theta: theta,
+		Gold:  w.DB[i].Gold(w.Task[i]),
+		Costs: w.Costs[i],
+		Retry: w.Retry,
 	}
 	if w.Faults != nil {
 		src := faults.NewFaultyDB(w.DB[i], w.Faults, i)
@@ -385,9 +399,10 @@ func (w *Workload) Side(i int, theta float64) *join.Side {
 }
 
 // NewStrategy builds a fresh retrieval strategy of the given kind for side
-// i. Strategies are stateful; every execution needs its own. When a fault
-// profile is set, the strategy (and the FS classifier behind it) is wrapped
-// with fault injection.
+// i. Strategies are stateful; every execution needs its own. A Filtered
+// Scan reads the side's decision table. When a fault profile is set, the
+// strategy is wrapped with fault injection, and a Filtered Scan's
+// classifier calls can fail too.
 func (w *Workload) NewStrategy(i int, kind retrieval.Kind) (retrieval.Strategy, error) {
 	var s retrieval.Strategy
 	var err error
@@ -395,13 +410,13 @@ func (w *Workload) NewStrategy(i int, kind retrieval.Kind) (retrieval.Strategy, 
 	case retrieval.SC:
 		s = retrieval.NewScan(w.DB[i].Size())
 	case retrieval.FS:
-		cls := w.Cls[i]
+		var cf retrieval.ClassifierFaults
 		if w.Faults != nil {
-			fcls := faults.NewFaultyClassifier(cls, w.Faults, i)
-			fcls.SetObs(w.Trace, w.execMetrics())
-			cls = fcls
+			fc := faults.NewFaultyClassifier(w.Faults, i)
+			fc.SetObs(w.Trace, w.execMetrics())
+			cf = fc
 		}
-		s, err = retrieval.NewFilteredScan(w.DB[i], cls)
+		s, err = retrieval.NewFilteredScan(w.DB[i], w.Accept[i], cf)
 	case retrieval.AQG:
 		s, err = retrieval.NewAQG(w.Ix[i], w.AQGQueries[i])
 	default:
