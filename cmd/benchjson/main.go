@@ -9,6 +9,9 @@
 //
 //	go test -run '^$' -bench 'BenchmarkExec' -count 3 . | benchjson -o BENCH_exec.json
 //
+// Every report records its provenance: the CPU count (nproc), GOMAXPROCS,
+// the Go version, and the commit of the checkout the benchmarks ran in.
+//
 // Check mode: `benchjson -check BENCH_exec.json` verifies every
 // BenchmarkExec*/seq vs /workers4 pair, plus the scatter-gather scaling pair
 // BenchmarkExecShardedIDJN8k/shards1 vs /shards4. The report records the
@@ -26,10 +29,13 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
+	"os/exec"
+	"path/filepath"
 	"regexp"
 	"runtime"
 	"sort"
@@ -50,9 +56,30 @@ type Benchmark struct {
 
 // Report is the BENCH_exec.json schema.
 type Report struct {
+	NProc      int         `json:"nproc"`
 	GoMaxProcs int         `json:"go_max_procs"`
 	GoVersion  string      `json:"go_version"`
+	Commit     string      `json:"commit"`
 	Benchmarks []Benchmark `json:"benchmarks"`
+}
+
+// commit names the checkout the benchmarks ran in: HEAD's hash, with a
+// -dirty suffix when tracked files other than the report itself differ
+// from HEAD, and "unknown" outside a git checkout.
+func commit(report string) string {
+	head, err := exec.Command("git", "rev-parse", "HEAD").Output()
+	if err != nil {
+		return "unknown"
+	}
+	c := string(bytes.TrimSpace(head))
+	args := []string{"status", "--porcelain", "--untracked-files=no", "--", "."}
+	if report != "" && filepath.IsLocal(report) {
+		args = append(args, ":(exclude)"+report)
+	}
+	if st, err := exec.Command("git", args...).Output(); err != nil || len(bytes.TrimSpace(st)) > 0 {
+		c += "-dirty"
+	}
+	return c
 }
 
 // benchLine matches `BenchmarkName-8   12   3456 ns/op   78 B/op   9 allocs/op`;
@@ -149,6 +176,8 @@ func check(path string, minSpeedup, minShardSpeedup, slack float64, requireParal
 	if err := json.Unmarshal(raw, &rep); err != nil {
 		return fmt.Errorf("%s: %w", path, err)
 	}
+	fmt.Printf("benchjson: %s recorded at commit %s, nproc %d, go_max_procs %d, %s\n",
+		path, rep.Commit, rep.NProc, rep.GoMaxProcs, rep.GoVersion)
 	if rep.GoMaxProcs < 2 {
 		if allowSingleCPU && !requireParallel {
 			fmt.Printf("benchjson: GOMAXPROCS=%d — parallel speedup not measurable on this machine, skipping check (-allow-single-cpu)\n", rep.GoMaxProcs)
@@ -243,9 +272,12 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchjson: no benchmark lines on stdin")
 		os.Exit(1)
 	}
-	rep := Report{GoMaxProcs: runtime.GOMAXPROCS(0), GoVersion: runtime.Version(), Benchmarks: merge(benches)}
-	fmt.Fprintf(os.Stderr, "benchjson: go_max_procs=%d go=%s benchmarks=%d (medians over repeated runs)\n",
-		rep.GoMaxProcs, rep.GoVersion, len(rep.Benchmarks))
+	rep := Report{
+		NProc: runtime.NumCPU(), GoMaxProcs: runtime.GOMAXPROCS(0), GoVersion: runtime.Version(),
+		Commit: commit(*out), Benchmarks: merge(benches),
+	}
+	fmt.Fprintf(os.Stderr, "benchjson: nproc=%d go_max_procs=%d go=%s commit=%s benchmarks=%d (medians over repeated runs)\n",
+		rep.NProc, rep.GoMaxProcs, rep.GoVersion, rep.Commit, len(rep.Benchmarks))
 	enc, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)

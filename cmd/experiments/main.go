@@ -25,7 +25,7 @@ import (
 	"joinopt/internal/experiments"
 	"joinopt/internal/faults"
 	"joinopt/internal/obs"
-	"joinopt/internal/shard"
+	"joinopt/internal/pipeline"
 	"joinopt/internal/workload"
 )
 
@@ -52,8 +52,8 @@ func run(args []string, stdout io.Writer) error {
 		faultsF = fs.String("faults", "", faults.FlagHelp)
 
 		execWorkers  = fs.Int("exec-workers", 0, "pipelined extraction workers per execution (0 = sequential; results are bit-identical at any setting)")
-		shardsF      = fs.Int("shards", 0, "corpus shards for scatter-gather execution (0/1 = unsharded; output is bit-identical at any shard count)")
-		extractCache = fs.Int64("extract-cache", 0, "shared extraction cache capacity in bytes (0 = disabled; split evenly across shards)")
+		shardsF      = fs.Int("shards", 0, "corpus shards, each a share of the extraction worker pool (0/1 = unsharded; output is bit-identical at any shard count)")
+		extractCache = fs.Int64("extract-cache", 0, "shared extraction cache capacity in bytes (0 = disabled; one cache at any shard count)")
 
 		tracePath   = fs.String("trace", "", "write the NDJSON execution trace of every run to this file")
 		metricsFlag = fs.Bool("metrics", false, "print the Prometheus-text metrics snapshot at the end")
@@ -97,7 +97,8 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 	w.ExecWorkers = *execWorkers
-	w.ShardSet = shard.NewSet(shard.Partition{N: *shardsF}, *extractCache)
+	w.Shards = *shardsF
+	w.Cache = pipeline.NewCache(*extractCache)
 	var traceFile *obs.NDJSON
 	if *tracePath != "" {
 		if traceFile, err = obs.CreateNDJSON(*tracePath); err != nil {

@@ -52,8 +52,8 @@ func main() {
 		workers = flag.Int("workers", 0, "optimizer plan-evaluation workers (0 = all cores, 1 = sequential)")
 
 		execWorkers  = flag.Int("exec-workers", 0, "pipelined extraction workers per execution (0 = sequential; results are bit-identical at any setting)")
-		shards       = flag.Int("shards", 0, "corpus shards for scatter-gather execution (0/1 = unsharded; output is bit-identical at any shard count)")
-		extractCache = flag.Int64("extract-cache", 0, "shared extraction cache capacity in bytes (0 = disabled; split evenly across shards)")
+		shards       = flag.Int("shards", 0, "corpus shards, each a share of the extraction worker pool (0/1 = unsharded; output is bit-identical at any shard count)")
+		extractCache = flag.Int64("extract-cache", 0, "shared extraction cache capacity in bytes (0 = disabled; one cache at any shard count)")
 
 		faultsFlag = flag.String("faults", "", joinopt.FaultProfileHelp)
 		retries    = flag.Int("retries", 0, "max retries per failed substrate call (0 = default 3, -1 = disabled)")

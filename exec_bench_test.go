@@ -11,7 +11,6 @@ import (
 	"joinopt/internal/join"
 	"joinopt/internal/optimizer"
 	"joinopt/internal/retrieval"
-	"joinopt/internal/shard"
 )
 
 // benchExec runs spec to exhaustion once per iteration, with the extraction
@@ -43,7 +42,7 @@ func benchExec(b *testing.B, spec optimizer.PlanSpec) {
 	b.Run("workers4", func(b *testing.B) { run(b, 4) })
 }
 
-// BenchmarkExecShardedIDJN8k measures scatter-gather scaling: the IDJN full
+// BenchmarkExecShardedIDJN8k measures shard scaling: the IDJN full
 // scan over the 8k corpus at 1, 2, 4, and 8 shards with no extra pipeline
 // workers, so the shards are the only parallelism. shards1 is the
 // sequential executor (one uncached shard without workers gets no
@@ -57,8 +56,8 @@ func BenchmarkExecShardedIDJN8k(b *testing.B) {
 	}
 	w := bench8kWorkload(b)
 	run := func(b *testing.B, shards int) {
-		w.ShardSet = shard.NewSet(shard.Partition{N: shards}, 0)
-		defer func() { w.ShardSet = nil }()
+		w.Shards = shards
+		defer func() { w.Shards = 0 }()
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

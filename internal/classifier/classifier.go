@@ -26,15 +26,25 @@ type Classifier interface {
 
 // Measure computes Ctp and Cfp of a classifier against a database's true
 // document classes for a task: Ctp is the acceptance rate on good documents
-// and Cfp the acceptance rate on the rest.
+// and Cfp the acceptance rate on the rest. It classifies every document;
+// Rates counts decisions already made.
 func Measure(c Classifier, db *corpus.DB, task string) (ctp, cfp float64, err error) {
+	accept := make([]bool, db.Size())
+	for i, doc := range db.Docs {
+		accept[i] = c.Classify(doc.Text)
+	}
+	return Rates(accept, db, task)
+}
+
+// Rates computes Ctp and Cfp from a classifier's decision on every document
+// of db, indexed by document ID (see Decisions).
+func Rates(accept []bool, db *corpus.DB, task string) (ctp, cfp float64, err error) {
 	stats := db.Stats(task)
 	if stats == nil {
 		return 0, 0, fmt.Errorf("classifier: database %s does not host task %s", db.Name, task)
 	}
 	var accGood, good, accRest, rest int
-	for i, doc := range db.Docs {
-		accepted := c.Classify(doc.Text)
+	for i, accepted := range accept {
 		if stats.Class[i] == corpus.Good {
 			good++
 			if accepted {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"joinopt/internal/corpus"
+	"joinopt/internal/index"
 	"joinopt/internal/relation"
 	"joinopt/internal/stat"
 	"joinopt/internal/textgen"
@@ -121,6 +122,30 @@ func TestRulesClassifyGeneralizes(t *testing.T) {
 	}
 	if cfp >= ctp {
 		t.Errorf("rules Cfp %v should be below Ctp %v", cfp, ctp)
+	}
+}
+
+// TestRatesFromDecisionsMatchMeasure: counting the index-read decision
+// table gives bit for bit the rates Measure gets by classifying every text.
+func TestRatesFromDecisionsMatchMeasure(t *testing.T) {
+	train, test := trainDB(t, 6), trainDB(t, 7)
+	r, err := TrainRules(train, "HQ", 8, 2, 0.55)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctp, cfp, err := Measure(r, test, "HQ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rtp, rfp, err := Rates(Decisions(r, test, index.New(test.Texts(), 10)), test, "HQ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rtp != ctp || rfp != cfp {
+		t.Errorf("Rates over decisions = (%v, %v), Measure = (%v, %v)", rtp, rfp, ctp, cfp)
+	}
+	if _, _, err := Rates(nil, test, "EX"); err == nil {
+		t.Error("expected error for unknown task")
 	}
 }
 

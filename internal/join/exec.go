@@ -129,11 +129,11 @@ type State struct {
 
 	// Pipeline, when set, overlaps document extraction with the execution:
 	// executors announce upcoming documents for speculative extraction on
-	// the per-shard worker pools and processDoc collects the results in
-	// stream order, so tuples, accounting, traces, and fault streams stay
-	// bit-identical to the nil (sequential) path. Its cache slices make
-	// re-extraction of an already-paid (document, θ) free: zero tE, counted
-	// as a cache hit. shard.NewGroup decides whether an execution gets one.
+	// the worker pool and processDoc collects the results in stream order,
+	// so tuples, accounting, traces, and fault streams stay bit-identical
+	// to the nil (sequential) path. Its cache makes re-extraction of an
+	// already-paid (document, θ) free: zero tE, counted as a cache hit.
+	// shard.NewGroup decides whether an execution gets one.
 	Pipeline *shard.Group
 
 	totalPairs     int
@@ -146,14 +146,7 @@ type State struct {
 // i: the number of processed documents in which each join value was
 // extracted. The parameter estimator works from these counts without any
 // tuple verification.
-func (st *State) ValueCounts(i int) map[string]int {
-	out := map[string]int{}
-	rel := st.rels[i]
-	for _, v := range rel.JoinValues() {
-		out[v] = rel.GoodOcc(v) + rel.BadOcc(v)
-	}
-	return out
-}
+func (st *State) ValueCounts(i int) map[string]int { return st.rels[i].ValueCounts() }
 
 type labeledTuple struct {
 	t    relation.Tuple
@@ -378,6 +371,44 @@ func processDoc(st *State, i int, s *Side, docID int) ([]relation.Tuple, error) 
 		st.addTuple(i, t)
 	}
 	return tuples, nil
+}
+
+// announceStreams feeds g the documents the live retrieval streams will
+// hand out next (peeked without advancing them), interleaved by depth: the
+// next unannounced document of the stream with the shortest announced
+// prefix goes first. The square traversal resolves one document per stream
+// per step, so this is resolution order, and no stream can fill the shared
+// window while another starves. The peek lists are prefix-stable, and
+// ahead[i] counts the prefix of stream i's that earlier steps announced. A
+// window-full refusal ends the pass; the refused document is retried on a
+// later step.
+func announceStreams(g *shard.Group, sides []*Side, strats []retrieval.Strategy, done []bool, ahead []int) {
+	n := g.Lookahead()
+	if n == 0 {
+		return
+	}
+	var buf [4][]int
+	peeks := buf[:0]
+	for i, s := range strats {
+		var peek []int
+		if !done[i] {
+			peek = retrieval.PeekAhead(s, n)
+		}
+		peeks = append(peeks, peek)
+		ahead[i] = min(ahead[i], len(peek))
+	}
+	for {
+		next := -1
+		for i, peek := range peeks {
+			if ahead[i] < len(peek) && (next < 0 || ahead[i] < ahead[next]) {
+				next = i
+			}
+		}
+		if next < 0 || !g.Announce(pipeline.Key{Side: next, DocID: peeks[next][ahead[next]], Theta: sides[next].Theta}) {
+			return
+		}
+		ahead[next]++
+	}
 }
 
 // announce schedules speculative extraction of an upcoming side-i document.

@@ -52,34 +52,6 @@ func (e *IDJN) Algorithm() string { return "IDJN" }
 // State implements Executor.
 func (e *IDJN) State() *State { return e.st }
 
-// announce feeds the pipeline engine the documents each retrieval stream
-// will hand out next (peeked without advancing the streams), so workers can
-// extract ahead of the consumer. The peek lists are prefix-stable, so only
-// the tail past the ahead cursor is new; a window-full refusal ends the pass
-// (nothing after it would be accepted either) and the cursor retries the
-// refused document on a later step.
-func (e *IDJN) announce() {
-	n := e.st.Pipeline.Lookahead()
-	if n == 0 {
-		return
-	}
-	for i := 0; i < 2; i++ {
-		if e.done[i] {
-			continue
-		}
-		peek := retrieval.PeekAhead(e.strat[i], n)
-		if e.ahead[i] > len(peek) {
-			e.ahead[i] = len(peek)
-		}
-		for e.ahead[i] < len(peek) {
-			if !e.st.announce(i, e.sides[i], peek[e.ahead[i]]) {
-				break
-			}
-			e.ahead[i]++
-		}
-	}
-}
-
 // Step retrieves and processes the next document from each database. It
 // returns false once both strategies are exhausted.
 func (e *IDJN) Step() (bool, error) {
@@ -87,7 +59,7 @@ func (e *IDJN) Step() (bool, error) {
 	if e.done[0] && e.done[1] {
 		return false, nil
 	}
-	e.announce()
+	announceStreams(e.st.Pipeline, e.sides[:], e.strat[:], e.done[:], e.ahead[:])
 	for i := 0; i < 2; i++ {
 		if e.done[i] {
 			continue

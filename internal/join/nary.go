@@ -135,9 +135,8 @@ type NaryExec struct {
 
 	// Pipeline, when set, overlaps document extraction with the execution
 	// exactly as in the binary executors: announced documents extract
-	// speculatively on the worker pools, results resolve in stream order,
-	// and the cache slices make re-extraction free. Set before the first
-	// Step.
+	// speculatively on the worker pool, results resolve in stream order,
+	// and the cache makes re-extraction free. Set before the first Step.
 	Pipeline *shard.Group
 }
 
@@ -222,33 +221,6 @@ func (e *NaryExec) capReached(i int) bool {
 	return spent >= e.plan.Caps[i]
 }
 
-// announce feeds the pipeline engine each stream's upcoming documents,
-// exactly as the binary IDJN does: the peek lists are prefix-stable, so only
-// the tail past the ahead cursor is new, and a window-full refusal ends the
-// pass for that side.
-func (e *NaryExec) announce() {
-	n := e.Pipeline.Lookahead()
-	if n == 0 {
-		return
-	}
-	for i := range e.sides {
-		if e.done[i] {
-			continue
-		}
-		peek := retrieval.PeekAhead(e.strat[i], n)
-		if e.ahead[i] > len(peek) {
-			e.ahead[i] = len(peek)
-		}
-		for e.ahead[i] < len(peek) {
-			key := pipeline.Key{Side: i, DocID: peek[e.ahead[i]], Theta: e.sides[i].Theta}
-			if !e.Pipeline.Announce(key) {
-				break
-			}
-			e.ahead[i]++
-		}
-	}
-}
-
 // addTuple charges the merge cost of one extracted occurrence at every
 // internal tree node whose relation set contains side i — the tuple
 // multiplies into Π_{j∈S\{i}} (gr_j(a)+br_j(a)) intermediate tuples at node
@@ -282,7 +254,7 @@ func (e *NaryExec) addTuple(i int, t relation.Tuple) {
 // effort caps. It returns false once every side is done.
 func (e *NaryExec) Step() (bool, error) {
 	e.st.Steps++
-	e.announce()
+	announceStreams(e.Pipeline, e.sides, e.strat, e.done, e.ahead)
 	any := false
 	for i := range e.sides {
 		if e.done[i] {

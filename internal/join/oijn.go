@@ -78,7 +78,9 @@ func (e *OIJN) Step() (bool, error) {
 	if n := e.st.Pipeline.Lookahead(); n > 0 {
 		// Announce only the tail of the (prefix-stable) peek list past the
 		// ahead cursor; stop at a window-full refusal and retry it later.
-		peek := retrieval.PeekAhead(e.strat, n)
+		// The outer stream peeks half the lookahead, so the window keeps
+		// room for the inner batches its join values fetch.
+		peek := retrieval.PeekAhead(e.strat, n/2)
 		if e.ahead > len(peek) {
 			e.ahead = len(peek)
 		}

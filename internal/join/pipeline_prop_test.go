@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"joinopt/internal/faults"
 	"joinopt/internal/join"
 	"joinopt/internal/obs"
 	"joinopt/internal/optimizer"
+	"joinopt/internal/pipeline"
+	"joinopt/internal/relation"
 	"joinopt/internal/retrieval"
 	"joinopt/internal/shard"
 	"joinopt/internal/workload"
@@ -22,7 +25,7 @@ var (
 )
 
 // pipeWorkload is a dedicated workload for the pipeline property tests: they
-// mutate Faults, Trace, ExecWorkers, and ShardSet, so they must not
+// mutate Faults, Trace, ExecWorkers, Shards, and Cache, so they must not
 // share the package-wide one.
 func pipeWorkload(t *testing.T) *workload.Workload {
 	t.Helper()
@@ -52,13 +55,13 @@ var pipelinePlans = []optimizer.PlanSpec{
 func runPipelined(t *testing.T, w *workload.Workload, spec optimizer.PlanSpec, workers int, cacheBytes int64, repeats int) ([]byte, join.Snapshot) {
 	t.Helper()
 	w.ExecWorkers = workers
-	w.ShardSet = shard.NewSet(shard.Partition{N: 1}, cacheBytes)
+	w.Cache = pipeline.NewCache(cacheBytes)
 	var buf bytes.Buffer
 	sink := obs.NewNDJSON(&buf)
 	w.Trace = obs.New(sink)
 	defer func() {
 		w.ExecWorkers = 0
-		w.ShardSet = nil
+		w.Cache = nil
 		w.Trace = nil
 	}()
 	var last join.Snapshot
@@ -157,8 +160,8 @@ func TestPipelineBitIdenticalWithCache(t *testing.T) {
 func TestCacheMakesRerunExtractionFree(t *testing.T) {
 	w := pipeWorkload(t)
 	spec := optimizer.PlanSpec{JN: optimizer.IDJN, Theta: [2]float64{0.4, 0.4}, X: [2]retrieval.Kind{retrieval.SC, retrieval.SC}}
-	w.ShardSet = shard.NewSet(shard.Partition{N: 1}, 1<<22)
-	defer func() { w.ShardSet = nil }()
+	w.Cache = pipeline.NewCache(1 << 22)
+	defer func() { w.Cache = nil }()
 
 	run := func() *join.State {
 		exec, err := w.NewExecutor(spec)
@@ -185,5 +188,34 @@ func TestCacheMakesRerunExtractionFree(t *testing.T) {
 	wantSaved := processed * join.DefaultCosts.TE
 	if saved := cold.Time - warm.Time; saved != wantSaved {
 		t.Fatalf("warm run saved %v model time, want exactly %v (tE × %v docs)", saved, wantSaved, processed)
+	}
+}
+
+// TestPipelineFeedsEveryStream: the speculation pool is shared by both
+// sides of an execution, so announcing must leave room for each. A 4-worker
+// IDJN or OIJN run over a counting extract function must see workers
+// extract most documents of each side — not the first stream's while the
+// other resolves inline on the consumer.
+func TestPipelineFeedsEveryStream(t *testing.T) {
+	w := pipeWorkload(t)
+	for _, spec := range []optimizer.PlanSpec{pipelinePlans[0], pipelinePlans[2]} {
+		exec, err := w.NewExecutor(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var extracted [2]atomic.Int64
+		st := exec.State()
+		st.Pipeline = shard.NewGroup(1, nil, 4, func(k pipeline.Key) []relation.Tuple {
+			extracted[k.Side].Add(1)
+			return w.Tables[k.Side].Extract(k.DocID, k.Theta)
+		})
+		if _, err := join.Run(exec, nil); err != nil {
+			t.Fatal(err)
+		}
+		for side := 0; side < 2; side++ {
+			if got, docs := extracted[side].Load(), st.DocsProcessed[side]; docs == 0 || got*4 < int64(docs)*3 {
+				t.Errorf("%s side %d: workers extracted %d of %d documents", spec, side+1, got, docs)
+			}
+		}
 	}
 }

@@ -56,9 +56,8 @@ type Env struct {
 	// rate so far for side (0 when cold). Every estimation folds it into
 	// Inputs.CacheHitRate: documents the cache already holds are free to
 	// re-extract under a plan switch. workload.NewEnv reports one rate for
-	// both sides: the cache's lifetime hits over lookups, summed over both
-	// sides and every shard slice, so plan choice follows the cache's
-	// history.
+	// both sides: the cache's lifetime hits over lookups, over both sides,
+	// so plan choice follows the cache's history.
 	CacheHitRate func(side int) float64
 
 	// Trace and Metrics, when set, observe the adaptive protocol itself:
@@ -180,8 +179,8 @@ type Checkpoint struct {
 	// ShardDocs is the in-flight executor's per-shard resolution progress at
 	// checkpoint time (nil when the execution is unsharded). Resume primes
 	// the rebuilt executor's shard group with it, so the deterministic
-	// replay re-resolves completed shards' documents from their warm cache
-	// slices instead of re-speculating the extraction work.
+	// replay re-resolves completed shards' documents from the warm cache
+	// instead of re-speculating the extraction work.
 	ShardDocs []int
 
 	// Finish-phase coordinates (valid when Phase == PhaseFinish): the

@@ -226,3 +226,13 @@ func (c *Cache) Stats() CacheStats {
 		Bytes: c.bytes, Entries: c.lru.Len(), TierHits: c.tierHits,
 	}
 }
+
+// HitRate returns the observed hit fraction so far (0 before any lookup).
+// The optimizer feeds it into its effective-cost predictions.
+func (c *Cache) HitRate() float64 {
+	s := c.Stats()
+	if s.Hits+s.Misses == 0 {
+		return 0
+	}
+	return float64(s.Hits) / float64(s.Hits+s.Misses)
+}

@@ -38,6 +38,9 @@ func TestNewCacheDisabled(t *testing.T) {
 	if s := c.Stats(); s != (CacheStats{}) {
 		t.Fatalf("nil cache stats %+v", s)
 	}
+	if hr := c.HitRate(); hr != 0 {
+		t.Fatalf("nil cache hit rate %v", hr)
+	}
 }
 
 func TestCacheHitMissAccounting(t *testing.T) {
@@ -57,6 +60,12 @@ func TestCacheHitMissAccounting(t *testing.T) {
 	s := c.Stats()
 	if s.Hits != 1 || s.Misses != 2 || s.Evictions != 0 || s.Entries != 1 {
 		t.Fatalf("stats %+v, want 1 hit / 2 misses / 1 entry", s)
+	}
+	if hr := c.HitRate(); hr != 1.0/3.0 {
+		t.Errorf("hit rate %v, want 1/3", hr)
+	}
+	if hr := NewCache(1 << 20).HitRate(); hr != 0 {
+		t.Errorf("hit rate %v before any lookup, want 0", hr)
 	}
 }
 

@@ -129,15 +129,26 @@ func (e *Extracted) GoodOcc(a string) int { return e.goodOcc[a] }
 // value a observed so far.
 func (e *Extracted) BadOcc(a string) int { return e.badOcc[a] }
 
+// ValueCounts returns s(a) = gr(a) + br(a), the number of document
+// occurrences of every join-attribute value present, in one pass over the
+// occurrence maps.
+func (e *Extracted) ValueCounts() map[string]int {
+	out := make(map[string]int, len(e.goodOcc)+len(e.badOcc))
+	for a, n := range e.goodOcc {
+		out[a] = n
+	}
+	for a, n := range e.badOcc {
+		out[a] += n
+	}
+	return out
+}
+
 // JoinValues returns the distinct join-attribute values present, in
 // deterministic order.
 func (e *Extracted) JoinValues() []string {
-	seen := map[string]bool{}
-	for t := range e.tuples {
-		seen[t.A1] = true
-	}
-	out := make([]string, 0, len(seen))
-	for v := range seen {
+	counts := e.ValueCounts()
+	out := make([]string, 0, len(counts))
+	for v := range counts {
 		out = append(out, v)
 	}
 	sort.Strings(out)

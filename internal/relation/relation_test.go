@@ -159,6 +159,32 @@ func TestJoinValuesDeterministicOrder(t *testing.T) {
 	}
 }
 
+// TestValueCountsMatchesOccurrences: ValueCounts holds s(a) = gr(a) + br(a)
+// for every value present, a value with good and bad occurrences counted
+// once with their sum.
+func TestValueCountsMatchesOccurrences(t *testing.T) {
+	s := Schema{Name: "Mergers", Attr1: "Company", Attr2: "MergedWith"}
+	g := NewGold(s)
+	g.AddGood(Tuple{A1: "Microsoft", A2: "Softricity"})
+	r := NewExtracted(s, g)
+	for _, tup := range []Tuple{
+		{A1: "Microsoft", A2: "Softricity"}, {A1: "Microsoft", A2: "Softricity"},
+		{A1: "Microsoft", A2: "Symantec"}, {A1: "Oracle", A2: "Sun"},
+	} {
+		r.Add(tup)
+	}
+	want := map[string]int{"Microsoft": 3, "Oracle": 1}
+	vc := r.ValueCounts()
+	if len(vc) != len(want) {
+		t.Fatalf("ValueCounts %v, want %v", vc, want)
+	}
+	for v, n := range want {
+		if vc[v] != n || r.GoodOcc(v)+r.BadOcc(v) != n {
+			t.Errorf("s(%s) = %d (gr+br %d), want %d", v, vc[v], r.GoodOcc(v)+r.BadOcc(v), n)
+		}
+	}
+}
+
 func TestSchemaString(t *testing.T) {
 	s := Schema{Name: "Executives", Attr1: "Company", Attr2: "CEO"}
 	if s.String() != "Executives(Company, CEO)" {

@@ -156,7 +156,7 @@ type JobRequest struct {
 	Deadline      float64 `json:"deadline,omitempty"`
 	Workers       int     `json:"workers,omitempty"`      // optimizer plan-evaluation workers
 	ExecWorkers   int     `json:"exec_workers,omitempty"` // pipelined extraction workers
-	Shards        int     `json:"shards,omitempty"`       // corpus shards (scatter-gather execution)
+	Shards        int     `json:"shards,omitempty"`       // corpus shards: shares of the speculation pool over the task's one cache
 
 	// Tuples caps how many labelled join tuples the result carries (0 =
 	// none; -1 = all).

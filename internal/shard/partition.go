@@ -1,20 +1,20 @@
-// Package shard partitions each text database into N deterministic shards
-// and runs one pipelined extraction engine per shard. An unsharded run is a
-// group of one shard, so Group is the only extraction frontend the join
-// executors drive. The cost model is additive over documents, therefore
-// additive over shards: shards overlap wall-clock work and never change a
-// run's cost-model charges, so plan choice does not depend on the shard
-// count.
+// Package shard partitions each text database into N deterministic shards.
+// A shard is a share of an execution's speculation pool plus a resume
+// counter: every execution runs one pipelined extraction engine over the
+// task's one extraction cache, and Group counts the documents each shard
+// resolved so an adaptive checkpoint can prime a resumed run. An unsharded
+// run is a group of one shard, so Group is the only extraction frontend the
+// join executors drive. The cost model is additive over documents, so
+// shards overlap wall-clock work and never change a run's cost-model
+// charges, and plan choice does not depend on the shard count.
 //
 // Determinism is the package's load-bearing promise. Document ownership is a
 // pure function of (side, docID) — independent of shard count ordering,
 // re-runs, and machine — and every stateful operation (cost accounting,
-// trace emission, cache mutation) still happens on the single consumer
-// goroutine in canonical stream order. The per-shard engines only ever run
-// the pure extraction function speculatively; the consumer resolves results
-// in the same order it would have without sharding, which is what makes the
-// scatter-gather merge bit-identical to the unsharded run at any shard
-// count.
+// trace emission, cache mutation) happens on the single consumer goroutine
+// in canonical stream order. Workers only ever run the pure extraction
+// function speculatively, so the output is bit-identical to the unsharded
+// run at any shard count.
 package shard
 
 // Partition describes how a corpus is split: N shards, each document owned

@@ -55,58 +55,20 @@ func TestWorkersPerShard(t *testing.T) {
 	}
 }
 
-// TestSetSplitsCapacity: the slices split the byte budget, aggregate stats
-// sum across slices, and a zero budget leaves them nil.
-func TestSetSplitsCapacity(t *testing.T) {
-	s := NewSet(Partition{N: 4}, 4096)
-	if len(s.Caches) != 4 {
-		t.Fatalf("got %d slices, want 4", len(s.Caches))
-	}
-	for i, c := range s.Caches {
-		if c == nil {
-			t.Fatalf("slice %d nil under a positive budget", i)
-		}
-	}
-	if NewSet(Partition{N: 4}, 0).Caches[0] != nil {
-		t.Error("zero budget must leave slices nil")
-	}
-	// One miss and one hit on slice 0, one miss on slice 1: the aggregate
-	// hit rate is 1/3.
-	k := pipeline.Key{Side: 0, DocID: 1, Theta: 0.4}
-	s.Caches[0].Get(k)
-	s.Caches[0].Put(k, []relation.Tuple{{A1: "a", A2: "b"}})
-	s.Caches[0].Get(k)
-	s.Caches[1].Get(k)
-	if st := s.Stats(); st.Hits != 1 || st.Misses != 2 || st.Entries != 1 {
-		t.Errorf("aggregate stats %+v, want 1 hit / 2 misses / 1 entry", st)
-	}
-	if hr := s.HitRate(); hr != 1.0/3.0 {
-		t.Errorf("hit rate %v, want 1/3", hr)
-	}
-	if n := len(NewSet(Partition{}, 0).Caches); n != 1 {
-		t.Errorf("N<1 must normalize to one shard, got %d", n)
-	}
-	var nilSet *Set
-	if nilSet.Stats() != (pipeline.CacheStats{}) || nilSet.HitRate() != 0 {
-		t.Error("nil Set must report zero stats")
-	}
-	nilSet.SetTier(nil) // must not panic
-}
-
 // TestGroupRoutesAndCounts: resolutions land on the owner shard's counter,
 // Progress snapshots them, and Prime suppresses announcements until the
 // floor is recovered.
 func TestGroupRoutesAndCounts(t *testing.T) {
-	set := NewSet(Partition{N: 2}, 0)
+	part := Partition{N: 2}
 	extract := func(k pipeline.Key) []relation.Tuple { return nil }
 	// The first two side-0 docs shard 0 owns, and the first shard 1 owns.
 	var on [2][]int
 	for doc := 0; len(on[0]) < 2 || len(on[1]) < 1; doc++ {
-		s := set.Part.Owner(0, doc)
+		s := part.Owner(0, doc)
 		on[s] = append(on[s], doc)
 	}
 	a, b, c := on[0][0], on[0][1], on[1][0]
-	g := NewGroup(set, 0, extract)
+	g := NewGroup(2, nil, 0, extract)
 	if g == nil || g.HasCache() || len(g.Progress()) != 2 {
 		t.Fatalf("fresh cacheless group: cache=%v progress=%v", g.HasCache(), g.Progress())
 	}
@@ -123,7 +85,7 @@ func TestGroupRoutesAndCounts(t *testing.T) {
 	}
 
 	// A primed group swallows announcements below the floor, then routes.
-	g2 := NewGroup(set, 0, extract)
+	g2 := NewGroup(2, nil, 0, extract)
 	g2.Prime([]int{1, 0})
 	if !g2.Announce(pipeline.Key{Side: 0, DocID: a}) {
 		t.Error("announcement below the resume floor must be swallowed as accepted")
@@ -137,7 +99,7 @@ func TestGroupRoutesAndCounts(t *testing.T) {
 	g2.Drop(pipeline.Key{Side: 0, DocID: b})
 
 	// Mismatched progress vectors are ignored.
-	g3 := NewGroup(set, 0, extract)
+	g3 := NewGroup(2, nil, 0, extract)
 	g3.Prime([]int{1, 2, 3})
 	if p := g3.Progress(); p[0] != 0 || p[1] != 0 {
 		t.Errorf("mismatched Prime must be a no-op, progress %v", p)
@@ -150,13 +112,38 @@ func TestGroupRoutesAndCounts(t *testing.T) {
 	nilGroup.Prime(nil) // must not panic
 }
 
+// TestGroupsShareOneCache: the shard count routes only the resume counters.
+// Documents a 4-shard group resolved are hits for an unsharded group over
+// the same cache, so a task's warm cache survives a change of shard count.
+func TestGroupsShareOneCache(t *testing.T) {
+	extract := func(k pipeline.Key) []relation.Tuple { return []relation.Tuple{{A1: "a", A2: "b"}} }
+	cache := pipeline.NewCache(1 << 20)
+	sharded := NewGroup(4, cache, 0, extract)
+	for doc := 0; doc < 20; doc++ {
+		k := pipeline.Key{Side: doc % 2, DocID: doc}
+		if _, hit, _ := sharded.Resolve(k, func() []relation.Tuple { return extract(k) }); hit {
+			t.Fatalf("doc %d hit a fresh cache", doc)
+		}
+	}
+	plain := NewGroup(1, cache, 0, extract)
+	for doc := 0; doc < 20; doc++ {
+		k := pipeline.Key{Side: doc % 2, DocID: doc}
+		if _, hit, _ := plain.Resolve(k, func() []relation.Tuple { return extract(k) }); !hit {
+			t.Errorf("doc %d missed the cache a 4-shard group filled", doc)
+		}
+	}
+	if s := cache.Stats(); s.Hits != 20 || s.Misses != 20 || s.Entries != 20 {
+		t.Errorf("cache stats %+v, want 20 hits / 20 misses / 20 entries", s)
+	}
+}
+
 // TestOneShardGroup: an unsharded run is a group of one shard. It runs
 // exactly the requested workers — 0 leaves a cache-only frontend that never
 // speculates — reports no per-shard progress (unsharded checkpoints keep
 // their encoding), and without a cache or workers there is no frontend.
 func TestOneShardGroup(t *testing.T) {
 	extract := func(pipeline.Key) []relation.Tuple { return nil }
-	g := NewGroup(NewSet(Partition{N: 1}, 4096), 0, extract)
+	g := NewGroup(1, pipeline.NewCache(4096), 0, extract)
 	if g == nil || !g.HasCache() {
 		t.Fatalf("one cached shard: group %v, want a cached frontend", g)
 	}
@@ -166,12 +153,12 @@ func TestOneShardGroup(t *testing.T) {
 	if g.Progress() != nil {
 		t.Errorf("one-shard progress %v, want nil", g.Progress())
 	}
-	for _, set := range []*Set{nil, NewSet(Partition{}, 0), NewSet(Partition{N: 1}, 0)} {
-		if g := NewGroup(set, 0, extract); g != nil {
+	for _, shards := range []int{0, 1} {
+		if g := NewGroup(shards, nil, 0, extract); g != nil {
 			t.Errorf("no cache, no workers: group %v, want nil", g)
 		}
 	}
-	if g := NewGroup(nil, 2, extract); g == nil || g.HasCache() || g.Lookahead() == 0 {
+	if g := NewGroup(1, nil, 2, extract); g == nil || g.HasCache() || g.Lookahead() == 0 {
 		t.Errorf("one uncached shard with workers must speculate: %v", g)
 	}
 }

@@ -50,7 +50,7 @@ func (w *Workload) NewExecutor(plan optimizer.PlanSpec) (join.Executor, error) {
 	st.Deadline = w.Deadline
 	st.Trace = w.Trace
 	st.Metrics = w.execMetrics()
-	st.Pipeline = shard.NewGroup(w.ShardSet, w.ExecWorkers, w.extractFn())
+	st.Pipeline = shard.NewGroup(w.Shards, w.Cache, w.ExecWorkers, w.extractFn())
 	// Bind the trace clock to this executor's cost-model time so sites
 	// without State access (fault injectors, retrieval wrappers) stamp their
 	// events consistently with the executor's own.
@@ -136,8 +136,8 @@ func (w *Workload) NewEnv(thetas []float64) (*optimizer.Env, error) {
 		TopK:           [2]int{w.Ix[0].TopK(), w.Ix[1].TopK()},
 		BadInGoodPrior: 0.3,
 	}
-	if set := w.ShardSet; set != nil {
-		env.CacheHitRate = func(int) float64 { return set.HitRate() }
+	if c := w.Cache; c != nil {
+		env.CacheHitRate = func(int) float64 { return c.HitRate() }
 	}
 	for i := 0; i < 2; i++ {
 		env.AQG[i] = st.aqg[i]

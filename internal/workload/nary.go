@@ -59,12 +59,11 @@ func execTree(n *optimizer.NaryNode) *join.TreeNode {
 // NewNaryExecutor builds the tree executor for a chosen n-ary plan: one
 // side per relation at its leaf's θ, the leaf's retrieval strategy, effort
 // caps at the leaf efforts, and the plan's merge cost. Extraction runs
-// through a shard group over set (nil = one uncached shard) exactly as in
-// the binary executors: every relation's stream routes through the
-// per-shard engines while the tree nodes keep merging the canonical
-// consumer-ordered streams, so tuples and counters match at every worker
-// and shard count.
-func (mw *MultiWorkload) NewNaryExecutor(ev optimizer.NaryEval, tj float64, execWorkers int, set *shard.Set) (*join.NaryExec, error) {
+// through a shard group over cache (nil = uncached) exactly as in the
+// binary executors: every relation's stream resolves through the one engine
+// while the tree nodes keep merging the canonical consumer-ordered streams,
+// so tuples and counters match at every worker and shard count.
+func (mw *MultiWorkload) NewNaryExecutor(ev optimizer.NaryEval, tj float64, execWorkers, shards int, cache *pipeline.Cache) (*join.NaryExec, error) {
 	if ev.Tree == nil || len(ev.Leaves) != len(mw.DBs) {
 		return nil, fmt.Errorf("workload: n-ary plan covers %d relations, workload has %d", len(ev.Leaves), len(mw.DBs))
 	}
@@ -100,7 +99,7 @@ func (mw *MultiWorkload) NewNaryExecutor(ev optimizer.NaryEval, tj float64, exec
 	if err != nil {
 		return nil, err
 	}
-	exec.Pipeline = shard.NewGroup(set, execWorkers, func(k pipeline.Key) []relation.Tuple {
+	exec.Pipeline = shard.NewGroup(shards, cache, execWorkers, func(k pipeline.Key) []relation.Tuple {
 		return mw.Tables[k.Side].Extract(k.DocID, k.Theta)
 	})
 	return exec, nil

@@ -1,11 +1,14 @@
 package workload
 
 import (
+	"sync/atomic"
 	"testing"
 
 	"joinopt/internal/join"
 	"joinopt/internal/optimizer"
+	"joinopt/internal/pipeline"
 	"joinopt/internal/querygraph"
+	"joinopt/internal/relation"
 	"joinopt/internal/retrieval"
 	"joinopt/internal/shard"
 )
@@ -147,7 +150,7 @@ func TestNaryExecPipelineBitIdentical(t *testing.T) {
 	}
 	var ref *join.NaryState
 	for _, workers := range []int{0, 1, 4} {
-		exec, err := mw.NewNaryExecutor(best, 0.1, workers, nil)
+		exec, err := mw.NewNaryExecutor(best, 0.1, workers, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -185,10 +188,10 @@ func TestNaryExecPipelineBitIdentical(t *testing.T) {
 }
 
 // TestNaryExecShardedBitIdentical: sharding a four-relation tree execution
-// must leave every counter identical at every shard count — the leaves route
-// through per-shard engines but the tree nodes keep merging the canonical
-// consumer-ordered streams — including with a per-shard worker split on top,
-// and the Time+ΣCacheSaved warmth invariant must hold.
+// must leave every counter identical at every shard count — the shards size
+// the speculation pool but the tree nodes keep merging the canonical
+// consumer-ordered streams — including with an explicit worker budget on
+// top, and the Time+ΣCacheSaved warmth invariant must hold.
 func TestNaryExecShardedBitIdentical(t *testing.T) {
 	mw, err := Multi(Params{NumDocs: 450, Seed: 33}, []string{"HQ", "EX", "MG", "HQ"})
 	if err != nil {
@@ -208,11 +211,11 @@ func TestNaryExecShardedBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func(shards, workers int) *join.NaryState {
-		var set *shard.Set
+		var cache *pipeline.Cache
 		if shards >= 2 {
-			set = shard.NewSet(shard.Partition{N: shards}, 1<<26)
+			cache = pipeline.NewCache(1 << 26)
 		}
-		exec, err := mw.NewNaryExecutor(best, 0.1, workers, set)
+		exec, err := mw.NewNaryExecutor(best, 0.1, workers, shards, cache)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -250,6 +253,32 @@ func TestNaryExecShardedBitIdentical(t *testing.T) {
 	}
 }
 
+// TestNaryExecFeedsEveryStream: every relation's stream shares the one
+// speculation window, so a 4-worker 3-way scan must see workers extract
+// most documents of every relation, not the first's alone.
+func TestNaryExecFeedsEveryStream(t *testing.T) {
+	mw := naryTriple(t)
+	sides, strats := narySides(mw, 0.4)
+	exec, err := join.NewNaryExec(sides, strats, join.NaryPlan{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	extracted := make([]atomic.Int64, len(sides))
+	exec.Pipeline = shard.NewGroup(1, nil, 4, func(k pipeline.Key) []relation.Tuple {
+		extracted[k.Side].Add(1)
+		return mw.Tables[k.Side].Extract(k.DocID, k.Theta)
+	})
+	st, err := join.RunNary(exec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range sides {
+		if got, docs := extracted[i].Load(), st.DocsProcessed[i]; docs == 0 || got*4 < int64(docs)*3 {
+			t.Errorf("relation %d: workers extracted %d of %d documents", i+1, got, docs)
+		}
+	}
+}
+
 // TestChooseNaryOnWorkload runs the enumerator against measured workload
 // parameters end to end: the chosen plan must be feasible, its executed
 // output must reach the requirement's τg, and the executed efforts must
@@ -272,7 +301,7 @@ func TestChooseNaryOnWorkload(t *testing.T) {
 	if len(evals) == 0 || !best.Feasible {
 		t.Fatalf("no feasible plan: %+v", best)
 	}
-	exec, err := mw.NewNaryExecutor(best, in.TJ, 0, nil)
+	exec, err := mw.NewNaryExecutor(best, in.TJ, 0, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -62,7 +62,7 @@ func (w *Workload) trueStatics() (*trueStatics, error) {
 			if *p, t.err = scanParams(db, task); t.err != nil {
 				return
 			}
-			if p.Ctp, p.Cfp, t.err = classifier.Measure(w.Cls[i], db, task); t.err != nil {
+			if p.Ctp, p.Cfp, t.err = classifier.Rates(w.Accept[i], db, task); t.err != nil {
 				return
 			}
 			p.TopK = ix.TopK()

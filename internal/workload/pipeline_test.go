@@ -7,12 +7,12 @@ import (
 	"joinopt/internal/join"
 	"joinopt/internal/obs"
 	"joinopt/internal/optimizer"
+	"joinopt/internal/pipeline"
 	"joinopt/internal/retrieval"
-	"joinopt/internal/shard"
 )
 
 // pipeTestWorkload builds a small dedicated workload: these tests mutate
-// ExecWorkers, ShardSet, and Metrics, so they must not share the
+// ExecWorkers, Cache, and Metrics, so they must not share the
 // package-wide one.
 func pipeTestWorkload(t *testing.T) *Workload {
 	t.Helper()
@@ -48,8 +48,8 @@ var scPlan = optimizer.PlanSpec{
 func TestCacheCountersMatchCacheStats(t *testing.T) {
 	w := pipeTestWorkload(t)
 	reg := obs.NewRegistry()
-	w.ShardSet = shard.NewSet(shard.Partition{N: 1}, 1<<22)
-	cache := w.ShardSet.Caches[0]
+	cache := pipeline.NewCache(1 << 22)
+	w.Cache = cache
 	w.Metrics = reg
 	w.ExecWorkers = 2
 
@@ -93,8 +93,8 @@ func TestCacheEvictsAtByteBound(t *testing.T) {
 	w := pipeTestWorkload(t)
 	reg := obs.NewRegistry()
 	const bound = 8 << 10
-	w.ShardSet = shard.NewSet(shard.Partition{N: 1}, bound)
-	cache := w.ShardSet.Caches[0]
+	cache := pipeline.NewCache(bound)
+	w.Cache = cache
 	w.Metrics = reg
 
 	runPlan(t, w, scPlan)
@@ -123,7 +123,7 @@ func TestAdaptiveCacheAvoidsExtractions(t *testing.T) {
 	run := func(cached bool) (*optimizer.Result, int64) {
 		w := pipeTestWorkload(t)
 		if cached {
-			w.ShardSet = shard.NewSet(shard.Partition{N: 1}, 1<<22)
+			w.Cache = pipeline.NewCache(1 << 22)
 		}
 		env, err := w.NewEnv([]float64{0.4, 0.8})
 		if err != nil {

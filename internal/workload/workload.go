@@ -20,10 +20,10 @@ import (
 	"joinopt/internal/index"
 	"joinopt/internal/join"
 	"joinopt/internal/obs"
+	"joinopt/internal/pipeline"
 	"joinopt/internal/qxtract"
 	"joinopt/internal/relation"
 	"joinopt/internal/retrieval"
-	"joinopt/internal/shard"
 	"joinopt/internal/stat"
 	"joinopt/internal/textgen"
 )
@@ -97,16 +97,17 @@ type Workload struct {
 	// bit-identical to the sequential execution. 0 = sequential.
 	ExecWorkers int
 
-	// ShardSet is the persistent extraction layout every executor built
-	// over this workload runs on (see internal/shard): its partition's shard
-	// count and one byte-bounded cache slice per shard, shared across every
-	// execution — pilot, abandoned, and final plans alike — so
-	// re-processing a document at the same θ is free. Document ownership is
-	// a pure function of (side, docID) and the consumer still resolves
-	// documents in canonical stream order, so output stays bit-identical at
-	// any shard count. nil = one uncached shard. Hits, misses, and evictions
+	// Shards partitions each database into that many deterministic shards
+	// (see internal/shard), and Cache is the byte-bounded extraction cache
+	// shared across every execution built over this workload — pilot,
+	// abandoned, and final plans alike — so re-processing a document at the
+	// same θ is free. A shard is a share of the speculation pool plus a
+	// resume counter; documents resolve through the one cache and in
+	// canonical stream order at any shard count, so output is bit-identical
+	// at every setting. nil Cache = uncached. Hits, misses, and evictions
 	// surface through Metrics.
-	ShardSet *shard.Set
+	Shards int
+	Cache  *pipeline.Cache
 
 	// Trace and Metrics, when set, observe every execution built over this
 	// workload: executors stamp span events and mirror their counters, fault
@@ -157,7 +158,8 @@ func (w *Workload) Clone() *Workload {
 		Retry:       w.Retry,
 		Deadline:    w.Deadline,
 		ExecWorkers: w.ExecWorkers,
-		ShardSet:    w.ShardSet,
+		Shards:      w.Shards,
+		Cache:       w.Cache,
 		Trace:       w.Trace,
 		Metrics:     w.Metrics,
 

@@ -42,7 +42,6 @@ import (
 	"joinopt/internal/pipeline"
 	"joinopt/internal/relation"
 	"joinopt/internal/retrieval"
-	"joinopt/internal/shard"
 	"joinopt/internal/verify"
 	"joinopt/internal/workload"
 )
@@ -206,20 +205,20 @@ type Task struct {
 	ExecWorkers int
 
 	// ExtractCacheBytes, when positive, shares one byte-bounded extraction
-	// cache across every execution of a Run — pilot, abandoned, and final
-	// plans alike — so re-processing a document at the same θ is charged
-	// zero extraction time. Inspect it with ExtractionCacheStats.
+	// cache across every execution of this task — pilot, abandoned, and
+	// final plans of every Run alike — so re-processing a document at the
+	// same θ is charged zero extraction time. The task keeps that one cache
+	// at any shard count, and rebuilds it cold only when a run asks for a
+	// different capacity. Inspect it with ExtractionCacheStats.
 	ExtractCacheBytes int64
 
 	// Shards, when >= 2, partitions each text database into that many
-	// deterministic shards and runs every execution of this task as a
-	// scatter-gather over per-shard pipelined executors, each owning its
-	// slice of the shared extraction cache (ExtractCacheBytes splits evenly
-	// across shards). Output — tuples, counters, traces — is bit-identical
+	// deterministic shards. A shard is a share of each execution's
+	// speculative extraction pool plus a resume counter that adaptive
+	// checkpoints carry; every shard reads and fills the task's one
+	// extraction cache. Output — tuples, counters, traces — is bit-identical
 	// to the unsharded run at any shard count, and plan choice ignores the
 	// shard count; what changes is wall-clock overlap. 0 or 1 = unsharded.
-	// The task keeps one cache layout: a run at a different shard count (or
-	// capacity) than the last rebuilds it cold.
 	Shards int
 
 	// MergeCost (n-ary tasks) is the cost-model time charged per expected
@@ -229,12 +228,11 @@ type Task struct {
 	// binary executors' accounting.
 	MergeCost float64
 
-	// cacheMu guards the extraction-layout memo: the persistent shard set
-	// (one shard when unsharded) of the last run, reused warm while its
-	// shard count and capacity are unchanged.
+	// cacheMu guards the task's extraction cache, kept warm across runs
+	// while its capacity is unchanged.
 	cacheMu   sync.Mutex
-	set       *shard.Set
-	setCap    int64
+	cache     *pipeline.Cache
+	cacheCap  int64
 	cacheTier pipeline.Tier
 
 	verifierMu sync.Mutex
@@ -246,49 +244,40 @@ type Task struct {
 type CacheStats = pipeline.CacheStats
 
 // ExtractionCacheStats returns the current counters of the task's shared
-// extraction cache, summed over its per-shard slices. The zero value is
-// returned when no cache is configured. It is safe to call concurrently
-// with in-flight Run calls: the snapshot is internally consistent, though
-// counters advance as runs progress.
+// extraction cache. The zero value is returned when no cache is configured.
+// It is safe to call concurrently with in-flight Run calls: the snapshot is
+// internally consistent, though counters advance as runs progress.
 func (t *Task) ExtractionCacheStats() CacheStats {
 	t.cacheMu.Lock()
 	defer t.cacheMu.Unlock()
-	return t.set.Stats()
+	return t.cache.Stats()
 }
 
 // SetExtractCacheTier attaches a second cache level behind the task's
 // shared extraction cache — typically a disk store that survives process
 // restarts, so a restarted daemon lazily re-warms from everything a crashed
-// one had paid for. Every shard slice gets the same tier (their key spaces
-// are disjoint). Attach before runs start; nil detaches.
+// one had paid for. A cache rebuilt for a new capacity keeps the tier.
+// Attach before runs start; nil detaches.
 func (t *Task) SetExtractCacheTier(tier pipeline.Tier) {
 	t.cacheMu.Lock()
 	defer t.cacheMu.Unlock()
 	t.cacheTier = tier
-	t.set.SetTier(tier)
+	t.cache.SetTier(tier)
 }
 
-// shardSet resolves the persistent extraction layout of a run — a shard set
-// whose slices split bytes of cache capacity — reusing it warm while the
-// shard count and capacity are unchanged. A change rebuilds the set, so the
-// task never holds more than one budget's worth of cache. An uncached
-// unsharded run needs no layout: it drops the memo and returns nil.
-func (t *Task) shardSet(bytes int64, shards int) *shard.Set {
+// extractCache resolves the task's extraction cache for a run of the given
+// capacity, reusing it warm while the capacity is unchanged. A change
+// rebuilds it, so the task never holds more than one budget's worth of
+// cache; a run without a cache (bytes <= 0) drops it.
+func (t *Task) extractCache(bytes int64) *pipeline.Cache {
 	t.cacheMu.Lock()
 	defer t.cacheMu.Unlock()
-	if shards < 2 {
-		shards = 1
-		if bytes <= 0 {
-			t.set = nil
-			return nil
-		}
+	if bytes != t.cacheCap {
+		t.cache = pipeline.NewCache(bytes)
+		t.cache.SetTier(t.cacheTier)
+		t.cacheCap = bytes
 	}
-	if t.set == nil || t.set.Part.N != shards || t.setCap != bytes {
-		t.set = shard.NewSet(shard.Partition{N: shards}, bytes)
-		t.set.SetTier(t.cacheTier)
-		t.setCap = bytes
-	}
-	return t.set
+	return t.cache
 }
 
 // NewHQJoinEX builds the paper's primary workload: the Headquarters

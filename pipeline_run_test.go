@@ -122,6 +122,27 @@ func TestRunExecWorkersIdenticalOutcome(t *testing.T) {
 		}
 	})
 
+	// One task with one cache runs the rows while cycling through the
+	// layouts. The cache outlives every shard-count change, so its history
+	// — and every answer — is the plain run's.
+	t.Run("adaptive-cached-cycling", func(t *testing.T) {
+		answers := func(layout func(i int) execLayout) []string {
+			tk, err := joinopt.NewHQJoinEX(params)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tk.ExtractCacheBytes = 1 << 30
+			out := make([]string, len(reqs))
+			for i := range reqs {
+				out[i] = adaptiveAnswers(t, tk, layout(i), reqs[i:i+1])[0]
+			}
+			return out
+		}
+		want := answers(func(int) execLayout { return execLayouts[0] })
+		got := answers(func(i int) execLayout { return execLayouts[i%len(execLayouts)] })
+		compare(t, execLayout{name: "cycling"}, want, got)
+	})
+
 	t.Run("nary", func(t *testing.T) {
 		tk, err := joinopt.NewQuery(joinopt.WorkloadParams{NumDocs: 1000, Seed: 1},
 			joinopt.Query{Relations: []string{"HQ", "EX", "MG"}})
@@ -198,23 +219,32 @@ func TestRunExtractionCacheStats(t *testing.T) {
 }
 
 // TestShardSwitchKeepsOneCacheBudget pins the single extraction layout: a
-// task that runs unsharded and then at four shards keeps one set of cache
-// slices, never both, so its resident bytes stay within ExtractCacheBytes.
+// task keeps one cache at any shard count, so a 4-shard run after an
+// unsharded one is served from the warm cache — every document a hit, every
+// extraction charge saved — and the task's resident bytes stay within
+// ExtractCacheBytes.
 func TestShardSwitchKeepsOneCacheBudget(t *testing.T) {
 	tk, err := joinopt.NewHQJoinEX(joinopt.WorkloadParams{NumDocs: 600, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tk.ExtractCacheBytes = 64 << 10
-	for _, shards := range []int{1, 4} {
-		if _, err := tk.Run(context.Background(), joinopt.Requirement{},
-			joinopt.WithPlan(scanPlan()), joinopt.WithShards(shards)); err != nil {
+	tk.ExtractCacheBytes = 4 << 20
+	var out [2]*joinopt.Outcome
+	for i, shards := range []int{1, 4} {
+		res, err := tk.Run(context.Background(), joinopt.Requirement{},
+			joinopt.WithPlan(scanPlan()), joinopt.WithShards(shards))
+		if err != nil {
 			t.Fatal(err)
 		}
+		out[i] = res.Outcome
 	}
+	cold, warm := out[0], out[1]
 	s := tk.ExtractionCacheStats()
-	if s.Entries == 0 {
-		t.Fatalf("no cache entries after two cached runs: %+v", s)
+	if docs := int64(warm.DocsProcessed[0] + warm.DocsProcessed[1]); docs == 0 || s.Hits != docs {
+		t.Errorf("the 4-shard run hit %d of its %d documents in the cache the unsharded run filled", s.Hits, docs)
+	}
+	if saved := warm.CacheSaved[0] + warm.CacheSaved[1]; saved == 0 || warm.Time+saved != cold.Time {
+		t.Errorf("the 4-shard run saved %v and billed %v; the unsharded run billed %v", saved, warm.Time, cold.Time)
 	}
 	if s.Bytes > tk.ExtractCacheBytes {
 		t.Errorf("task holds %d cache bytes against a %d-byte budget", s.Bytes, tk.ExtractCacheBytes)

@@ -310,7 +310,7 @@ func (t *Task) runQuery(ctx context.Context, req Requirement, opts []RunOption) 
 			"plan": qp.String(), "est_good": qp.EstimatedGood, "est_bad": qp.EstimatedBad, "est_time": qp.EstimatedTime,
 		})
 	}
-	exec, err := t.mw.NewNaryExecutor(best, in.TJ, cfg.execWorkers, t.shardSet(cfg.cacheBytes, cfg.shards))
+	exec, err := t.mw.NewNaryExecutor(best, in.TJ, cfg.execWorkers, cfg.shards, t.extractCache(cfg.cacheBytes))
 	if err != nil {
 		return nil, err
 	}
@@ -379,7 +379,7 @@ func (t *Task) ExecuteQuery(thetas []float64, stop func(QueryProgress) bool) (*Q
 			Rel: i, Theta: thetas[i], X: retrieval.SC, Effort: size, MaxEffort: size,
 		})
 	}
-	exec, err := t.mw.NewNaryExecutor(ev, t.MergeCost, t.ExecWorkers, t.shardSet(t.ExtractCacheBytes, t.Shards))
+	exec, err := t.mw.NewNaryExecutor(ev, t.MergeCost, t.ExecWorkers, t.Shards, t.extractCache(t.ExtractCacheBytes))
 	if err != nil {
 		return nil, err
 	}

@@ -109,8 +109,8 @@ func WithExecWorkers(n int) RunOption {
 
 // WithShards overrides the task's corpus shard count for this run (0 or 1 =
 // unsharded). The run partitions each database into that many deterministic
-// shards and executes as a scatter-gather over per-shard pipelined engines,
-// each owning a slice of the extraction cache. Any shard count produces
+// shards, each a share of the speculative extraction pool plus a resume
+// counter, over the task's one extraction cache. Any shard count produces
 // bit-identical tuples, counters, and traces, and plan choice ignores it;
 // sharding only overlaps wall-clock work.
 func WithShards(n int) RunOption {
@@ -191,7 +191,8 @@ func (t *Task) configure(opts []RunOption) (*runConfig, *workload.Workload) {
 	}
 	w := t.w.Clone()
 	w.ExecWorkers = cfg.execWorkers
-	w.ShardSet = t.shardSet(cfg.cacheBytes, cfg.shards)
+	w.Shards = cfg.shards
+	w.Cache = t.extractCache(cfg.cacheBytes)
 	w.Faults = fp
 	w.Retry = join.RetryPolicy{
 		MaxRetries:    retry.MaxRetries,
