@@ -204,10 +204,19 @@ func newExponentGrid() []gridPoint {
 // table serves every exponent of the grid.
 type binomialTable [maxFreq + 1][maxFreq + 1]float64
 
+// fill computes the table at coverage c. Each cell is
+// stat.BinomialPMF(g, k, c) bit for bit: the same expression, with log c
+// and log(1−c) taken once per fill instead of once per cell. Degenerate
+// coverages go through BinomialPMF's own branches.
 func (t *binomialTable) fill(c float64) {
+	lc, lq := math.Log(c), math.Log(1-c)
 	for g := 1; g <= maxFreq; g++ {
 		for k := 0; k <= g; k++ {
-			t[g][k] = stat.BinomialPMF(g, k, c)
+			if c <= 0 || c >= 1 {
+				t[g][k] = stat.BinomialPMF(g, k, c)
+			} else {
+				t[g][k] = math.Exp(stat.LogChoose(g, k) + float64(k)*lc + float64(g-k)*lq)
+			}
 		}
 	}
 }

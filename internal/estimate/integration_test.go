@@ -160,8 +160,9 @@ func TestFromStateLabelFree(t *testing.T) {
 		t.Error("observation counters mismatch state")
 	}
 	// Value counts must equal good+bad occurrence totals.
+	values := w.Tables[0].Dict().Values()
 	for v, c := range o1.ValueCounts {
-		if c != st.R1.GoodOcc(v)+st.R1.BadOcc(v) {
+		if good, bad := st.R1.Occ(values.ID(v)); c != good+bad {
 			t.Fatalf("value %q count %d mismatch", v, c)
 		}
 	}

@@ -96,6 +96,23 @@ var coverageSweep = []float64{0, 1e-6, 0.001, 0.013, 0.05, 0.1, 0.2, 0.25, 0.37,
 
 func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
+// TestBinomialTableMatchesPMF: every cell of a filled table is
+// stat.BinomialPMF's value bit for bit, over the coverage sweep and the
+// degenerate coverages its own branches handle.
+func TestBinomialTableMatchesPMF(t *testing.T) {
+	for _, c := range append([]float64{-0.5, 1, 1.5}, coverageSweep...) {
+		var bnm binomialTable
+		bnm.fill(c)
+		for g := 1; g <= maxFreq; g++ {
+			for k := 0; k <= g; k++ {
+				if want := stat.BinomialPMF(g, k, c); !sameBits(bnm[g][k], want) {
+					t.Fatalf("c=%v: Bnm(%d, %d) = %v, BinomialPMF %v", c, g, k, bnm[g][k], want)
+				}
+			}
+		}
+	}
+}
+
 // TestTruncatedObsPMFMatchesOracle: over the whole exponent grid, good and
 // bad laws alike, and the coverage sweep, the shared-table kernel returns
 // the oracle's PMF and observation probability bit for bit. It also pins

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"joinopt/internal/index"
+	"joinopt/internal/relation"
 )
 
 // The extraction hot path is what the pipelined executor parallelizes, so
@@ -110,7 +111,7 @@ func TestExtractAllocBudget(t *testing.T) {
 // for the tuple slice it emits.
 func TestExtractCachedAllocBudget(t *testing.T) {
 	db, g := testCorpus(t, 13)
-	tab := hqSystem(t, g).NewTable(db)
+	tab := hqSystem(t, g).NewTable(db, relation.NewValues())
 	for id := range db.Docs {
 		tab.Extract(id, 0.4)
 	}
@@ -121,5 +122,30 @@ func TestExtractCachedAllocBudget(t *testing.T) {
 	}) / float64(len(db.Docs))
 	if perDoc > 3 {
 		t.Errorf("Extract through a filled table: %.2f allocs per document, want <= 3", perDoc)
+	}
+}
+
+// TestAppendEntriesZeroAlloc covers the path the executors read without a
+// pipeline: with a table's rows filled and a reused buffer, reading a
+// document's entries allocates nothing at all.
+func TestAppendEntriesZeroAlloc(t *testing.T) {
+	db, g := testCorpus(t, 13)
+	tab := hqSystem(t, g).NewTable(db, relation.NewValues())
+	var buf []relation.Entry
+	emitted := 0
+	for id := range db.Docs {
+		buf = tab.AppendEntries(buf[:0], id, 0.4)
+		emitted += len(buf)
+	}
+	if emitted == 0 {
+		t.Fatal("corpus emits no tuples at θ=0.4")
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		for id := range db.Docs {
+			buf = tab.AppendEntries(buf[:0], id, 0.4)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("AppendEntries through a filled table: %.1f allocs per pass, want 0", allocs)
 	}
 }

@@ -241,7 +241,7 @@ func TestExtractKeepsBestScore(t *testing.T) {
 		{ID: 0, Text: textgen.Render([]textgen.Sentence{weak, strong})},
 		{ID: 1, Text: textgen.Render([]textgen.Sentence{strong, weak})},
 	}}
-	tab := sys.NewTable(db)
+	tab := sys.NewTable(db, relation.NewValues())
 	best := 4 / math.Sqrt(24)
 	for id, d := range db.Docs {
 		for _, theta := range []float64{0.1, best} {
@@ -356,5 +356,44 @@ func TestTaggerNoFalseMatchOnPartialName(t *testing.T) {
 		if c {
 			t.Fatalf("token %d incorrectly covered", i)
 		}
+	}
+}
+
+// TestAppendResolvedNeverScans: a pipeline-resolved extraction (a cache or
+// tier hit) is numbered through the dictionary while the document's row is
+// unfilled, leaving the row unfilled, and read from the row once it is
+// filled; both give the entries a table read gives.
+func TestAppendResolvedNeverScans(t *testing.T) {
+	db, g := testCorpus(t, 17)
+	sys := hqSystem(t, g)
+	values := relation.NewValues()
+	cold, warm := sys.NewTable(db, values), sys.NewTable(db, values)
+	gold := db.Gold("HQ")
+	emitted := 0
+	for id, d := range db.Docs {
+		for _, theta := range []float64{0.4, 0.8} {
+			tuples := sys.Extract(d.Text, theta)
+			got := cold.AppendResolved(nil, id, theta, tuples)
+			if cold.rows[id].Load() != nil {
+				t.Fatalf("doc %d: resolving a cached extraction filled the row", id)
+			}
+			want := warm.AppendEntries(nil, id, theta)
+			if len(got) != len(want) || len(got) != len(tuples) {
+				t.Fatalf("doc %d θ=%v: resolved %v, table %v, tuples %v", id, theta, got, want, tuples)
+			}
+			for k := range got {
+				if got[k].Tuple != tuples[k] || got[k].Good != gold.IsGood(tuples[k]) ||
+					got[k].Value != values.ID(tuples[k].A1) {
+					t.Fatalf("doc %d θ=%v: resolved entry %+v for %v", id, theta, got[k], tuples[k])
+				}
+			}
+			if again := warm.AppendResolved(nil, id, theta, nil); len(again) != len(want) {
+				t.Fatalf("doc %d θ=%v: a filled row resolved to %v, want %v", id, theta, again, want)
+			}
+			emitted += len(got)
+		}
+	}
+	if emitted == 0 {
+		t.Fatal("corpus emits no tuples")
 	}
 }

@@ -60,6 +60,11 @@ func FuzzSearchIsSubsetOfMatches(f *testing.F) {
 		if len(got) > 1 {
 			t.Fatalf("top-k cap violated: %v", got)
 		}
+		for range 2 {
+			if memo := ix.SearchValue(query); !slices.Equal(memo, got) {
+				t.Fatalf("SearchValue(%q) = %v, Search = %v", query, memo, got)
+			}
+		}
 		all := map[int]bool{}
 		for _, id := range ix.Matches(q) {
 			all[id] = true

@@ -12,6 +12,7 @@ import (
 	"hash/fnv"
 	"slices"
 	"strings"
+	"sync"
 	"unicode"
 	"unicode/utf8"
 )
@@ -154,10 +155,13 @@ func QueryFromValue(value string) Query {
 func (q Query) String() string { return "[" + strings.Join(q.Terms, " ") + "]" }
 
 // Index is an inverted index over a document collection with a top-k search
-// cap.
+// cap. It memoizes the results of join-value queries (SearchValue), so only
+// the first query for a value on an index searches; it is safe for
+// concurrent use.
 type Index struct {
 	postings map[string][]int // term -> sorted doc IDs
 	topK     int
+	values   sync.Map // join value -> Search(QueryFromValue(value))
 }
 
 // New builds an index over docs (ID i = docs[i]) returning at most topK
@@ -224,6 +228,28 @@ func (ix *Index) SearchInto(q Query, buf []int) []int {
 		slices.Sort(res)
 	}
 	return res
+}
+
+// SearchValue returns Search(QueryFromValue(value)), memoized per value:
+// only the first query for a value tokenizes it and intersects posting
+// lists, and later ones return the same slice, which callers must not
+// modify. The OIJN and ZGJN executors issue their value queries here.
+func (ix *Index) SearchValue(value string) []int {
+	if docs, ok := ix.values.Load(value); ok {
+		return docs.([]int)
+	}
+	// A copy: Search's result can sit in a posting-list-sized array.
+	docs, _ := ix.values.LoadOrStore(value, slices.Clone(ix.Search(QueryFromValue(value))))
+	return docs.([]int)
+}
+
+// ResetMemo forgets every memoized value query. Benchmarks reset it with the
+// extraction tables, so each iteration measures a cold execution.
+func (ix *Index) ResetMemo() {
+	ix.values.Range(func(v, _ any) bool {
+		ix.values.Delete(v)
+		return true
+	})
 }
 
 // selectTopK rearranges res so its first k elements are the k lowest-scored

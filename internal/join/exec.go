@@ -7,8 +7,11 @@
 package join
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
+	"strings"
 
 	"joinopt/internal/corpus"
 	"joinopt/internal/extract"
@@ -37,8 +40,11 @@ var DefaultCosts = Costs{TR: 1, TE: 5, TF: 0.1, TQ: 2}
 
 // Side bundles everything a join execution needs about one relation: the
 // hosting database, its search interface, the tuned IE system's extraction
-// table over the database, the gold set used to label output (evaluation
-// only), and the per-operation costs.
+// table over the database, and the per-operation costs. The table also
+// numbers and labels what the side extracts: output labels (evaluation
+// only) come from its dictionary, which labels against the database's gold
+// set, and every side of one execution must number join values in the
+// same value dictionary.
 type Side struct {
 	DB    *corpus.DB
 	Index *index.Index
@@ -46,7 +52,6 @@ type Side struct {
 	// is built once per database and shared by every execution over it.
 	Table *extract.Table
 	Theta float64
-	Gold  *relation.Gold
 	Costs Costs
 
 	// Source, when set, replaces direct database reads on the document-fetch
@@ -57,20 +62,28 @@ type Side struct {
 	Retry  RetryPolicy
 }
 
-// validate checks that the side is usable.
-func (s *Side) validate(i int) error {
-	if s.DB == nil || s.Table == nil {
-		return fmt.Errorf("join: side %d missing database or IE system", i)
+// validateSides checks that every side is usable and that all number
+// join values in one dictionary, so a value has the same ID on every side.
+func validateSides(sides ...*Side) error {
+	for i, s := range sides {
+		if s.DB == nil || s.Table == nil {
+			return fmt.Errorf("join: side %d missing database or IE system", i+1)
+		}
+		if s.Table.Dict().Values() != sides[0].Table.Dict().Values() {
+			return fmt.Errorf("join: side %d numbers join values in another dictionary than side 1", i+1)
+		}
 	}
 	return nil
 }
 
 // State is the observable progress of a join execution: the two extracted
-// relations, the labelled join result, the pair-composition quality counts,
-// and the work/time accounting.
+// relations, the pair-composition quality counts, the distinct join size,
+// and the work/time accounting. The labelled join result is built only when
+// asked for (JoinTuples).
 type State struct {
+	// R1 and R2 count the occurrences extracted on each side over the
+	// sides' dictionary IDs.
 	R1, R2 *relation.Extracted
-	Result *relation.JoinResult
 
 	// GoodPairs is |Tgood⋈| under the paper's composition semantics:
 	// Σ_a gr1(a)·gr2(a) over join values (Equation 1). BadPairs is the
@@ -137,74 +150,85 @@ type State struct {
 	Pipeline *shard.Group
 
 	totalPairs     int
+	joinSize       int
 	rels           [2]*relation.Extracted
-	byVal          [2]map[string][]labeledTuple
+	entries        [2][]relation.Entry // per-side processDoc result buffers
+	joined         [2][][]bool         // traced: per value ID, occurrence labels in arrival order
 	deadlineTraced bool
 }
 
 // ValueCounts returns the label-free observed occurrence counts s(a) of side
-// i: the number of processed documents in which each join value was
-// extracted. The parameter estimator works from these counts without any
-// tuple verification.
+// i, keyed by join value: the number of processed documents in which each
+// value was extracted. The parameter estimator works from these counts
+// without any tuple verification.
 func (st *State) ValueCounts(i int) map[string]int { return st.rels[i].ValueCounts() }
 
-type labeledTuple struct {
-	t    relation.Tuple
-	good bool
-}
-
-// newState builds an empty state for two sides.
-func newState(s1, s2 *Side) *State {
-	schema1, schema2 := relation.Schema{Name: "R1"}, relation.Schema{Name: "R2"}
-	if s1.Gold != nil {
-		schema1 = s1.Gold.Schema
-	}
-	if s2.Gold != nil {
-		schema2 = s2.Gold.Schema
-	}
-	st := &State{
-		R1:     relation.NewExtracted(schema1, s1.Gold),
-		R2:     relation.NewExtracted(schema2, s2.Gold),
-		Result: relation.NewJoinResult(),
-	}
+// newState builds an empty state over the two sides' dictionaries.
+func newState(d1, d2 *relation.Dict) *State {
+	st := &State{R1: relation.NewExtracted(d1), R2: relation.NewExtracted(d2)}
 	st.rels = [2]*relation.Extracted{st.R1, st.R2}
-	st.byVal = [2]map[string][]labeledTuple{{}, {}}
 	return st
 }
 
-// addTuple records one extracted occurrence on side i (0 or 1), updates the
-// pair-composition counters incrementally, and joins the tuple against the
-// other relation.
-func (st *State) addTuple(i int, t relation.Tuple) {
-	good := st.rels[i].Add(t)
+// addTuple records one extracted occurrence on side i (0 or 1) and updates
+// the pair-composition counters and the distinct join size incrementally:
+// a new distinct tuple joins every distinct tuple of the other side with its
+// value. With a trace attached (before the first step), each occurrence
+// emits one tuple.joined event per occurrence of its value already on the
+// other side, in their arrival order.
+func (st *State) addTuple(i int, e relation.Entry) {
+	first := st.rels[i].Add(e)
 	other := st.rels[1-i]
-	a := t.A1
-
-	otherGood := other.GoodOcc(a)
-	otherTotal := otherGood + other.BadOcc(a)
-	st.totalPairs += otherTotal
-	if good {
+	otherGood, otherBad := other.Occ(e.Value)
+	st.totalPairs += otherGood + otherBad
+	if e.Good {
 		st.GoodPairs += otherGood
 	}
 	st.BadPairs = st.totalPairs - st.GoodPairs
-
-	st.byVal[i][a] = append(st.byVal[i][a], labeledTuple{t: t, good: good})
-	if st.Trace.Enabled() {
-		st.Trace.EmitAt(st.Time, obs.KindTupleExtracted, i+1, map[string]any{"a": a, "good": good})
+	if first {
+		st.joinSize += other.Distinct(e.Value)
 	}
-	for _, lt := range st.byVal[1-i][a] {
-		jt := relation.JoinTuple{A: a}
-		if i == 0 {
-			jt.B, jt.C = t.A2, lt.t.A2
-		} else {
-			jt.B, jt.C = lt.t.A2, t.A2
-		}
-		st.Result.Add(jt, good && lt.good)
-		if st.Trace.Enabled() {
-			st.Trace.EmitAt(st.Time, obs.KindTupleJoined, 0, map[string]any{"a": a, "good": good && lt.good})
+	if st.Trace.Enabled() {
+		a := e.Tuple.A1
+		st.joined[i] = grow(st.joined[i], e.Value)
+		st.joined[i][e.Value] = append(st.joined[i][e.Value], e.Good)
+		st.Trace.EmitAt(st.Time, obs.KindTupleExtracted, i+1, map[string]any{"a": a, "good": e.Good})
+		if int(e.Value) < len(st.joined[1-i]) {
+			for _, good := range st.joined[1-i][e.Value] {
+				st.Trace.EmitAt(st.Time, obs.KindTupleJoined, 0, map[string]any{"a": a, "good": e.Good && good})
+			}
 		}
 	}
 	st.Metrics.Quality(st.GoodPairs, st.BadPairs)
+}
+
+// grow extends s with zero values until index id is in range.
+func grow[T any](s []T, id int32) []T {
+	if n := int(id) + 1; n > len(s) {
+		s = slices.Grow(s, n-len(s))[:n]
+	}
+	return s
+}
+
+// JoinTuples builds the labelled join result: one tuple ⟨A, B, C⟩ per pair
+// of distinct extracted tuples ⟨A, B⟩ ∈ R1 and ⟨A, C⟩ ∈ R2, good iff both
+// are good (§III-C, Figure 2), in (A, B, C) order.
+func (st *State) JoinTuples() []relation.LabeledJoinTuple {
+	right := map[int32][]relation.Entry{}
+	for _, e := range st.R2.Entries() {
+		right[e.Value] = append(right[e.Value], e)
+	}
+	out := make([]relation.LabeledJoinTuple, 0, st.joinSize)
+	for _, e1 := range st.R1.Entries() {
+		for _, e2 := range right[e1.Value] {
+			jt := relation.JoinTuple{A: e1.Tuple.A1, B: e1.Tuple.A2, C: e2.Tuple.A2}
+			out = append(out, relation.LabeledJoinTuple{Tuple: jt, Good: e1.Good && e2.Good})
+		}
+	}
+	slices.SortFunc(out, func(x, y relation.LabeledJoinTuple) int {
+		return cmp.Or(strings.Compare(x.Tuple.A, y.Tuple.A), strings.Compare(x.Tuple.B, y.Tuple.B), strings.Compare(x.Tuple.C, y.Tuple.C))
+	})
+	return out
 }
 
 // Executor is a stepwise join execution.
@@ -298,20 +322,19 @@ func (st *State) chargeStrategy(i int, c Costs, prev, now retrieval.Counts) {
 
 // processDoc fetches a document through the side's source (retrying under
 // its policy), runs the IE system over it, and records the extracted
-// tuples. It charges processing time and returns the tuples. A document
-// lost to exhausted retries is skipped and accounted (nil tuples, nil
-// error); the error is non-nil only when the failure budget aborts the
-// execution.
+// tuples. It charges processing time and returns the tuples' entries, valid
+// until the next processDoc on side i. A document lost to exhausted retries
+// is skipped and accounted (nil entries, nil error); the error is non-nil
+// only when the failure budget aborts the execution.
 //
-// Extraction reads the side's table by document ID. With a pipeline engine
-// attached, it resolves through the engine: cache hits are charged zero tE,
-// and speculative worker results are collected here, on the stepping
-// goroutine, in stream order. A document whose fetch returned modified text
-// (a fault-truncated copy — detected by pointer inequality against the
-// database's own record) bypasses the table and the engine entirely: its
-// tuples are not the document's canonical extraction and must be neither
-// served from nor inserted into the shared table or cache.
-func processDoc(st *State, i int, s *Side, docID int) ([]relation.Tuple, error) {
+// Extraction reads the side's table by document ID (see extractDoc). A
+// document whose fetch returned modified text (a fault-truncated copy —
+// detected by pointer inequality against the database's own record)
+// bypasses the table and the engine entirely: its tuples are not the
+// document's canonical extraction and must be neither served from nor
+// inserted into the shared table or cache. The table's dictionary still
+// numbers and labels them.
+func processDoc(st *State, i int, s *Side, docID int) ([]relation.Entry, error) {
 	doc, ok, err := fetchDoc(st, i, s, docID)
 	if err != nil {
 		return nil, err
@@ -319,22 +342,17 @@ func processDoc(st *State, i int, s *Side, docID int) ([]relation.Tuple, error) 
 	if !ok {
 		return nil, nil
 	}
-	var tuples []relation.Tuple
-	hit := false
-	key := pipeline.Key{Side: i, DocID: docID, Theta: s.Theta}
-	switch {
-	case doc != s.DB.Doc(docID):
+	entries, hit := st.entries[i][:0], false
+	if doc != s.DB.Doc(docID) {
 		// Abandon any speculation on the canonical document and extract
 		// the copy inline.
 		if st.Pipeline != nil {
-			st.Pipeline.Drop(key)
+			st.Pipeline.Drop(pipeline.Key{Side: i, DocID: docID, Theta: s.Theta})
 		}
-		tuples = s.Table.System().Extract(doc.Text, s.Theta)
-	case st.Pipeline != nil:
+		entries = s.Table.AppendTuples(entries, s.Table.System().Extract(doc.Text, s.Theta))
+	} else {
 		var evicted int
-		tuples, hit, evicted = st.Pipeline.Resolve(key, func() []relation.Tuple {
-			return s.Table.Extract(docID, s.Theta)
-		})
+		entries, hit, evicted = extractDoc(st.Pipeline, i, s, docID, entries)
 		if st.Pipeline.HasCache() {
 			if hit {
 				st.Metrics.CacheHit(i)
@@ -343,9 +361,8 @@ func processDoc(st *State, i int, s *Side, docID int) ([]relation.Tuple, error) 
 			}
 			st.Metrics.CacheEvict(evicted)
 		}
-	default:
-		tuples = s.Table.Extract(docID, s.Theta)
 	}
+	st.entries[i] = entries
 	st.DocsProcessed[i]++
 	if hit {
 		st.CacheSaved[i] += s.Costs.TE
@@ -354,23 +371,39 @@ func processDoc(st *State, i int, s *Side, docID int) ([]relation.Tuple, error) 
 	}
 	st.Metrics.Processed(i)
 	if st.Trace.Enabled() {
-		attrs := map[string]any{"doc": docID, "tuples": len(tuples)}
+		attrs := map[string]any{"doc": docID, "tuples": len(entries)}
 		if hit {
 			attrs["cached"] = true
 		}
 		st.Trace.EmitAt(st.Time, obs.KindDocProcessed, i+1, attrs)
 	}
-	if len(tuples) > 0 {
+	if len(entries) > 0 {
 		st.YieldDocs[i]++
 	}
-	for len(st.EmissionHist[i]) <= len(tuples) {
+	for len(st.EmissionHist[i]) <= len(entries) {
 		st.EmissionHist[i] = append(st.EmissionHist[i], 0)
 	}
-	st.EmissionHist[i][len(tuples)]++
-	for _, t := range tuples {
-		st.addTuple(i, t)
+	st.EmissionHist[i][len(entries)]++
+	for _, e := range entries {
+		st.addTuple(i, e)
 	}
-	return tuples, nil
+	return entries, nil
+}
+
+// extractDoc appends the entries of side i's canonical document docID at
+// the side's θ to buf. Without an extraction frontend it reads the table
+// directly, allocating nothing. With one it resolves through the engine:
+// cache hits are free (hit), speculative worker results are collected here,
+// on the stepping goroutine, in stream order, and the entries are read back
+// from the table (see extract.Table.AppendResolved).
+func extractDoc(g *shard.Group, i int, s *Side, docID int, buf []relation.Entry) (entries []relation.Entry, hit bool, evicted int) {
+	if g == nil {
+		return s.Table.AppendEntries(buf, docID, s.Theta), false, 0
+	}
+	tuples, hit, evicted := g.Resolve(pipeline.Key{Side: i, DocID: docID, Theta: s.Theta}, func() []relation.Tuple {
+		return s.Table.Extract(docID, s.Theta)
+	})
+	return s.Table.AppendResolved(buf, docID, s.Theta, tuples), hit, evicted
 }
 
 // announceStreams feeds g the documents the live retrieval streams will

@@ -89,8 +89,8 @@ func TestZeroRateFaultTransparency(t *testing.T) {
 				t.Errorf("%s/%s seed %d: wrapped state diverged:\nclean   %+v\nwrapped %+v",
 					tc.algo, tc.kind, seed, cs, ws)
 			}
-			cg, cb := clean.Result.Counts()
-			wg, wb := wrapped.Result.Counts()
+			cg, cb := resultCounts(clean)
+			wg, wb := resultCounts(wrapped)
 			if cg != wg || cb != wb {
 				t.Errorf("%s/%s seed %d: result (%d, %d) != clean (%d, %d)",
 					tc.algo, tc.kind, seed, wg, wb, cg, cb)

@@ -254,7 +254,7 @@ func (st *State) Snapshot() Snapshot {
 		CacheSaved:    st.CacheSaved,
 		GoodPairs:     st.GoodPairs,
 		BadPairs:      st.BadPairs,
-		JoinSize:      st.Result.Size(),
+		JoinSize:      st.joinSize,
 		DocsProcessed: st.DocsProcessed,
 		DocsRetrieved: st.DocsRetrieved,
 		DocsFiltered:  st.DocsFiltered,

@@ -53,7 +53,7 @@ func TestFetchDocRetriesTransient(t *testing.T) {
 		costs:  []float64{2.5, 2.5, 0.25},
 	}
 	s := testSide(src, pol)
-	st := newTestState()
+	st, _ := newTestState()
 	doc, ok, err := fetchDoc(st, 0, s, 7)
 	if err != nil || !ok || doc == nil || doc.ID != 7 {
 		t.Fatalf("fetchDoc = %v, %v, %v; want recovered document", doc, ok, err)
@@ -73,7 +73,7 @@ func TestFetchDocExhaustsRetries(t *testing.T) {
 	pol := RetryPolicy{MaxRetries: 2, BaseDelay: 1, MaxDelay: 8}
 	src := &stubSource{script: []error{tempErr(true), tempErr(true), tempErr(true), tempErr(true)}}
 	s := testSide(src, pol)
-	st := newTestState()
+	st, _ := newTestState()
 	doc, ok, err := fetchDoc(st, 1, s, 0)
 	if err != nil || ok || doc != nil {
 		t.Fatalf("fetchDoc = %v, %v, %v; want accounted skip", doc, ok, err)
@@ -89,7 +89,7 @@ func TestFetchDocExhaustsRetries(t *testing.T) {
 func TestFetchDocPermanentNoRetry(t *testing.T) {
 	src := &stubSource{script: []error{tempErr(false)}}
 	s := testSide(src, RetryPolicy{})
-	st := newTestState()
+	st, _ := newTestState()
 	_, ok, err := fetchDoc(st, 0, s, 0)
 	if err != nil || ok {
 		t.Fatalf("fetchDoc ok=%v err=%v; want accounted skip", ok, err)
@@ -103,7 +103,7 @@ func TestFetchDocFailureBudget(t *testing.T) {
 	pol := RetryPolicy{MaxRetries: -1, FailureBudget: 1}
 	src := &stubSource{script: []error{tempErr(true), tempErr(true)}}
 	s := testSide(src, pol)
-	st := newTestState()
+	st, _ := newTestState()
 	if _, _, err := fetchDoc(st, 0, s, 0); err != nil {
 		t.Fatalf("first loss within budget, got %v", err)
 	}
@@ -120,7 +120,7 @@ func TestFetchDocDeadlineStopsRetries(t *testing.T) {
 	pol := RetryPolicy{MaxRetries: 5, BaseDelay: 1, MaxDelay: 8}
 	src := &stubSource{script: []error{tempErr(true), tempErr(true), tempErr(true)}}
 	s := testSide(src, pol)
-	st := newTestState()
+	st, _ := newTestState()
 	st.Deadline = 100
 	st.Time = 100 // already at the deadline: no retry may be charged
 	_, ok, err := fetchDoc(st, 0, s, 0)
@@ -156,7 +156,7 @@ func (s *stubStrategy) NextFallible() (int, bool, float64, error) {
 func TestPullDocRetriesWithoutSkipping(t *testing.T) {
 	strat := &stubStrategy{script: []error{tempErr(true), nil, tempErr(true), tempErr(true), nil}}
 	s := testSide(nil, RetryPolicy{MaxRetries: 3, BaseDelay: 1, MaxDelay: 8})
-	st := newTestState()
+	st, _ := newTestState()
 	var got []int
 	for len(got) < 2 {
 		id, ok, skip, err := pullDoc(st, 0, s, strat)
@@ -176,7 +176,7 @@ func TestPullDocRetriesWithoutSkipping(t *testing.T) {
 func TestPullDocTransientExhaustionSkips(t *testing.T) {
 	strat := &stubStrategy{script: []error{tempErr(true), tempErr(true)}}
 	s := testSide(nil, RetryPolicy{MaxRetries: 1, BaseDelay: 1, MaxDelay: 8})
-	st := newTestState()
+	st, _ := newTestState()
 	_, ok, skip, err := pullDoc(st, 1, s, strat)
 	if err != nil || ok || !skip {
 		t.Fatalf("pullDoc ok=%v skip=%v err=%v; want skip", ok, skip, err)
@@ -194,7 +194,7 @@ func TestPullDocTransientExhaustionSkips(t *testing.T) {
 func TestPullDocPermanentExhaustsStream(t *testing.T) {
 	strat := &stubStrategy{script: []error{tempErr(false)}}
 	s := testSide(nil, RetryPolicy{})
-	st := newTestState()
+	st, _ := newTestState()
 	_, ok, skip, err := pullDoc(st, 0, s, strat)
 	if err != nil || ok || skip {
 		t.Fatalf("pullDoc ok=%v skip=%v err=%v; want exhausted stream", ok, skip, err)
@@ -249,7 +249,7 @@ func TestIsTemporary(t *testing.T) {
 }
 
 func TestSnapshotRestore(t *testing.T) {
-	st := newTestState()
+	st, _ := newTestState()
 	st.Steps = 42
 	st.Time = 1234.5
 	st.DocsProcessed = [2]int{10, 12}
@@ -257,7 +257,7 @@ func TestSnapshotRestore(t *testing.T) {
 	st.Degraded = true
 	snap := st.Snapshot()
 
-	replayed := newTestState()
+	replayed, _ := newTestState()
 	replayed.Steps = 42
 	replayed.Time = 1234.5 * (1 + 1e-9) // float accumulation noise is fine
 	replayed.DocsProcessed = [2]int{10, 12}
@@ -270,14 +270,14 @@ func TestSnapshotRestore(t *testing.T) {
 		t.Errorf("Restore must adopt the snapshot time, got %v", replayed.Time)
 	}
 
-	diverged := newTestState()
+	diverged, _ := newTestState()
 	diverged.Steps = 42
 	diverged.Time = 1234.5
 	diverged.DocsProcessed = [2]int{11, 12}
 	if err := diverged.Restore(snap); err == nil {
 		t.Error("Restore must reject a diverged state")
 	}
-	late := newTestState()
+	late, _ := newTestState()
 	late.Steps = 42
 	late.Time = 2000
 	if err := late.Restore(snap); err == nil {

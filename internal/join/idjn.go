@@ -29,10 +29,7 @@ type IDJN struct {
 // NewIDJN builds an Independent Join over two sides with their retrieval
 // strategies.
 func NewIDJN(s1, s2 *Side, x1, x2 retrieval.Strategy) (*IDJN, error) {
-	if err := s1.validate(1); err != nil {
-		return nil, err
-	}
-	if err := s2.validate(2); err != nil {
+	if err := validateSides(s1, s2); err != nil {
 		return nil, err
 	}
 	if x1 == nil || x2 == nil {
@@ -42,7 +39,7 @@ func NewIDJN(s1, s2 *Side, x1, x2 retrieval.Strategy) (*IDJN, error) {
 		sides: [2]*Side{s1, s2},
 		strat: [2]retrieval.Strategy{x1, x2},
 	}
-	e.st = newState(s1, s2)
+	e.st = newState(s1.Table.Dict(), s2.Table.Dict())
 	return e, nil
 }
 

@@ -28,6 +28,18 @@ func testWorkload(t *testing.T) *workload.Workload {
 	return wl
 }
 
+// resultCounts returns the numbers of good and bad distinct join tuples.
+func resultCounts(st *join.State) (good, bad int) {
+	for _, lt := range st.JoinTuples() {
+		if lt.Good {
+			good++
+		} else {
+			bad++
+		}
+	}
+	return good, bad
+}
+
 func idjnSC(t *testing.T, w *workload.Workload, theta float64) *join.IDJN {
 	t.Helper()
 	x1, err := w.NewStrategy(0, retrieval.SC)
@@ -79,15 +91,17 @@ func TestIDJNPairCountsMatchDirectComposition(t *testing.T) {
 	// Direct recomputation of Σ_a gr1(a)·gr2(a) from the relations.
 	good, total := 0, 0
 	vals := map[string]bool{}
-	for _, v := range st.R1.JoinValues() {
-		vals[v] = true
+	for i := 0; i < 2; i++ {
+		for v := range st.ValueCounts(i) {
+			vals[v] = true
+		}
 	}
-	for _, v := range st.R2.JoinValues() {
-		vals[v] = true
-	}
+	values := w.Tables[0].Dict().Values()
 	for v := range vals {
-		good += st.R1.GoodOcc(v) * st.R2.GoodOcc(v)
-		total += (st.R1.GoodOcc(v) + st.R1.BadOcc(v)) * (st.R2.GoodOcc(v) + st.R2.BadOcc(v))
+		g1, b1 := st.R1.Occ(values.ID(v))
+		g2, b2 := st.R2.Occ(values.ID(v))
+		good += g1 * g2
+		total += (g1 + b1) * (g2 + b2)
 	}
 	if st.GoodPairs != good {
 		t.Errorf("incremental GoodPairs %d != direct %d", st.GoodPairs, good)
@@ -97,7 +111,7 @@ func TestIDJNPairCountsMatchDirectComposition(t *testing.T) {
 	}
 	// With one tuple per document occurrence, the distinct labelled join
 	// tuples coincide with the pair composition.
-	rg, rb := st.Result.Counts()
+	rg, rb := resultCounts(st)
 	if rg != st.GoodPairs || rb != st.BadPairs {
 		t.Errorf("result counts (%d, %d) != pair counts (%d, %d)", rg, rb, st.GoodPairs, st.BadPairs)
 	}
@@ -210,8 +224,8 @@ func TestOIJNQueriesInnerPerOuterValue(t *testing.T) {
 	if st.Queries[1] == 0 {
 		t.Fatal("no inner queries issued")
 	}
-	if st.Queries[1] != len(st.R1.JoinValues()) {
-		t.Errorf("queries %d != distinct outer values %d", st.Queries[1], len(st.R1.JoinValues()))
+	if st.Queries[1] != len(st.ValueCounts(0)) {
+		t.Errorf("queries %d != distinct outer values %d", st.Queries[1], len(st.ValueCounts(0)))
 	}
 	if st.DocsRetrieved[1] > st.Queries[1]*w.Ix[1].TopK() {
 		t.Errorf("inner retrieved %d exceeds queries × top-k", st.DocsRetrieved[1])

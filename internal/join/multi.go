@@ -31,23 +31,22 @@ type MultiState struct {
 // counters incrementally: adding one good occurrence of value a on side i
 // raises the good product by Π_{j≠i} gr_j(a) and the total product by
 // Π_{j≠i} (gr_j(a) + br_j(a)).
-func (st *MultiState) addTuple(i int, t relation.Tuple) {
-	a := t.A1
+func (st *MultiState) addTuple(i int, e relation.Entry) {
 	deltaGood, deltaTotal := 1, 1
 	for j := range st.Rels {
 		if j == i {
 			continue
 		}
-		g := st.Rels[j].GoodOcc(a)
+		g, b := st.Rels[j].Occ(e.Value)
 		deltaGood *= g
-		deltaTotal *= g + st.Rels[j].BadOcc(a)
+		deltaTotal *= g + b
 		if deltaTotal == 0 {
 			break
 		}
 	}
-	good := st.Rels[i].Add(t)
+	st.Rels[i].Add(e)
 	st.totalTuples += deltaTotal
-	if good {
+	if e.Good {
 		st.GoodTuples += deltaGood
 	}
 	st.BadTuples = st.totalTuples - st.GoodTuples

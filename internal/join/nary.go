@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/bits"
 
-	"joinopt/internal/pipeline"
 	"joinopt/internal/relation"
 	"joinopt/internal/retrieval"
 	"joinopt/internal/shard"
@@ -133,6 +132,8 @@ type NaryExec struct {
 	done  []bool
 	st    *NaryState
 
+	entries []relation.Entry // reused extraction buffer
+
 	// Pipeline, when set, overlaps document extraction with the execution
 	// exactly as in the binary executors: announced documents extract
 	// speculatively on the worker pool, results resolve in stream order,
@@ -171,18 +172,14 @@ func NewNaryExec(sides []*Side, strats []retrieval.Strategy, plan NaryPlan) (*Na
 		DocsFiltered:  make([]int, n),
 		Queries:       make([]int, n),
 	}
+	if err := validateSides(sides...); err != nil {
+		return nil, err
+	}
 	for i, s := range sides {
-		if err := s.validate(i + 1); err != nil {
-			return nil, err
-		}
 		if strats[i] == nil {
 			return nil, fmt.Errorf("join: side %d missing strategy", i+1)
 		}
-		schema := relation.Schema{Name: fmt.Sprintf("R%d", i+1)}
-		if s.Gold != nil {
-			schema = s.Gold.Schema
-		}
-		mst.Rels[i] = relation.NewExtracted(schema, s.Gold)
+		mst.Rels[i] = relation.NewExtracted(s.Table.Dict())
 	}
 	return &NaryExec{
 		sides: sides,
@@ -225,8 +222,7 @@ func (e *NaryExec) capReached(i int) bool {
 // internal tree node whose relation set contains side i — the tuple
 // multiplies into Π_{j∈S\{i}} (gr_j(a)+br_j(a)) intermediate tuples at node
 // S — and then folds the occurrence into the canonical n-way counters.
-func (e *NaryExec) addTuple(i int, t relation.Tuple) {
-	a := t.A1
+func (e *NaryExec) addTuple(i int, t relation.Entry) {
 	for k, set := range e.st.NodeSets {
 		if set&(1<<i) == 0 {
 			continue
@@ -234,7 +230,8 @@ func (e *NaryExec) addTuple(i int, t relation.Tuple) {
 		delta := 1
 		for m := set &^ (1 << i); m != 0; m &= m - 1 {
 			j := bits.TrailingZeros64(m)
-			delta *= e.st.Rels[j].GoodOcc(a) + e.st.Rels[j].BadOcc(a)
+			g, b := e.st.Rels[j].Occ(t.Value)
+			delta *= g + b
 			if delta == 0 {
 				break
 			}
@@ -277,23 +274,15 @@ func (e *NaryExec) Step() (bool, error) {
 		}
 		any = true
 		s := e.sides[i]
-		var tuples []relation.Tuple
-		hit := false
-		if e.Pipeline != nil {
-			key := pipeline.Key{Side: i, DocID: id, Theta: s.Theta}
-			tuples, hit, _ = e.Pipeline.Resolve(key, func() []relation.Tuple {
-				return s.Table.Extract(id, s.Theta)
-			})
-		} else {
-			tuples = s.Table.Extract(id, s.Theta)
-		}
+		var hit bool
+		e.entries, hit, _ = extractDoc(e.Pipeline, i, s, id, e.entries[:0])
 		e.st.DocsProcessed[i]++
 		if hit {
 			e.st.CacheSaved[i] += s.Costs.TE
 		} else {
 			e.st.Time += s.Costs.TE
 		}
-		for _, t := range tuples {
+		for _, t := range e.entries {
 			e.addTuple(i, t)
 		}
 	}

@@ -189,8 +189,8 @@ func TestNilTracerBitIdentical(t *testing.T) {
 		if cs, ts := clean.Snapshot(), traced.Snapshot(); cs != ts {
 			t.Errorf("%v/%s: traced state diverged:\nclean  %+v\ntraced %+v", tc.algo, tc.kind, cs, ts)
 		}
-		cg, cb := clean.Result.Counts()
-		tg, tb := traced.Result.Counts()
+		cg, cb := resultCounts(clean)
+		tg, tb := resultCounts(traced)
 		if cg != tg || cb != tb {
 			t.Errorf("%v/%s: traced result (%d,%d) != clean (%d,%d)", tc.algo, tc.kind, tg, tb, cg, cb)
 		}

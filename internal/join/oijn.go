@@ -3,7 +3,6 @@ package join
 import (
 	"fmt"
 
-	"joinopt/internal/index"
 	"joinopt/internal/obs"
 	"joinopt/internal/retrieval"
 )
@@ -20,10 +19,9 @@ type OIJN struct {
 	strat        retrieval.Strategy
 	prev         retrieval.Counts
 
-	queried   map[string]bool // join values already used as queries
-	innerSeen map[int]bool    // inner documents already processed
-	searchBuf []int           // reused inner-query result buffer
-	ahead     int             // announced prefix of the outer peek list
+	queried   []bool // by value ID: join values already used as queries
+	innerSeen []bool // by document ID: inner documents already processed
+	ahead     int    // announced prefix of the outer peek list
 	done      bool
 	st        *State
 }
@@ -32,10 +30,7 @@ type OIJN struct {
 // 1 → s2) plays the outer role; x is the outer document retrieval strategy.
 // The inner side must have a search interface (Index).
 func NewOIJN(s1, s2 *Side, outerIdx int, x retrieval.Strategy) (*OIJN, error) {
-	if err := s1.validate(1); err != nil {
-		return nil, err
-	}
-	if err := s2.validate(2); err != nil {
+	if err := validateSides(s1, s2); err != nil {
 		return nil, err
 	}
 	if outerIdx != 0 && outerIdx != 1 {
@@ -54,10 +49,9 @@ func NewOIJN(s1, s2 *Side, outerIdx int, x retrieval.Strategy) (*OIJN, error) {
 		inner:     inner,
 		outerIdx:  outerIdx,
 		strat:     x,
-		queried:   map[string]bool{},
-		innerSeen: map[int]bool{},
+		innerSeen: make([]bool, inner.DB.Size()),
 	}
-	e.st = newState(s1, s2)
+	e.st = newState(s1.Table.Dict(), s2.Table.Dict())
 	return e, nil
 }
 
@@ -113,36 +107,37 @@ func (e *OIJN) Step() (bool, error) {
 		}
 		return false, nil
 	}
-	tuples, err := processDoc(e.st, e.outerIdx, e.outer, id)
+	entries, err := processDoc(e.st, e.outerIdx, e.outer, id)
 	if err != nil {
 		return false, err
 	}
 	innerIdx := 1 - e.outerIdx
-	for _, t := range tuples {
-		a := t.A1
-		if e.queried[a] {
+	for _, t := range entries {
+		e.queried = grow(e.queried, t.Value)
+		if e.queried[t.Value] {
 			continue
 		}
-		e.queried[a] = true
+		e.queried[t.Value] = true
+		a := t.Tuple.A1
 		e.st.Queries[innerIdx]++
 		e.st.Time += e.inner.Costs.TQ
 		e.st.Metrics.Queries(innerIdx, 1)
 		if e.st.Trace.Enabled() {
 			e.st.Trace.EmitAt(e.st.Time, obs.KindQuery, innerIdx+1, map[string]any{"alg": "OIJN", "value": a})
 		}
-		e.searchBuf = e.inner.Index.SearchInto(index.QueryFromValue(a), e.searchBuf[:0])
+		docs := e.inner.Index.SearchValue(a)
 		if e.st.Pipeline.Lookahead() > 0 {
 			// The whole inner batch is known before any of it is processed —
 			// announce it all so workers extract ahead of the loop below. A
 			// window-full refusal ends the pass: later documents would be
 			// refused too, and this batch is resolved before the next query.
-			for _, docID := range e.searchBuf {
+			for _, docID := range docs {
 				if !e.innerSeen[docID] && !e.st.announce(innerIdx, e.inner, docID) {
 					break
 				}
 			}
 		}
-		for _, docID := range e.searchBuf {
+		for _, docID := range docs {
 			if e.innerSeen[docID] {
 				continue
 			}

@@ -176,8 +176,8 @@ func TestCacheMakesRerunExtractionFree(t *testing.T) {
 	}
 	cold := run()
 	warm := run()
-	cg, cb := cold.Result.Counts()
-	wg, wb := warm.Result.Counts()
+	cg, cb := resultCounts(cold)
+	wg, wb := resultCounts(warm)
 	if cg != wg || cb != wb {
 		t.Fatalf("warm run output (%d,%d) != cold (%d,%d)", wg, wb, cg, cb)
 	}

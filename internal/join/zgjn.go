@@ -3,7 +3,6 @@ package join
 import (
 	"fmt"
 
-	"joinopt/internal/index"
 	"joinopt/internal/obs"
 )
 
@@ -16,22 +15,18 @@ import (
 type ZGJN struct {
 	sides [2]*Side
 
-	queues    [2][]string        // pending query values per side
-	queued    [2]map[string]bool // values ever enqueued per side
-	seen      [2]map[int]bool    // documents processed per side
-	searchBuf []int              // reused query result buffer
-	turn      int                // which side's queue to service next
-	stalled   bool
-	st        *State
+	queues  [2][]string // pending query values per side
+	queued  [2][]bool   // by value ID: values ever enqueued per side
+	seen    [2][]bool   // by document ID: documents processed per side
+	turn    int         // which side's queue to service next
+	stalled bool
+	st      *State
 }
 
 // NewZGJN builds a Zig-Zag join seeded with join-attribute values to query
 // against D1 (the paper's Qseed). Both sides need search interfaces.
 func NewZGJN(s1, s2 *Side, seed []string) (*ZGJN, error) {
-	if err := s1.validate(1); err != nil {
-		return nil, err
-	}
-	if err := s2.validate(2); err != nil {
+	if err := validateSides(s1, s2); err != nil {
 		return nil, err
 	}
 	if s1.Index == nil || s2.Index == nil {
@@ -41,23 +36,24 @@ func NewZGJN(s1, s2 *Side, seed []string) (*ZGJN, error) {
 		return nil, fmt.Errorf("join: ZGJN needs at least one seed query value")
 	}
 	e := &ZGJN{
-		sides:  [2]*Side{s1, s2},
-		queued: [2]map[string]bool{{}, {}},
-		seen:   [2]map[int]bool{{}, {}},
+		sides: [2]*Side{s1, s2},
+		seen:  [2][]bool{make([]bool, s1.DB.Size()), make([]bool, s2.DB.Size())},
 	}
-	e.st = newState(s1, s2)
+	e.st = newState(s1.Table.Dict(), s2.Table.Dict())
+	values := s1.Table.Dict().Values()
 	for _, v := range seed {
-		e.enqueue(0, v)
+		e.enqueue(0, values.ID(v), v)
 	}
 	return e, nil
 }
 
-// enqueue adds a query value for side i unless already issued there.
-func (e *ZGJN) enqueue(i int, value string) {
-	if e.queued[i][value] {
+// enqueue adds a query value (ID id) for side i unless already issued there.
+func (e *ZGJN) enqueue(i int, id int32, value string) {
+	e.queued[i] = grow(e.queued[i], id)
+	if e.queued[i][id] {
 		return
 	}
-	e.queued[i][value] = true
+	e.queued[i][id] = true
 	e.queues[i] = append(e.queues[i], value)
 }
 
@@ -101,19 +97,19 @@ func (e *ZGJN) Step() (bool, error) {
 	if e.st.Trace.Enabled() {
 		e.st.Trace.EmitAt(e.st.Time, obs.KindQuery, i+1, map[string]any{"alg": "ZGJN", "value": value})
 	}
-	e.searchBuf = side.Index.SearchInto(index.QueryFromValue(value), e.searchBuf[:0])
+	docs := side.Index.SearchValue(value)
 	if e.st.Pipeline.Lookahead() > 0 {
 		// The query's whole result batch is known up front — announce it so
 		// workers extract ahead of the loop below. A window-full refusal
 		// ends the pass: later documents would be refused too, and this
 		// batch is resolved before the next query.
-		for _, docID := range e.searchBuf {
+		for _, docID := range docs {
 			if !e.seen[i][docID] && !e.st.announce(i, side, docID) {
 				break
 			}
 		}
 	}
-	for _, docID := range e.searchBuf {
+	for _, docID := range docs {
 		if e.seen[i][docID] {
 			continue
 		}
@@ -121,12 +117,12 @@ func (e *ZGJN) Step() (bool, error) {
 		e.st.DocsRetrieved[i]++
 		e.st.Time += side.Costs.TR
 		e.st.Metrics.Retrieved(i, 1)
-		tuples, err := processDoc(e.st, i, side, docID)
+		entries, err := processDoc(e.st, i, side, docID)
 		if err != nil {
 			return false, err
 		}
-		for _, t := range tuples {
-			e.enqueue(1-i, t.A1)
+		for _, t := range entries {
+			e.enqueue(1-i, t.Value, t.Tuple.A1)
 		}
 	}
 	e.st.Metrics.QueueDepth(0, len(e.queues[0]))

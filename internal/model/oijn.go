@@ -3,6 +3,7 @@ package model
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"joinopt/internal/retrieval"
 )
@@ -34,6 +35,47 @@ type OIJNModel struct {
 	MentionedInner int
 
 	Correlated bool
+
+	// perValue memoizes the inner expectations no outer coverage changes;
+	// a model's fields must not change after its first estimate.
+	perValueOnce sync.Once
+	perValue     innerPerValue
+}
+
+// innerPerValue holds the expected inner documents per queried value that
+// do not depend on the outer coverage: the occurrence documents its own
+// query retrieves and all its hits, for values with inner good and with
+// inner bad occurrences.
+type innerPerValue struct {
+	goodDocs, badDocs float64
+	goodHits, badHits float64
+}
+
+// perValueDocs computes the coverage-independent inner expectations once
+// per model.
+func (m *OIJNModel) perValueDocs() innerPerValue {
+	m.perValueOnce.Do(func() {
+		_, pi, _ := m.orient()
+		hitDocs := func(pmf []float64) float64 {
+			return expectOver(pmf, func(f int) float64 {
+				hits := float64(f) / math.Max(pi.QPrec, 1e-9)
+				if pi.TopK > 0 && hits > float64(pi.TopK) {
+					hits = float64(pi.TopK)
+				}
+				return hits
+			})
+		}
+		ownDocs := func(pmf []float64) float64 {
+			return expectOver(pmf, func(f int) float64 {
+				return float64(f) * directCov(f, pi.TopK, pi.QPrec)
+			})
+		}
+		m.perValue = innerPerValue{
+			goodDocs: ownDocs(pi.GoodFreq), badDocs: ownDocs(pi.BadFreq),
+			goodHits: hitDocs(pi.GoodFreq), badHits: hitDocs(pi.BadFreq),
+		}
+	})
+	return m.perValue
 }
 
 // orient returns (outer, inner) parameter sets and the overlap sets with
@@ -93,33 +135,17 @@ func (m *OIJNModel) effort(covO Coverage) innerEffort {
 	// Docs retrieved directly per queried value, by overlap class. The
 	// queried probability couples to the *outer* frequency; the inner hit
 	// volume couples to the *inner* frequency; under independence these
-	// factor.
-	hitDocs := func(pmf []float64) float64 {
-		return expectOver(pmf, func(f int) float64 {
-			hits := float64(f) / math.Max(pi.QPrec, 1e-9)
-			if pi.TopK > 0 && hits > float64(pi.TopK) {
-				hits = float64(pi.TopK)
-			}
-			return hits
-		})
-	}
-	var jgDocs, jbDocs, allDocs float64
-	// Inner good-occurrence docs: values in Agg (outer good) and Abg
-	// (outer bad).
-	goodDocsPerVal := expectOver(pi.GoodFreq, func(f int) float64 {
-		return float64(f) * directCov(f, pi.TopK, pi.QPrec)
-	})
-	badDocsPerVal := expectOver(pi.BadFreq, func(f int) float64 {
-		return float64(f) * directCov(f, pi.TopK, pi.QPrec)
-	})
-	jgDocs = (float64(ov.Agg)*pq1 + float64(ov.Abg)*pq1b) * goodDocsPerVal
-	jbDocs = (float64(ov.Agb)*pq1 + float64(ov.Abb)*pq1b) * badDocsPerVal
+	// factor. Inner good-occurrence docs come from values in Agg (outer
+	// good) and Abg (outer bad).
+	per := m.perValueDocs()
+	jgDocs := (float64(ov.Agg)*pq1 + float64(ov.Abg)*pq1b) * per.goodDocs
+	jbDocs := (float64(ov.Agb)*pq1 + float64(ov.Abb)*pq1b) * per.badDocs
 
 	// Total docs retrieved: values with inner presence pull their hits
 	// (good-occurrence, bad-occurrence, and casual padding); queried values
 	// without inner presence pull only casual hits.
-	allDocs = (float64(ov.Agg)*pq1+float64(ov.Abg)*pq1b)*hitDocs(pi.GoodFreq) +
-		(float64(ov.Agb)*pq1+float64(ov.Abb)*pq1b)*hitDocs(pi.BadFreq)
+	allDocs := (float64(ov.Agg)*pq1+float64(ov.Abg)*pq1b)*per.goodHits +
+		(float64(ov.Agb)*pq1+float64(ov.Abb)*pq1b)*per.badHits
 
 	// Distinct documents retrieved. A query's hits split into the queried
 	// value's own occurrence documents (jgDocs/jbDocs above) and fuzz hits —

@@ -1,7 +1,5 @@
 package relation
 
-import "sort"
-
 // JoinTuple is one result of the natural join R1 ⋈ R2 on the shared join
 // attribute: ⟨A, B, C⟩ where ⟨A, B⟩ ∈ R1 and ⟨A, C⟩ ∈ R2.
 type JoinTuple struct {
@@ -10,106 +8,12 @@ type JoinTuple struct {
 	C string // R2's second attribute
 }
 
-// JoinResult accumulates join output tuples with good/bad labels. A join
-// tuple is good iff both contributing base tuples are good (§III-C,
-// Figure 2); every other combination is bad.
-type JoinResult struct {
-	tuples map[JoinTuple]bool // tuple -> good?
-}
-
-// NewJoinResult returns an empty result set.
-func NewJoinResult() *JoinResult {
-	return &JoinResult{tuples: map[JoinTuple]bool{}}
-}
-
-// Add records a join tuple with its label. Re-adding keeps the tuple good
-// only if every observation was good (labels are stable in practice because
-// goodness is a function of the base tuples).
-func (r *JoinResult) Add(t JoinTuple, good bool) {
-	if prev, ok := r.tuples[t]; ok {
-		r.tuples[t] = prev && good
-		return
-	}
-	r.tuples[t] = good
-}
-
-// Counts returns |Tgood⋈| and |Tbad⋈|: the numbers of good and bad join
-// tuples produced so far.
-func (r *JoinResult) Counts() (good, bad int) {
-	for _, g := range r.tuples {
-		if g {
-			good++
-		} else {
-			bad++
-		}
-	}
-	return good, bad
-}
-
-// Size returns the number of distinct join tuples.
-func (r *JoinResult) Size() int { return len(r.tuples) }
-
-// Tuples returns all join tuples with labels in deterministic order.
-func (r *JoinResult) Tuples() []LabeledJoinTuple {
-	out := make([]LabeledJoinTuple, 0, len(r.tuples))
-	for t, g := range r.tuples {
-		out = append(out, LabeledJoinTuple{Tuple: t, Good: g})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i].Tuple, out[j].Tuple
-		if a.A != b.A {
-			return a.A < b.A
-		}
-		if a.B != b.B {
-			return a.B < b.B
-		}
-		return a.C < b.C
-	})
-	return out
-}
-
-// LabeledJoinTuple pairs a join tuple with its good/bad label.
+// LabeledJoinTuple pairs a join tuple with its good/bad label: a join tuple
+// is good iff both contributing base tuples are good (§III-C, Figure 2);
+// every other combination is bad.
 type LabeledJoinTuple struct {
 	Tuple JoinTuple
 	Good  bool
-}
-
-// Join computes the full natural join of two extracted relations on the
-// shared join attribute (A1 of both) and returns the labelled result. The
-// labels come from the relations' gold sets: a join tuple is good iff both
-// base tuples are good.
-func Join(r1, r2 *Extracted) *JoinResult {
-	out := NewJoinResult()
-	// Index r2 by join value.
-	byVal := map[string][]Tuple{}
-	for _, t := range r2.Tuples() {
-		byVal[t.A1] = append(byVal[t.A1], t)
-	}
-	for _, t1 := range r1.Tuples() {
-		good1 := r1.gold == nil || r1.gold.IsGood(t1)
-		for _, t2 := range byVal[t1.A1] {
-			good2 := r2.gold == nil || r2.gold.IsGood(t2)
-			out.Add(JoinTuple{A: t1.A1, B: t1.A2, C: t2.A2}, good1 && good2)
-		}
-	}
-	return out
-}
-
-// JoinNew joins only the newly added tuples newT of r1 against all of r2 and
-// records results into acc. This is the incremental step used by the ripple-
-// style join executors: Tjoin = (t1 ⋈ Tr2).
-func JoinNew(acc *JoinResult, r1 *Extracted, newT []Tuple, r2 *Extracted) {
-	byVal := map[string][]Tuple{}
-	for _, t := range r2.Tuples() {
-		byVal[t.A1] = append(byVal[t.A1], t)
-	}
-	for _, t1 := range newT {
-		good1 := r1.gold == nil || r1.gold.IsGood(t1)
-		for _, t2 := range byVal[t1.A1] {
-			good2 := r2.gold == nil || r2.gold.IsGood(t2)
-			acc.Add(JoinTuple{A: t1.A1, B: t1.A2, C: t2.A2}, good1 && good2)
-		}
-	}
 }
 
 // OverlapSets are the attribute-value overlap cardinalities of §V-A:

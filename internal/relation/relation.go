@@ -1,13 +1,15 @@
 // Package relation defines the data model for relations extracted from text:
-// binary tuples, good/bad classification against gold sets, attribute-value
-// occurrence accounting (the Ag/Ab sets of the paper), value-overlap sets
-// (Agg, Agb, Abg, Abb), and the in-memory natural join with good/bad output
-// composition (§III-C of the paper).
+// binary tuples, good/bad classification against gold sets, the
+// dictionaries that number tuples and join values for the execution layer,
+// attribute-value occurrence accounting over those IDs (the Ag/Ab sets of
+// the paper), value-overlap sets (Agg, Agb, Abg, Abb), and the join tuples
+// with their good/bad output composition (§III-C of the paper).
 package relation
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"sync"
 )
 
 // Schema names a binary relation and its two attributes. The first attribute
@@ -62,95 +64,178 @@ func (g *Gold) IsGood(t Tuple) bool { return g.Good[t] }
 // Known reports whether t is a known (good or bad) tuple of this task.
 func (g *Gold) Known(t Tuple) bool { return g.Good[t] || g.Bad[t] }
 
+// Entry is one distinct tuple as the execution layer counts it: numbered
+// by its database's Dict and labelled against the database's gold set.
+// IDs follow the order in which tuples and values are first numbered, which
+// depends on plan order and worker timing, so IDs only index counters:
+// nothing observable may depend on their values.
+type Entry struct {
+	Tuple Tuple
+	ID    int32 // tuple ID, dense within the tuple's database
+	Value int32 // join-value ID, dense within the workload
+	Good  bool  // the tuple is good per the database's gold set
+}
+
+// Values numbers join-attribute values. One dictionary serves every
+// database of a workload, so a value has one ID on every side of a join.
+// It is safe for concurrent use.
+type Values struct {
+	mu    sync.Mutex
+	ids   map[string]int32
+	names []string
+}
+
+// NewValues returns an empty value dictionary.
+func NewValues() *Values { return &Values{ids: map[string]int32{}} }
+
+// ID returns a's ID, numbering a if it is new.
+func (v *Values) ID(a string) int32 {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	id, ok := v.ids[a]
+	if !ok {
+		id = int32(len(v.names))
+		v.ids[a] = id
+		v.names = append(v.names, a)
+	}
+	return id
+}
+
+// Names returns the values numbered so far, indexed by ID.
+func (v *Values) Names() []string {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	return slices.Clip(v.names)
+}
+
+// Dict numbers the distinct tuples of one database, numbers their join
+// values in the workload's shared Values, and labels each tuple against the
+// database's gold set; a nil gold set labels every tuple good (useful for
+// unit tests of pure join mechanics). It is safe for concurrent use.
+type Dict struct {
+	values  *Values
+	gold    *Gold
+	mu      sync.Mutex
+	ids     map[Tuple]int32
+	entries []Entry
+}
+
+// NewDict returns an empty tuple dictionary labelling against gold.
+func NewDict(gold *Gold, values *Values) *Dict {
+	return &Dict{values: values, gold: gold, ids: map[Tuple]int32{}}
+}
+
+// Values returns the join-value dictionary the tuples' values are numbered in.
+func (d *Dict) Values() *Values { return d.values }
+
+// Entry returns t's entry, numbering t if it is new.
+func (d *Dict) Entry(t Tuple) Entry {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if id, ok := d.ids[t]; ok {
+		return d.entries[id]
+	}
+	e := Entry{Tuple: t, ID: int32(len(d.entries)), Value: d.values.ID(t.A1), Good: d.gold == nil || d.gold.IsGood(t)}
+	d.ids[t] = e.ID
+	d.entries = append(d.entries, e)
+	return e
+}
+
+// Entries returns the entries numbered so far, indexed by tuple ID.
+func (d *Dict) Entries() []Entry {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return slices.Clip(d.entries)
+}
+
 // Extracted is a relation instance built up during a join execution: the
-// multiset of tuples an IE system has emitted so far, de-duplicated by tuple
-// but with per-value occurrence counts retained (gri(a)/bri(a) in the
-// paper's notation: the number of retrieved documents in which the value was
-// observed).
+// document occurrences of the entries an IE system has emitted so far,
+// counted in slices indexed by the dictionary's IDs. Per join value it
+// keeps gr(a) and br(a) in the paper's notation (the number of retrieved
+// documents in which the value was observed in a good or a bad tuple) and
+// its number of distinct tuples; per tuple, its occurrences.
 type Extracted struct {
-	Schema Schema
-	gold   *Gold
-
-	tuples map[Tuple]int // tuple -> number of document occurrences
-
-	goodOcc map[string]int // join-attribute value -> good occurrences gr(a)
-	badOcc  map[string]int // join-attribute value -> bad occurrences br(a)
+	dict   *Dict
+	occ    []int         // tuple ID -> document occurrences
+	values []valueCounts // value ID -> counts
 }
 
-// NewExtracted returns an empty extracted relation labelled against gold.
-// gold may be nil, in which case all tuples are treated as good (useful for
-// unit tests of pure join mechanics).
-func NewExtracted(schema Schema, gold *Gold) *Extracted {
-	return &Extracted{
-		Schema:  schema,
-		gold:    gold,
-		tuples:  map[Tuple]int{},
-		goodOcc: map[string]int{},
-		badOcc:  map[string]int{},
-	}
-}
+// valueCounts are one join value's counters in an Extracted.
+type valueCounts struct{ good, bad, distinct int }
 
-// Add records one document occurrence of tuple t. It reports whether the
-// tuple is good per the gold set.
-func (e *Extracted) Add(t Tuple) bool {
-	e.tuples[t]++
-	good := e.gold == nil || e.gold.IsGood(t)
-	if good {
-		e.goodOcc[t.A1]++
+// NewExtracted returns an empty extracted relation over dict's entries.
+func NewExtracted(dict *Dict) *Extracted { return &Extracted{dict: dict} }
+
+// Add records one document occurrence of e and reports whether it is the
+// first occurrence of e's tuple.
+func (x *Extracted) Add(e Entry) bool {
+	x.occ = grow(x.occ, e.ID)
+	x.values = grow(x.values, e.Value)
+	c := &x.values[e.Value]
+	if e.Good {
+		c.good++
 	} else {
-		e.badOcc[t.A1]++
+		c.bad++
 	}
-	return good
+	x.occ[e.ID]++
+	if x.occ[e.ID] > 1 {
+		return false
+	}
+	c.distinct++
+	return true
 }
 
-// Size returns the number of distinct tuples.
-func (e *Extracted) Size() int { return len(e.tuples) }
-
-// Tuples returns the distinct tuples in deterministic order.
-func (e *Extracted) Tuples() []Tuple {
-	out := make([]Tuple, 0, len(e.tuples))
-	for t := range e.tuples {
-		out = append(out, t)
+// grow extends s with zero values until index id is in range.
+func grow[T any](s []T, id int32) []T {
+	if n := int(id) + 1; n > len(s) {
+		s = slices.Grow(s, n-len(s))[:n]
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].A1 != out[j].A1 {
-			return out[i].A1 < out[j].A1
+	return s
+}
+
+// Occ returns gr(v) and br(v): the good and bad occurrences of the join
+// value with ID v observed so far.
+func (x *Extracted) Occ(v int32) (good, bad int) {
+	if int(v) >= len(x.values) {
+		return 0, 0
+	}
+	return x.values[v].good, x.values[v].bad
+}
+
+// Distinct returns the number of distinct tuples with the join value of ID v.
+func (x *Extracted) Distinct(v int32) int {
+	if int(v) >= len(x.values) {
+		return 0
+	}
+	return x.values[v].distinct
+}
+
+// Entries returns the distinct tuples extracted so far, in tuple-ID order.
+func (x *Extracted) Entries() []Entry {
+	var out []Entry
+	for _, e := range x.dict.Entries()[:len(x.occ)] {
+		if x.occ[e.ID] > 0 {
+			out = append(out, e)
 		}
-		return out[i].A2 < out[j].A2
-	})
+	}
 	return out
 }
-
-// GoodOcc returns gr(a): the number of good occurrences of join-attribute
-// value a observed so far.
-func (e *Extracted) GoodOcc(a string) int { return e.goodOcc[a] }
-
-// BadOcc returns br(a): the number of bad occurrences of join-attribute
-// value a observed so far.
-func (e *Extracted) BadOcc(a string) int { return e.badOcc[a] }
 
 // ValueCounts returns s(a) = gr(a) + br(a), the number of document
-// occurrences of every join-attribute value present, in one pass over the
-// occurrence maps.
-func (e *Extracted) ValueCounts() map[string]int {
-	out := make(map[string]int, len(e.goodOcc)+len(e.badOcc))
-	for a, n := range e.goodOcc {
-		out[a] = n
+// occurrences of every join-attribute value present, keyed by value.
+func (x *Extracted) ValueCounts() map[string]int {
+	present := 0
+	for _, c := range x.values {
+		if c.good+c.bad > 0 {
+			present++
+		}
 	}
-	for a, n := range e.badOcc {
-		out[a] += n
+	names := x.dict.values.Names()
+	out := make(map[string]int, present)
+	for v, c := range x.values {
+		if n := c.good + c.bad; n > 0 {
+			out[names[v]] = n
+		}
 	}
-	return out
-}
-
-// JoinValues returns the distinct join-attribute values present, in
-// deterministic order.
-func (e *Extracted) JoinValues() []string {
-	counts := e.ValueCounts()
-	out := make([]string, 0, len(counts))
-	for v := range counts {
-		out = append(out, v)
-	}
-	sort.Strings(out)
 	return out
 }

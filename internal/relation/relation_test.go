@@ -1,8 +1,10 @@
 package relation
 
 import (
+	"fmt"
+	"slices"
+	"sync"
 	"testing"
-	"testing/quick"
 )
 
 func exampleGold(schema Schema) *Gold {
@@ -10,18 +12,14 @@ func exampleGold(schema Schema) *Gold {
 	return g
 }
 
-// figure2Relations builds the example of Figure 2 in the paper:
-// R1 has good values {a, c} and bad values {b, d, e};
-// R2 has good values {a, b} and bad values {x, c, e}.
-// The composition yields |Tgood⋈| = 1 and |Tbad⋈| = 3.
-func figure2Relations(t *testing.T) (*Extracted, *Extracted) {
-	t.Helper()
-	s1 := Schema{Name: "R1", Attr1: "A", Attr2: "B"}
-	s2 := Schema{Name: "R2", Attr1: "A", Attr2: "C"}
-	g1 := exampleGold(s1)
-	g2 := exampleGold(s2)
-	// Use the second attribute to make tuples distinct; goodness is driven
-	// by the A-value membership of the paper's example.
+// figure2Golds builds the gold sets of the example of Figure 2 in the
+// paper: R1 has good values {a, c} and bad values {b, d, e}; R2 has good
+// values {a, b} and bad values {x, c, e}. The second attribute makes tuples
+// distinct; goodness is driven by the A-value membership of the example.
+// The join composition over it is pinned in internal/join.
+func figure2Golds() (*Gold, *Gold) {
+	g1 := exampleGold(Schema{Name: "R1", Attr1: "A", Attr2: "B"})
+	g2 := exampleGold(Schema{Name: "R2", Attr1: "A", Attr2: "C"})
 	mk := func(a string) Tuple { return Tuple{A1: a, A2: "v-" + a} }
 	for _, a := range []string{"a", "c"} {
 		g1.AddGood(mk(a))
@@ -35,32 +33,12 @@ func figure2Relations(t *testing.T) (*Extracted, *Extracted) {
 	for _, a := range []string{"x", "c", "e"} {
 		g2.AddBad(mk(a))
 	}
-	r1 := NewExtracted(s1, g1)
-	r2 := NewExtracted(s2, g2)
-	for _, a := range []string{"a", "b", "c", "d", "e"} {
-		r1.Add(mk(a))
-	}
-	for _, a := range []string{"a", "x", "b", "e", "c"} {
-		r2.Add(mk(a))
-	}
-	return r1, r2
-}
-
-func TestFigure2JoinComposition(t *testing.T) {
-	r1, r2 := figure2Relations(t)
-	res := Join(r1, r2)
-	good, bad := res.Counts()
-	if good != 1 || bad != 3 {
-		t.Errorf("Figure 2 composition: got good=%d bad=%d, want good=1 bad=3", good, bad)
-	}
-	if res.Size() != 4 {
-		t.Errorf("join size %d, want 4 (values a, b, c, e)", res.Size())
-	}
+	return g1, g2
 }
 
 func TestFigure2Overlaps(t *testing.T) {
-	r1, r2 := figure2Relations(t)
-	o := Overlaps(r1.gold, r2.gold)
+	g1, g2 := figure2Golds()
+	o := Overlaps(g1, g2)
 	want := OverlapSets{Agg: 1, Agb: 1, Abg: 1, Abb: 1}
 	if o != want {
 		t.Errorf("overlaps %+v, want %+v (Agg={a}, Agb={c}, Abg={b}, Abb={e})", o, want)
@@ -72,90 +50,67 @@ func TestExtractedOccurrenceCounting(t *testing.T) {
 	g := NewGold(s)
 	g.AddGood(Tuple{A1: "ms", A2: "softricity"})
 	g.AddBad(Tuple{A1: "ms", A2: "symantec"})
-	r := NewExtracted(s, g)
-	if !r.Add(Tuple{A1: "ms", A2: "softricity"}) {
+	d := NewDict(g, NewValues())
+	r := NewExtracted(d)
+	good := d.Entry(Tuple{A1: "ms", A2: "softricity"})
+	if !good.Good {
 		t.Error("good tuple misclassified")
 	}
-	r.Add(Tuple{A1: "ms", A2: "softricity"})
-	if r.Add(Tuple{A1: "ms", A2: "symantec"}) {
+	if !r.Add(good) || r.Add(good) {
+		t.Error("Add must report exactly the first occurrence of a tuple")
+	}
+	bad := d.Entry(Tuple{A1: "ms", A2: "symantec"})
+	if bad.Good {
 		t.Error("bad tuple misclassified")
 	}
-	if r.GoodOcc("ms") != 2 {
-		t.Errorf("good occurrences of ms = %d, want 2", r.GoodOcc("ms"))
+	r.Add(bad)
+	gr, br := r.Occ(good.Value)
+	if gr != 2 {
+		t.Errorf("good occurrences of ms = %d, want 2", gr)
 	}
-	if r.BadOcc("ms") != 1 {
-		t.Errorf("bad occurrences of ms = %d, want 1", r.BadOcc("ms"))
+	if br != 1 {
+		t.Errorf("bad occurrences of ms = %d, want 1", br)
 	}
-	if r.Size() != 2 {
-		t.Errorf("size %d, want 2", r.Size())
+	if n := len(r.Entries()); n != 2 || r.Distinct(good.Value) != 2 {
+		t.Errorf("size %d, distinct tuples of ms %d, want 2 and 2", n, r.Distinct(good.Value))
 	}
 }
 
 func TestNilGoldTreatsAllGood(t *testing.T) {
-	s := Schema{Name: "R", Attr1: "A", Attr2: "B"}
-	r := NewExtracted(s, nil)
-	if !r.Add(Tuple{A1: "x", A2: "y"}) {
+	d := NewDict(nil, NewValues())
+	r := NewExtracted(d)
+	e := d.Entry(Tuple{A1: "x", A2: "y"})
+	if !e.Good {
 		t.Error("nil gold should classify everything good")
 	}
-	if good, bad := r.GoodOcc("x"), r.BadOcc("x"); good != 1 || bad != 0 {
+	r.Add(e)
+	if good, bad := r.Occ(e.Value); good != 1 || bad != 0 {
 		t.Errorf("got %d good / %d bad occurrences, want 1/0", good, bad)
 	}
 }
 
-func TestJoinGoodCountIsProductOfOccurrenceSets(t *testing.T) {
-	// Property: with all tuples good and distinct second attributes, the
-	// number of join tuples for a value a is n1(a)·n2(a) — the paper's
-	// gr1(a)·gr2(a) composition (Equation 1).
-	f := func(n1raw, n2raw uint8) bool {
-		n1 := int(n1raw%6) + 1
-		n2 := int(n2raw%6) + 1
-		s1 := Schema{Name: "R1", Attr1: "A", Attr2: "B"}
-		s2 := Schema{Name: "R2", Attr1: "A", Attr2: "C"}
-		r1 := NewExtracted(s1, nil)
-		r2 := NewExtracted(s2, nil)
-		for i := 0; i < n1; i++ {
-			r1.Add(Tuple{A1: "a", A2: string(rune('b' + i))})
-		}
-		for i := 0; i < n2; i++ {
-			r2.Add(Tuple{A1: "a", A2: string(rune('p' + i))})
-		}
-		res := Join(r1, r2)
-		good, bad := res.Counts()
-		return good == n1*n2 && bad == 0
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestJoinNewIncrementalMatchesFullJoin(t *testing.T) {
-	r1, r2 := figure2Relations(t)
-	full := Join(r1, r2)
-
-	// Rebuild r1 incrementally and check the accumulated result matches.
-	acc := NewJoinResult()
-	s1 := r1.Schema
-	inc := NewExtracted(s1, r1.gold)
-	for _, tup := range r1.Tuples() {
-		inc.Add(tup)
-		JoinNew(acc, inc, []Tuple{tup}, r2)
-	}
-	fg, fb := full.Counts()
-	ag, ab := acc.Counts()
-	if fg != ag || fb != ab {
-		t.Errorf("incremental join good/bad = %d/%d, full = %d/%d", ag, ab, fg, fb)
-	}
-}
-
+// TestJoinValuesDeterministicOrder: the join values a relation reports do
+// not depend on the order in which the dictionary numbered them, so two
+// relations filled in different orders report the same sorted values.
 func TestJoinValuesDeterministicOrder(t *testing.T) {
-	s := Schema{Name: "R", Attr1: "A", Attr2: "B"}
-	r := NewExtracted(s, nil)
-	r.Add(Tuple{A1: "z", A2: "1"})
-	r.Add(Tuple{A1: "a", A2: "2"})
-	r.Add(Tuple{A1: "m", A2: "3"})
-	vals := r.JoinValues()
-	if len(vals) != 3 || vals[0] != "a" || vals[1] != "m" || vals[2] != "z" {
-		t.Errorf("JoinValues order %v", vals)
+	tuples := []Tuple{{A1: "z", A2: "1"}, {A1: "a", A2: "2"}, {A1: "m", A2: "3"}}
+	for _, order := range [][]int{{0, 1, 2}, {2, 0, 1}} {
+		d := NewDict(nil, NewValues())
+		r := NewExtracted(d)
+		for _, k := range order {
+			d.Entry(tuples[k])
+		}
+		for _, tup := range tuples {
+			r.Add(d.Entry(tup))
+		}
+		var vals []string
+		for v := range r.ValueCounts() {
+			vals = append(vals, v)
+		}
+		slices.Sort(vals)
+		if len(vals) != 3 || vals[0] != "a" || vals[1] != "m" || vals[2] != "z" {
+			t.Errorf("numbering order %v: join values %v", order, vals)
+		}
 	}
 }
 
@@ -166,12 +121,14 @@ func TestValueCountsMatchesOccurrences(t *testing.T) {
 	s := Schema{Name: "Mergers", Attr1: "Company", Attr2: "MergedWith"}
 	g := NewGold(s)
 	g.AddGood(Tuple{A1: "Microsoft", A2: "Softricity"})
-	r := NewExtracted(s, g)
+	values := NewValues()
+	d := NewDict(g, values)
+	r := NewExtracted(d)
 	for _, tup := range []Tuple{
 		{A1: "Microsoft", A2: "Softricity"}, {A1: "Microsoft", A2: "Softricity"},
 		{A1: "Microsoft", A2: "Symantec"}, {A1: "Oracle", A2: "Sun"},
 	} {
-		r.Add(tup)
+		r.Add(d.Entry(tup))
 	}
 	want := map[string]int{"Microsoft": 3, "Oracle": 1}
 	vc := r.ValueCounts()
@@ -179,8 +136,9 @@ func TestValueCountsMatchesOccurrences(t *testing.T) {
 		t.Fatalf("ValueCounts %v, want %v", vc, want)
 	}
 	for v, n := range want {
-		if vc[v] != n || r.GoodOcc(v)+r.BadOcc(v) != n {
-			t.Errorf("s(%s) = %d (gr+br %d), want %d", v, vc[v], r.GoodOcc(v)+r.BadOcc(v), n)
+		good, bad := r.Occ(values.ID(v))
+		if vc[v] != n || good+bad != n {
+			t.Errorf("s(%s) = %d (gr+br %d), want %d", v, vc[v], good+bad, n)
 		}
 	}
 }
@@ -203,21 +161,33 @@ func TestGoldValueSetsBothMembership(t *testing.T) {
 	}
 }
 
+// TestJoinResultLabelStability: a tuple keeps one entry, and with it one
+// label, however often and by whatever path it is numbered (a table row,
+// a fault-truncated copy's extraction), so a join tuple's label — good iff
+// both base tuples are — cannot change between observations.
 func TestJoinResultLabelStability(t *testing.T) {
-	r := NewJoinResult()
-	jt := JoinTuple{A: "a", B: "b", C: "c"}
-	r.Add(jt, true)
-	r.Add(jt, false)
-	good, bad := r.Counts()
-	if good != 0 || bad != 1 {
-		t.Errorf("conflicting labels should resolve to bad, got good=%d bad=%d", good, bad)
+	g := NewGold(Schema{Name: "R", Attr1: "A", Attr2: "B"})
+	g.AddGood(Tuple{A1: "a", A2: "b"})
+	values := NewValues()
+	d := NewDict(g, values)
+	first := d.Entry(Tuple{A1: "a", A2: "b"})
+	other := d.Entry(Tuple{A1: "a", A2: "c"})
+	again := d.Entry(Tuple{A1: "a", A2: "b"})
+	if again != first || !first.Good || other.Good {
+		t.Errorf("entries %+v / %+v / %+v: want one good entry for <a, b> and a bad <a, c>", first, again, other)
+	}
+	if other.Value != first.Value || values.ID("a") != first.Value {
+		t.Errorf("value IDs %d / %d / %d: want one ID for a", first.Value, other.Value, values.ID("a"))
+	}
+	if got := d.Entries(); len(got) != 2 || got[first.ID] != first || got[other.ID] != other {
+		t.Errorf("dictionary entries %+v", got)
 	}
 }
 
 func TestMultiOverlapsMatchesBinary(t *testing.T) {
-	r1, r2 := figure2Relations(t)
-	binary := Overlaps(r1.gold, r2.gold)
-	multi := MultiOverlaps([]*Gold{r1.gold, r2.gold})
+	g1, g2 := figure2Golds()
+	binary := Overlaps(g1, g2)
+	multi := MultiOverlaps([]*Gold{g1, g2})
 	// Mask bit 0 = relation 1, bit 1 = relation 2; mask 0b11 = both good.
 	if multi[0b11] != binary.Agg {
 		t.Errorf("Agg %d vs %d", multi[0b11], binary.Agg)
@@ -263,5 +233,46 @@ func TestMultiOverlapsThreeWay(t *testing.T) {
 func TestAllGoodMask(t *testing.T) {
 	if AllGood(2) != 0b11 || AllGood(3) != 0b111 {
 		t.Error("AllGood mask wrong")
+	}
+}
+
+// TestDictConcurrentNumbering: goroutines numbering overlapping tuples in
+// tables that share one value dictionary, as pipeline workers filling rows
+// do, give every tuple one entry and every value one ID, both dense.
+func TestDictConcurrentNumbering(t *testing.T) {
+	values := NewValues()
+	dicts := [2]*Dict{NewDict(nil, values), NewDict(nil, values)}
+	const workers, tuples = 4, 300
+	got := make([][tuples]Entry, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for k := range tuples {
+				k := (k + w*tuples/workers) % tuples
+				got[w][k] = dicts[w%2].Entry(Tuple{A1: fmt.Sprintf("v%d", k%50), A2: fmt.Sprintf("s%d", k)})
+			}
+		}(w)
+	}
+	wg.Wait()
+	for w := 2; w < workers; w++ {
+		if got[w] != got[w%2] {
+			t.Fatalf("worker %d numbered the tuples differently from worker %d", w, w%2)
+		}
+	}
+	for side, d := range dicts {
+		entries := d.Entries()
+		if len(entries) != tuples {
+			t.Fatalf("side %d: %d entries, want %d", side, len(entries), tuples)
+		}
+		for id, e := range entries {
+			if int(e.ID) != id || values.Names()[e.Value] != e.Tuple.A1 {
+				t.Fatalf("side %d: entry %d is %+v", side, id, e)
+			}
+		}
+	}
+	if n := len(values.Names()); n != 50 {
+		t.Errorf("%d value IDs, want 50", n)
 	}
 }

@@ -26,7 +26,8 @@ type MultiWorkload struct {
 	DBs    []*corpus.DB
 	Sys    []*extract.System
 	Costs  []join.Costs
-	// Tables[i] memoizes Sys[i]'s extraction over DBs[i] by document ID.
+	// Tables[i] memoizes Sys[i]'s extraction over DBs[i] by document ID;
+	// all of them number join values in one dictionary.
 	Tables []*extract.Table
 
 	// truth holds every relation's θ-independent perfect-knowledge
@@ -98,6 +99,7 @@ func Multi(p Params, tasks []string) (*MultiWorkload, error) {
 	}
 
 	tagger := extract.NewTagger(mw.Gaz)
+	values := relation.NewValues()
 	for i, v := range vocabs {
 		spec := corpus.RelationSpec{
 			Vocab:         v,
@@ -137,7 +139,7 @@ func Multi(p Params, tasks []string) (*MultiWorkload, error) {
 			return nil, err
 		}
 		mw.Sys = append(mw.Sys, sys)
-		mw.Tables = append(mw.Tables, sys.NewTable(db))
+		mw.Tables = append(mw.Tables, sys.NewTable(db, values))
 		mw.Costs = append(mw.Costs, join.DefaultCosts)
 	}
 	return mw, nil
@@ -149,7 +151,6 @@ func (mw *MultiWorkload) Side(i int, theta float64) *join.Side {
 		DB:    mw.DBs[i],
 		Table: mw.Tables[i],
 		Theta: theta,
-		Gold:  mw.DBs[i].Gold(mw.Tasks[i]),
 		Costs: mw.Costs[i],
 	}
 }

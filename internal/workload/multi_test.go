@@ -114,15 +114,17 @@ func TestMultiIDJNExecution(t *testing.T) {
 	good, total := 0, 0
 	vals := map[string]bool{}
 	for _, r := range st.Rels {
-		for _, v := range r.JoinValues() {
+		for v := range r.ValueCounts() {
 			vals[v] = true
 		}
 	}
+	values := mw.Tables[0].Dict().Values()
 	for v := range vals {
 		g, tot := 1, 1
 		for _, r := range st.Rels {
-			g *= r.GoodOcc(v)
-			tot *= r.GoodOcc(v) + r.BadOcc(v)
+			gr, br := r.Occ(values.ID(v))
+			g *= gr
+			tot *= gr + br
 		}
 		good += g
 		total += tot

@@ -71,9 +71,10 @@ type Workload struct {
 	Costs      [2]join.Costs
 
 	// Tables[i] memoizes Sys[i]'s extraction over DB[i] by document ID,
-	// and Accept[i] holds Cls[i]'s decision on every document of DB[i]:
-	// every executor side reads its extraction from the one, and every
-	// Filtered Scan its decisions from the other.
+	// numbering join values in one dictionary for both tables, and
+	// Accept[i] holds Cls[i]'s decision on every document of DB[i]: every
+	// executor side reads its extraction from the one, and every Filtered
+	// Scan its decisions from the other.
 	Tables [2]*extract.Table
 	Accept [2][]bool
 
@@ -330,11 +331,12 @@ func Pair(p Params, task1, task2 string) (*Workload, error) {
 	}
 
 	tagger := extract.NewTagger(w.Gaz)
+	values := relation.NewValues()
 	for i := 0; i < 2; i++ {
 		if w.Sys[i], err = extract.NewSystemFromVocab(vocabs[i], tagger); err != nil {
 			return nil, err
 		}
-		w.Tables[i] = w.Sys[i].NewTable(w.DB[i])
+		w.Tables[i] = w.Sys[i].NewTable(w.DB[i], values)
 	}
 
 	for i := 0; i < 2; i++ {
@@ -388,7 +390,6 @@ func (w *Workload) Side(i int, theta float64) *join.Side {
 		Index: w.Ix[i],
 		Table: w.Tables[i],
 		Theta: theta,
-		Gold:  w.DB[i].Gold(w.Task[i]),
 		Costs: w.Costs[i],
 		Retry: w.Retry,
 	}

@@ -373,7 +373,7 @@ func (o *Outcome) Tuples() []JoinTuple {
 	if o.state == nil {
 		return nil
 	}
-	src := o.state.Result.Tuples()
+	src := o.state.JoinTuples()
 	out := make([]JoinTuple, len(src))
 	for i, lt := range src {
 		out[i] = JoinTuple{A: lt.Tuple.A, B: lt.Tuple.B, C: lt.Tuple.C, Good: lt.Good}
