@@ -6,11 +6,11 @@ GO ?= go
 # clean build, the test suites of both modules, the race detector over the concurrent
 # packages (the optimizer's parallel plan-space search, the join executors
 # it drives, the fault injection/tolerance layer, and the estimator grid,
-# classifier scratch, extraction tables, value dictionaries and
-# value-query memo that concurrent jobs share), the transparency
-# properties (a fault profile with rate 0, and any worker or shard layout,
-# must leave every execution bit-identical), the public-API drift gate, and
-# a smoke run of the n-ary enumerator benchmark.
+# classifier scratch, extraction tables, value dictionaries,
+# value-query memo and plan-search memo that concurrent jobs share), the
+# transparency properties (a fault profile with rate 0, and any worker or
+# shard layout, must leave every execution bit-identical), the public-API
+# drift gate, and a smoke run of the n-ary enumerator benchmark.
 check: fmt vet build test race transparency api-check bench-enum
 
 # fmt fails when any Go file is not gofmt-clean, listing the offenders.
@@ -35,7 +35,7 @@ test:
 
 race:
 	$(GO) test -race ./internal/optimizer/... ./internal/join/... ./internal/faults/... ./internal/workload/... ./internal/obs/... ./internal/pipeline/... ./internal/shard/... ./internal/service/... ./internal/durable/... ./internal/cluster/... ./internal/estimate/... ./internal/classifier/... ./internal/extract/... ./internal/relation/... ./internal/index/...
-	$(GO) test -race -run TestConcurrentRunsOnOneTask -count=1 .
+	$(GO) test -race -run 'TestConcurrentRunsOnOneTask|TestPlanMemoWarmthInvariance' -count=1 .
 
 # transparency runs the two properties that say an execution knob must leave
 # every answer bit-identical: a fault profile with rate 0, and any

@@ -314,23 +314,35 @@ func BenchmarkIDJNFullScan(b *testing.B) {
 }
 
 // BenchmarkAdaptiveOptimizer measures the end-to-end adaptive run (pilot,
-// MLE estimation, plan choice, execution).
+// MLE estimation, plan choice, execution). The cold variant runs without
+// the task's plan-search memo, so every iteration pilots and searches for
+// real; the warm one goes through the memo, as repeated Task.Run calls do,
+// so after its first iteration it times a memoized pilot and memoized plan
+// evaluations.
 func BenchmarkAdaptiveOptimizer(b *testing.B) {
 	w := benchWorkload(b)
 	env, err := w.NewEnv([]float64{0.4, 0.8})
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ResetTimer()
-	var good float64
-	for i := 0; i < b.N; i++ {
-		res, err := optimizer.RunAdaptiveCtx(context.Background(), env, optimizer.Requirement{TauG: 16, TauB: 300}, optimizer.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		good = float64(res.Final.GoodPairs)
+	cold := *env
+	cold.Memo = nil
+	for _, bc := range []struct {
+		name string
+		env  *optimizer.Env
+	}{{"cold", &cold}, {"warm", env}} {
+		b.Run(bc.name, func(b *testing.B) {
+			var good float64
+			for i := 0; i < b.N; i++ {
+				res, err := optimizer.RunAdaptiveCtx(context.Background(), bc.env, optimizer.Requirement{TauG: 16, TauB: 300}, optimizer.Options{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				good = float64(res.Final.GoodPairs)
+			}
+			b.ReportMetric(good, "good-pairs")
+		})
 	}
-	b.ReportMetric(good, "good-pairs")
 }
 
 // BenchmarkAblationPilotWindow measures how the on-the-fly estimator's

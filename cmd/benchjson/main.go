@@ -14,7 +14,9 @@
 //
 // Check mode: `benchjson -check BENCH_exec.json` verifies every
 // BenchmarkExec*/seq vs /workers4 pair, plus the scatter-gather scaling pair
-// BenchmarkExecShardedIDJN8k/shards1 vs /shards4. The report records the
+// BenchmarkExecShardedIDJN8k/shards1 vs /shards4. It walks the pairs in name
+// order, prints every one, and reports every failure, not only the first, so
+// two checks of one report print the same lines. The report records the
 // GOMAXPROCS the benchmarks ran under; on a single-CPU box a parallel
 // speedup is impossible by construction, so a sub-2-CPU artifact is refused
 // outright — it is not a valid comparison baseline, and treating it as one
@@ -31,8 +33,10 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -166,8 +170,9 @@ func merge(benches []Benchmark) []Benchmark {
 }
 
 // check verifies the seq-vs-workers4 and shards1-vs-shards4 pairs in a
-// previously emitted report.
-func check(path string, minSpeedup, minShardSpeedup, slack float64, requireParallel, allowSingleCPU bool) error {
+// previously emitted report, printing each pair to w in name order. It
+// returns every failure, joined.
+func check(w io.Writer, path string, minSpeedup, minShardSpeedup, slack float64, requireParallel, allowSingleCPU bool) error {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -176,11 +181,11 @@ func check(path string, minSpeedup, minShardSpeedup, slack float64, requireParal
 	if err := json.Unmarshal(raw, &rep); err != nil {
 		return fmt.Errorf("%s: %w", path, err)
 	}
-	fmt.Printf("benchjson: %s recorded at commit %s, nproc %d, go_max_procs %d, %s\n",
+	fmt.Fprintf(w, "benchjson: %s recorded at commit %s, nproc %d, go_max_procs %d, %s\n",
 		path, rep.Commit, rep.NProc, rep.GoMaxProcs, rep.GoVersion)
 	if rep.GoMaxProcs < 2 {
 		if allowSingleCPU && !requireParallel {
-			fmt.Printf("benchjson: GOMAXPROCS=%d — parallel speedup not measurable on this machine, skipping check (-allow-single-cpu)\n", rep.GoMaxProcs)
+			fmt.Fprintf(w, "benchjson: GOMAXPROCS=%d — parallel speedup not measurable on this machine, skipping check (-allow-single-cpu)\n", rep.GoMaxProcs)
 			return nil
 		}
 		return fmt.Errorf("report was produced at GOMAXPROCS=%d: a single-CPU artifact is not a valid "+
@@ -191,30 +196,35 @@ func check(path string, minSpeedup, minShardSpeedup, slack float64, requireParal
 	for _, b := range rep.Benchmarks {
 		byName[b.Name] = b
 	}
-	pairs := 0
-	for name, seq := range byName {
-		if !strings.HasSuffix(name, "/seq") || !strings.HasPrefix(name, "BenchmarkExec") {
-			continue
-		}
-		par, ok := byName[strings.TrimSuffix(name, "/seq")+"/workers4"]
-		if !ok {
-			return fmt.Errorf("%s has no workers4 counterpart", name)
-		}
-		pairs++
-		speedup := seq.NsPerOp / par.NsPerOp
-		fmt.Printf("benchjson: [go_max_procs=%d] %-24s seq %.0f ns/op, workers4 %.0f ns/op, speedup %.2fx\n",
-			rep.GoMaxProcs, strings.TrimSuffix(strings.TrimPrefix(name, "Benchmark"), "/seq"), seq.NsPerOp, par.NsPerOp, speedup)
-		if speedup < 1/(1+slack) {
-			return fmt.Errorf("%s: 4-worker pipeline is %.2fx slower than sequential (allowed slack %.0f%%)",
-				name, 1/speedup, slack*100)
-		}
-		if rep.GoMaxProcs >= 4 && strings.Contains(name, "IDJN") && speedup < minSpeedup {
-			return fmt.Errorf("%s: speedup %.2fx below the required %.1fx at GOMAXPROCS=%d",
-				name, speedup, minSpeedup, rep.GoMaxProcs)
+	var seqs []string
+	for name := range byName {
+		if strings.HasSuffix(name, "/seq") && strings.HasPrefix(name, "BenchmarkExec") {
+			seqs = append(seqs, name)
 		}
 	}
-	if pairs == 0 {
-		return fmt.Errorf("%s holds no BenchmarkExec*/seq results", path)
+	sort.Strings(seqs)
+	var errs []error
+	for _, name := range seqs {
+		seq := byName[name]
+		par, ok := byName[strings.TrimSuffix(name, "/seq")+"/workers4"]
+		if !ok {
+			errs = append(errs, fmt.Errorf("%s has no workers4 counterpart", name))
+			continue
+		}
+		speedup := seq.NsPerOp / par.NsPerOp
+		fmt.Fprintf(w, "benchjson: [go_max_procs=%d] %-24s seq %.0f ns/op, workers4 %.0f ns/op, speedup %.2fx\n",
+			rep.GoMaxProcs, strings.TrimSuffix(strings.TrimPrefix(name, "Benchmark"), "/seq"), seq.NsPerOp, par.NsPerOp, speedup)
+		if speedup < 1/(1+slack) {
+			errs = append(errs, fmt.Errorf("%s: 4-worker pipeline is %.2fx slower than sequential (allowed slack %.0f%%)",
+				name, 1/speedup, slack*100))
+		}
+		if rep.GoMaxProcs >= 4 && strings.Contains(name, "IDJN") && speedup < minSpeedup {
+			errs = append(errs, fmt.Errorf("%s: speedup %.2fx below the required %.1fx at GOMAXPROCS=%d",
+				name, speedup, minSpeedup, rep.GoMaxProcs))
+		}
+	}
+	if len(seqs) == 0 {
+		errs = append(errs, fmt.Errorf("%s holds no BenchmarkExec*/seq results", path))
 	}
 
 	// The scatter-gather scaling gate: shards4 vs the shards1 sequential
@@ -225,20 +235,21 @@ func check(path string, minSpeedup, minShardSpeedup, slack float64, requireParal
 	one, okOne := byName[shardBench+"/shards1"]
 	four, okFour := byName[shardBench+"/shards4"]
 	if !okOne || !okFour {
-		return fmt.Errorf("%s holds no %s/shards1 + /shards4 pair — re-record with the shard benchmark included", path, shardBench)
+		errs = append(errs, fmt.Errorf("%s holds no %s/shards1 + /shards4 pair — re-record with the shard benchmark included", path, shardBench))
+		return errors.Join(errs...)
 	}
 	shardSpeedup := one.NsPerOp / four.NsPerOp
-	fmt.Printf("benchjson: [go_max_procs=%d] %-24s shards1 %.0f ns/op, shards4 %.0f ns/op, speedup %.2fx\n",
+	fmt.Fprintf(w, "benchjson: [go_max_procs=%d] %-24s shards1 %.0f ns/op, shards4 %.0f ns/op, speedup %.2fx\n",
 		rep.GoMaxProcs, strings.TrimPrefix(shardBench, "Benchmark"), one.NsPerOp, four.NsPerOp, shardSpeedup)
 	if shardSpeedup < 1/(1+slack) {
-		return fmt.Errorf("%s: 4-shard execution is %.2fx slower than unsharded (allowed slack %.0f%%)",
-			shardBench, 1/shardSpeedup, slack*100)
+		errs = append(errs, fmt.Errorf("%s: 4-shard execution is %.2fx slower than unsharded (allowed slack %.0f%%)",
+			shardBench, 1/shardSpeedup, slack*100))
 	}
 	if rep.GoMaxProcs >= 4 && shardSpeedup < minShardSpeedup {
-		return fmt.Errorf("%s: shard speedup %.2fx below the required %.1fx at GOMAXPROCS=%d",
-			shardBench, shardSpeedup, minShardSpeedup, rep.GoMaxProcs)
+		errs = append(errs, fmt.Errorf("%s: shard speedup %.2fx below the required %.1fx at GOMAXPROCS=%d",
+			shardBench, shardSpeedup, minShardSpeedup, rep.GoMaxProcs))
 	}
-	return nil
+	return errors.Join(errs...)
 }
 
 func main() {
@@ -254,8 +265,10 @@ func main() {
 	flag.Parse()
 
 	if *checkPath != "" {
-		if err := check(*checkPath, *minSpeedup, *minShardSpeedup, *slack, *requireParallel, *allowSingleCPU); err != nil {
-			fmt.Fprintln(os.Stderr, "benchjson:", err)
+		if err := check(os.Stdout, *checkPath, *minSpeedup, *minShardSpeedup, *slack, *requireParallel, *allowSingleCPU); err != nil {
+			for _, line := range strings.Split(err.Error(), "\n") {
+				fmt.Fprintln(os.Stderr, "benchjson:", line)
+			}
 			os.Exit(1)
 		}
 		return

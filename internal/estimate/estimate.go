@@ -99,21 +99,30 @@ func Estimate(obs Observation) (*Estimated, error) {
 		wWeight = 0.15 * float64(len(obs.ValueCounts))
 	}
 	best := &Estimated{LogLik: math.Inf(-1)}
+	var bestPt gridPoint
 	var bestPobsG, bestPobsB float64
 	var bnmG, bnmB binomialTable
 	bnmG.fill(cg)
 	bnmB.fill(cb)
+	// The weight prior does not depend on the exponent, so each grid
+	// weight's term is computed once per call.
+	var prior [len(shareGrid)]float64
+	for i, sp := range shareGrid {
+		prior[i] = wWeight * (wMode*sp.logW + (1-wMode)*sp.log1mW)
+	}
+	var pkG, pkB [maxFreq + 1]float64
 	for _, pt := range exponentGrid {
-		pkG, pobsG := truncatedObsPMF(pt.good, &bnmG)
-		pkB, pobsB := truncatedObsPMF(pt.bad, &bnmB)
-		for w := 0.20; w <= 0.951; w += 0.05 {
-			ll := wWeight * (wMode*math.Log(w) + (1-wMode)*math.Log(1-w))
+		pobsG := truncatedObsPMF(pt.good, &bnmG, &pkG)
+		pobsB := truncatedObsPMF(pt.bad, &bnmB, &pkB)
+		for i, sp := range shareGrid {
+			w := sp.w
+			ll := prior[i]
 			for k := 1; k < len(hist); k++ {
 				n := hist[k]
 				if n == 0 {
 					continue
 				}
-				p := w*pk(pkG, k) + (1-w)*pk(pkB, k)
+				p := w*pkG[k] + (1-w)*pkB[k]
 				if p <= 0 {
 					p = 1e-12
 				}
@@ -122,6 +131,7 @@ func Estimate(obs Observation) (*Estimated, error) {
 			if ll > best.LogLik {
 				best.LogLik = ll
 				best.AlphaGood, best.AlphaBad, best.GoodShare = pt.good.Alpha, pt.bad.Alpha, w
+				bestPt = pt
 				bestPobsG, bestPobsB = pobsG, pobsB
 			}
 		}
@@ -137,8 +147,12 @@ func Estimate(obs Observation) (*Estimated, error) {
 	agCount := nObs * best.GoodShare / math.Max(bestPobsG, 1e-9)
 	abCount := nObs * (1 - best.GoodShare) / math.Max(bestPobsB, 1e-9)
 
-	plG := stat.MustPowerLaw(best.AlphaGood, maxFreq)
-	plB := stat.MustPowerLaw(best.AlphaBad, maxFreq)
+	// The winning grid point's laws are the ones its exponents build. No
+	// finite likelihood (a NaN rate) leaves no winner and zero exponents.
+	plG, plB := bestPt.good, bestPt.bad
+	if plG == nil {
+		plG, plB = stat.MustPowerLaw(best.AlphaGood, maxFreq), stat.MustPowerLaw(best.AlphaBad, maxFreq)
+	}
 
 	p := &model.RelationParams{
 		D:             obs.D,
@@ -198,6 +212,29 @@ func newExponentGrid() []gridPoint {
 	return g
 }
 
+// sharePoint is one mixture weight w of the MLE's search grid, with the
+// two logarithms its prior term takes.
+type sharePoint struct {
+	w, logW, log1mW float64
+}
+
+// shareGrid is the MLE's mixture-weight grid w = 0.20, 0.25, …, 0.95. Each
+// w is accumulated by repeated addition of 0.05, which fixes its bits. Like
+// the exponent grid, it is built once, at package initialization.
+var shareGrid = newShareGrid()
+
+func newShareGrid() (g [16]sharePoint) {
+	i := 0
+	for w := 0.20; w <= 0.951; w += 0.05 {
+		g[i] = sharePoint{w: w, logW: math.Log(w), log1mW: math.Log(1 - w)}
+		i++
+	}
+	if i != len(g) {
+		panic(fmt.Sprintf("estimate: mixture-weight grid has %d points, want %d", i, len(g)))
+	}
+	return g
+}
+
 // binomialTable holds Bnm(g, k, c) for 1 ≤ g ≤ maxFreq and 0 ≤ k ≤ g: the
 // probability that k of a value's g occurrences are observed at
 // per-occurrence coverage c. No term depends on the frequency law, so one
@@ -237,11 +274,11 @@ func coverages(obs Observation) (cg, cb float64) {
 	return cg, cb
 }
 
-// truncatedObsPMF returns the PMF of observed counts k ≥ 0 for a value whose
-// frequency follows pl, observed at the coverage bnm was filled for, plus
-// the probability of being observed at all (k ≥ 1).
-func truncatedObsPMF(pl *stat.PowerLaw, bnm *binomialTable) ([]float64, float64) {
-	pmf := make([]float64, maxFreq+1)
+// truncatedObsPMF fills pmf with the PMF of observed counts k ≥ 0 for a
+// value whose frequency follows pl, observed at the coverage bnm was filled
+// for, and returns the probability of being observed at all (k ≥ 1).
+func truncatedObsPMF(pl *stat.PowerLaw, bnm *binomialTable, pmf *[maxFreq + 1]float64) float64 {
+	*pmf = [maxFreq + 1]float64{}
 	for g := 1; g <= maxFreq; g++ {
 		pg := pl.PMF(g)
 		if pg == 0 {
@@ -253,14 +290,14 @@ func truncatedObsPMF(pl *stat.PowerLaw, bnm *binomialTable) ([]float64, float64)
 	}
 	pobs := 1 - pmf[0]
 	if pobs <= 0 {
-		return pmf, 0
+		return 0
 	}
 	// Condition on observation.
 	for k := 1; k <= maxFreq; k++ {
 		pmf[k] /= pobs
 	}
 	pmf[0] = 0
-	return pmf, pobs
+	return pobs
 }
 
 func pk(pmf []float64, k int) float64 {

@@ -51,7 +51,8 @@ func TestTruncatedObsPMFNormalized(t *testing.T) {
 	for _, c := range []float64{0.1, 0.5, 0.9} {
 		var bnm binomialTable
 		bnm.fill(c)
-		pmf, pobs := truncatedObsPMF(pl, &bnm)
+		var pmf [maxFreq + 1]float64
+		pobs := truncatedObsPMF(pl, &bnm, &pmf)
 		var sum float64
 		for k := 1; k < len(pmf); k++ {
 			sum += pmf[k]

@@ -134,7 +134,8 @@ func TestTruncatedObsPMFMatchesOracle(t *testing.T) {
 				t.Fatalf("grid point %d has exponents (%v, %v), want (%v, %v)", i, pt.good.Alpha, pt.bad.Alpha, alphas[i], alphas[i]+badAlphaOffset)
 			}
 			for _, pl := range []*stat.PowerLaw{pt.good, pt.bad} {
-				got, gotObs := truncatedObsPMF(pl, &bnm)
+				var got [maxFreq + 1]float64
+				gotObs := truncatedObsPMF(pl, &bnm, &got)
 				want, wantObs := oracleTruncatedObsPMF(pl.Alpha, c)
 				if !sameBits(gotObs, wantObs) {
 					t.Errorf("alpha=%v c=%v: pobs %v, oracle %v", pl.Alpha, c, gotObs, wantObs)

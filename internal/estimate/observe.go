@@ -123,15 +123,16 @@ func posteriorGood(obs Observation, e *Estimated) func(k int) float64 {
 	var bnmG, bnmB binomialTable
 	bnmG.fill(cg)
 	bnmB.fill(cb)
-	pkG, _ := truncatedObsPMF(stat.MustPowerLaw(e.AlphaGood, maxFreq), &bnmG)
-	pkB, _ := truncatedObsPMF(stat.MustPowerLaw(e.AlphaBad, maxFreq), &bnmB)
+	var pkG, pkB [maxFreq + 1]float64
+	truncatedObsPMF(stat.MustPowerLaw(e.AlphaGood, maxFreq), &bnmG, &pkG)
+	truncatedObsPMF(stat.MustPowerLaw(e.AlphaBad, maxFreq), &bnmB, &pkB)
 	w := e.GoodShare
 	return func(k int) float64 {
 		if k > maxFreq {
 			k = maxFreq
 		}
-		num := w * pk(pkG, k)
-		den := num + (1-w)*pk(pkB, k)
+		num := w * pk(pkG[:], k)
+		den := num + (1-w)*pk(pkB[:], k)
 		if den <= 0 {
 			return w
 		}

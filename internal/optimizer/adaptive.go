@@ -60,6 +60,14 @@ type Env struct {
 	// so plan choice follows the cache's history.
 	CacheHitRate func(side int) float64
 
+	// Memo, when set, serves plan search from the task's plan-search memo,
+	// and PurePilot lets it serve the pilot too (see Memo). Set PurePilot
+	// only when the pilot is a pure function of the task: NewExecutor's
+	// executions use no extraction cache, inject no faults and stop at no
+	// deadline, and no trace sink or metrics registry observes them.
+	Memo      *Memo
+	PurePilot bool
+
 	// Trace and Metrics, when set, observe the adaptive protocol itself:
 	// pilot completion, plan decisions, checkpoints (and their non-fatal
 	// failures), and plan switches, plus per-phase model/wall time. Both are
@@ -212,7 +220,7 @@ func RunAdaptiveCtx(ctx context.Context, env *Env, req Requirement, opts Options
 	om := obs.NewOptMetrics(env.Metrics)
 	wallStart := time.Now()
 
-	in, pilotState, err := PilotEstimate(env, opts)
+	in, pilotState, err := env.pilot(opts)
 	if err != nil {
 		return nil, err
 	}
@@ -224,7 +232,7 @@ func RunAdaptiveCtx(ctx context.Context, env *Env, req Requirement, opts Options
 	env.emit(res.TotalTime, obs.KindPilotDone, map[string]any{
 		"docs1": pilotState.DocsProcessed[0], "docs2": pilotState.DocsProcessed[1], "time": pilotState.Time})
 
-	best, _, err := Choose(Enumerate(env.Thetas), in, req)
+	best, _, err := env.Memo.Choose(Enumerate(env.Thetas), in, req)
 	if err != nil {
 		return res, err
 	}
@@ -365,7 +373,7 @@ func (env *Env) adaptiveLoop(ctx context.Context, res *Result, req Requirement, 
 		// scanning (unbiased window); otherwise keep the current estimates.
 		reestimated := false
 		if scanLike(best.Plan) {
-			if in2, err := env.estimateInputs(st, best.Plan.Theta[0]); err == nil {
+			if in2, _, err := env.estimateInputs(st, best.Plan.Theta[0]); err == nil {
 				in2.Workers = opts.ChooseWorkers
 				in = in2
 				res.Inputs = in
@@ -385,7 +393,7 @@ func (env *Env) adaptiveLoop(ctx context.Context, res *Result, req Requirement, 
 		// checkpoint's choice is best itself.
 		nb := best
 		if reestimated {
-			nb, _, err = Choose(plans, in, req)
+			nb, _, err = env.Memo.Choose(plans, in, req)
 		}
 		if err != nil || nb.Plan == best.Plan {
 			// No better option (or no feasible plan under the sharpened
@@ -453,7 +461,8 @@ func PilotEstimate(env *Env, opts Options) (*Inputs, *join.State, error) {
 		if err != nil {
 			return nil, nil, fmt.Errorf("optimizer: pilot run: %w", err)
 		}
-		in, err = env.estimateInputs(pilotState, pilotTheta)
+		var obs [2]estimate.Observation
+		in, obs, err = env.estimateInputs(pilotState, pilotTheta)
 		if err != nil {
 			return nil, nil, fmt.Errorf("optimizer: pilot estimation: %w", err)
 		}
@@ -462,9 +471,7 @@ func PilotEstimate(env *Env, opts Options) (*Inputs, *join.State, error) {
 		}
 		stable := true
 		for side := 0; side < 2; side++ {
-			tp, fp := env.Rates(side, pilotTheta)
-			obs := estimate.FromState(pilotState, side, effectiveDocs(pilotState, side, env.NumDocs[side]), tp, fp, env.BadInGoodPrior)
-			div, cvErr := estimate.CrossValidate(obs)
+			div, cvErr := estimate.CrossValidate(obs[side])
 			if cvErr != nil || div > opts.StableDivergence {
 				stable = false
 				break
@@ -591,8 +598,10 @@ func effectiveDocs(st *join.State, side, numDocs int) int {
 }
 
 // estimateInputs runs the MLE estimator on both sides of a scan-sampled
-// state and assembles the optimizer inputs for every knob setting.
-func (env *Env) estimateInputs(st *join.State, obsTheta float64) (*Inputs, error) {
+// state and assembles the optimizer inputs for every knob setting. It also
+// returns the two sides' observations, which the pilot's stability check
+// reuses.
+func (env *Env) estimateInputs(st *join.State, obsTheta float64) (*Inputs, [2]estimate.Observation, error) {
 	in := &Inputs{
 		Thetas:     env.Thetas,
 		Ov:         model.Overlaps{},
@@ -611,7 +620,7 @@ func (env *Env) estimateInputs(st *join.State, obsTheta float64) (*Inputs, error
 		obs[side] = estimate.FromState(st, side, effectiveDocs(st, side, env.NumDocs[side]), tp, fp, env.BadInGoodPrior)
 		est, err := estimate.Estimate(obs[side])
 		if err != nil {
-			return nil, fmt.Errorf("side %d: %w", side+1, err)
+			return nil, obs, fmt.Errorf("side %d: %w", side+1, err)
 		}
 		ests[side] = est
 		for _, theta := range env.Thetas {
@@ -625,7 +634,7 @@ func (env *Env) estimateInputs(st *join.State, obsTheta float64) (*Inputs, error
 		}
 	}
 	in.Ov = estimate.EstimateOverlaps(obs[0].ValueCounts, obs[1].ValueCounts, ests[0], ests[1])
-	return in, nil
+	return in, obs, nil
 }
 
 // effortUnit returns the per-side progress of a running execution in the

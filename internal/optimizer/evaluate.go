@@ -44,7 +44,7 @@ func Evaluate(plan PlanSpec, in *Inputs, req Requirement) (Eval, error) {
 	if err != nil {
 		return Eval{}, err
 	}
-	best, err := evaluateFns(plan, in, req, fns, reason)
+	best, err := evaluateFns(plan, req, fns, reason)
 	if err != nil {
 		return Eval{}, err
 	}
@@ -59,7 +59,7 @@ func Evaluate(plan PlanSpec, in *Inputs, req Requirement) (Eval, error) {
 			if err != nil {
 				return Eval{}, err
 			}
-			ev, err := evaluateFns(plan, in, req, fns, reason)
+			ev, err := evaluateFns(plan, req, fns, reason)
 			if err != nil {
 				return Eval{}, err
 			}
@@ -73,7 +73,7 @@ func Evaluate(plan PlanSpec, in *Inputs, req Requirement) (Eval, error) {
 
 // evaluateFns runs the minimal-effort search against one set of plan
 // closures.
-func evaluateFns(plan PlanSpec, in *Inputs, req Requirement, fns *planFns, reason string) (Eval, error) {
+func evaluateFns(plan PlanSpec, req Requirement, fns *planFns, reason string) (Eval, error) {
 	if fns == nil {
 		return Eval{Plan: plan, Reason: reason}, nil
 	}
@@ -149,8 +149,14 @@ func robustQuality(d model.QualityDist, z float64) model.Quality {
 // order keeping the strictly fastest feasible plan, so ties break toward
 // the earlier plan.
 func Choose(plans []PlanSpec, in *Inputs, req Requirement) (Eval, []Eval, error) {
+	return choose(plans, in, req, nil)
+}
+
+// choose is Choose with evaluations served from set, or evaluated directly
+// when set is nil.
+func choose(plans []PlanSpec, in *Inputs, req Requirement, set *memoSet) (Eval, []Eval, error) {
 	evals, err := sweep(len(plans), in.Workers, func(i int) (Eval, error) {
-		ev, err := Evaluate(plans[i], in, req)
+		ev, err := set.evaluate(plans[i], in, req)
 		if err != nil {
 			return Eval{}, fmt.Errorf("optimizer: evaluating %s: %w", plans[i], err)
 		}

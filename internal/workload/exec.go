@@ -108,12 +108,20 @@ func (w *Workload) envStatics() (*envStatics, error) {
 	return s, nil
 }
 
+// PlanMemo returns the task's plan-search memo, which the workload shares
+// with all its clones. Task.Optimize searches through it.
+func (w *Workload) PlanMemo() *optimizer.Memo { return w.memo }
+
 // NewEnv assembles the adaptive optimizer's environment over this workload:
 // executor construction, the training-split IE characterization, and the
 // offline-measurable retrieval and join parameters. Database-specific
 // parameters are left to the on-the-fly estimator. The static measurements
 // are memoized on the workload (shared with its clones), so repeated and
-// concurrent NewEnv calls pay for them once.
+// concurrent NewEnv calls pay for them once. The environment searches
+// plans through the workload's plan-search memo, and takes the pilot from
+// it too when this clone's executions make the pilot a pure function of
+// the task: no extraction cache, fault profile or deadline, and no trace or
+// metrics registry to observe it.
 func (w *Workload) NewEnv(thetas []float64) (*optimizer.Env, error) {
 	st, err := w.envStatics()
 	if err != nil {
@@ -135,6 +143,8 @@ func (w *Workload) NewEnv(thetas []float64) (*optimizer.Env, error) {
 		SeedCount:      len(w.Seeds),
 		TopK:           [2]int{w.Ix[0].TopK(), w.Ix[1].TopK()},
 		BadInGoodPrior: 0.3,
+		Memo:           w.memo,
+		PurePilot:      w.Cache == nil && w.Faults == nil && w.Deadline == 0 && w.Trace == nil && w.Metrics == nil,
 	}
 	if c := w.Cache; c != nil {
 		env.CacheHitRate = func(int) float64 { return c.HitRate() }

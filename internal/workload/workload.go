@@ -20,6 +20,7 @@ import (
 	"joinopt/internal/index"
 	"joinopt/internal/join"
 	"joinopt/internal/obs"
+	"joinopt/internal/optimizer"
 	"joinopt/internal/pipeline"
 	"joinopt/internal/qxtract"
 	"joinopt/internal/relation"
@@ -130,6 +131,9 @@ type Workload struct {
 	// once.
 	statics *envStatics
 	truth   *trueStatics
+
+	// memo is the task's plan-search memo, shared by pointer like statics.
+	memo *optimizer.Memo
 }
 
 // Clone returns a per-run view of the workload: the immutable machinery
@@ -166,6 +170,7 @@ func (w *Workload) Clone() *Workload {
 
 		statics: w.statics,
 		truth:   w.truth,
+		memo:    w.memo,
 	}
 }
 
@@ -208,7 +213,7 @@ func Pair(p Params, task1, task2 string) (*Workload, error) {
 			p.TopK = 10
 		}
 	}
-	w := &Workload{Params: p, Task: [2]string{task1, task2}, statics: &envStatics{}, truth: &trueStatics{}}
+	w := &Workload{Params: p, Task: [2]string{task1, task2}, statics: &envStatics{}, truth: &trueStatics{}, memo: &optimizer.Memo{}}
 
 	vocabs := [2]textgen.TaskVocab{}
 	for i, task := range w.Task {
