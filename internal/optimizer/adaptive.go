@@ -64,7 +64,10 @@ type Env struct {
 	// and PurePilot lets it serve the pilot too (see Memo). Set PurePilot
 	// only when the pilot is a pure function of the task: NewExecutor's
 	// executions use no extraction cache, inject no faults and stop at no
-	// deadline, and no trace sink or metrics registry observes them.
+	// deadline, and no trace sink or metrics registry observes them. The
+	// memoized pilot is keyed only by Thetas and the pilot options, so an
+	// Env derived from another that replaces NewExecutor, Rates, NumDocs or
+	// any other field the pilot reads must clear PurePilot (or Memo).
 	Memo      *Memo
 	PurePilot bool
 

@@ -27,7 +27,8 @@ const (
 //   - The §VI pilot, for an Env whose PurePilot is set: the estimated
 //     inputs and the pilot's execution state, keyed by the knob settings
 //     and the pilot options. Every other Env field is a fixed property of
-//     the task, so every Env sharing a Memo must come from one task.
+//     the task, so every Env sharing a Memo must come from one task, and
+//     an Env derived from one that replaces any of them clears PurePilot.
 //   - Each plan's quality(e) and time(e) per input set, keyed by the exact
 //     content of the Inputs fields plan evaluation reads (memoKey).
 //

@@ -28,9 +28,12 @@ func (c stepCounter) Step() (bool, error) {
 }
 
 // countingEnv derives an environment whose executors all report their steps
-// into n; with a positive limit, step number limit cancels ctx.
+// into n; with a positive limit, step number limit cancels ctx. It clears
+// PurePilot, as every Env that replaces NewExecutor must: its runs pilot
+// for real, so the pilot's steps are counted and can be interrupted.
 func countingEnv(base *optimizer.Env, n *int, limit int, cancel context.CancelFunc) *optimizer.Env {
 	env := *base
+	env.PurePilot = false
 	inner := base.NewExecutor
 	env.NewExecutor = func(p optimizer.PlanSpec) (join.Executor, error) {
 		e, err := inner(p)

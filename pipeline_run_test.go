@@ -58,9 +58,12 @@ func adaptiveAnswers(t *testing.T, tk *joinopt.Task, l execLayout, reqs []joinop
 // workers and shards are bit-identical at any setting: a fixed plan's
 // outcome, every adaptive answer over the Table II rows (with and without
 // an extraction cache), and the n-ary plan choice are the same under every
-// layout. With a cache, answers follow the cache's history, so each layout
-// runs the rows in the same order on a fresh task whose 1 GiB cache evicts
-// nothing: the same history gives the same hit rate at every estimation.
+// layout. Each layout runs the adaptive rows in the same order on a fresh
+// task. Without a cache, a shared task would serve every later layout's
+// pilot from the first layout's plan-search memo, so the pilot would never
+// run under that layout. With a cache, answers follow the cache's history,
+// and a 1 GiB cache evicts nothing: the same history gives the same hit
+// rate at every estimation.
 func TestRunExecWorkersIdenticalOutcome(t *testing.T) {
 	t.Run("fixed-plan", func(t *testing.T) {
 		tk := facadeTask(t)
@@ -96,31 +99,25 @@ func TestRunExecWorkersIdenticalOutcome(t *testing.T) {
 		}
 	}
 
-	t.Run("adaptive", func(t *testing.T) {
-		tk, err := joinopt.NewHQJoinEX(params)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := adaptiveAnswers(t, tk, execLayouts[0], reqs)
-		for _, l := range execLayouts[1:] {
-			compare(t, l, want, adaptiveAnswers(t, tk, l, reqs))
-		}
-	})
-
-	t.Run("adaptive-cached", func(t *testing.T) {
-		answers := func(l execLayout) []string {
-			tk, err := joinopt.NewHQJoinEX(params)
-			if err != nil {
-				t.Fatal(err)
+	for _, c := range []struct {
+		name       string
+		cacheBytes int64
+	}{{"adaptive", 0}, {"adaptive-cached", 1 << 30}} {
+		t.Run(c.name, func(t *testing.T) {
+			answers := func(l execLayout) []string {
+				tk, err := joinopt.NewHQJoinEX(params)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tk.ExtractCacheBytes = c.cacheBytes
+				return adaptiveAnswers(t, tk, l, reqs)
 			}
-			tk.ExtractCacheBytes = 1 << 30
-			return adaptiveAnswers(t, tk, l, reqs)
-		}
-		want := answers(execLayouts[0])
-		for _, l := range execLayouts[1:] {
-			compare(t, l, want, answers(l))
-		}
-	})
+			want := answers(execLayouts[0])
+			for _, l := range execLayouts[1:] {
+				compare(t, l, want, answers(l))
+			}
+		})
+	}
 
 	// One task with one cache runs the rows while cycling through the
 	// layouts. The cache outlives every shard-count change, so its history
