@@ -8,8 +8,8 @@ GO ?= go
 # it drives, the fault injection/tolerance layer, and the estimator grid,
 # classifier scratch, extraction tables, value dictionaries,
 # value-query memo and plan-search memo that concurrent jobs share), the
-# transparency properties (a fault profile with rate 0, and any worker or
-# shard layout, must leave every execution bit-identical), the public-API
+# transparency properties (a fault profile with rate 0, and any execution
+# worker count, must leave every execution bit-identical), the public-API
 # drift gate, and a smoke run of the n-ary enumerator benchmark.
 check: fmt vet build test race transparency api-check bench-enum
 
@@ -34,12 +34,12 @@ test:
 	cd perfbench && $(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/optimizer/... ./internal/join/... ./internal/faults/... ./internal/workload/... ./internal/obs/... ./internal/pipeline/... ./internal/shard/... ./internal/service/... ./internal/durable/... ./internal/cluster/... ./internal/estimate/... ./internal/classifier/... ./internal/extract/... ./internal/relation/... ./internal/index/...
+	$(GO) test -race ./internal/optimizer/... ./internal/join/... ./internal/faults/... ./internal/workload/... ./internal/obs/... ./internal/pipeline/... ./internal/service/... ./internal/durable/... ./internal/cluster/... ./internal/estimate/... ./internal/classifier/... ./internal/extract/... ./internal/relation/... ./internal/index/...
 	$(GO) test -race -run 'TestConcurrentRunsOnOneTask|TestPlanMemoWarmthInvariance' -count=1 .
 
 # transparency runs the two properties that say an execution knob must leave
 # every answer bit-identical: a fault profile with rate 0, and any
-# execution-worker or shard layout (adaptive answers and n-ary plans alike).
+# execution-worker count (adaptive answers and n-ary plans alike).
 transparency:
 	$(GO) test ./internal/join/ -run TestZeroRateFaultTransparency -count=1
 	$(GO) test . -run TestRunExecWorkersIdenticalOutcome -count=1
@@ -101,17 +101,16 @@ bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkChoose' -benchtime 10x .
 
 # bench-json runs the pipelined-executor benchmarks (all three algorithms,
-# sequential vs 4 workers, the sharded scatter-gather scaling sweep, and the
-# binary + n-ary plan-space sweeps) and captures the results as
-# BENCH_exec.json. Each benchmark runs for a real duration, three times;
-# benchjson records the median, so the committed numbers are not 3-iteration
-# noise. bench-json-check verifies the recorded speedups; on a single-CPU
+# sequential vs 4 workers, and the binary + n-ary plan-space sweeps) and
+# captures the results as BENCH_exec.json. Each benchmark runs for a real
+# duration, three times; benchjson records the median, so the committed
+# numbers are not 3-iteration noise. bench-json-check verifies the recorded speedups; on a single-CPU
 # machine the check is skipped (overlap cannot help there) with a loud
 # warning — benchjson refuses single-CPU artifacts by default, so the local
 # flow passes -allow-single-cpu explicitly; CI runs the same check with
 # -require-parallel, which fails instead of skipping.
 bench-json:
-	$(GO) test -run '^$$' -bench 'BenchmarkExec(IDJN|OIJN|ZGJN|ShardedIDJN)8k|BenchmarkChoosePlanSpace8k|BenchmarkChooseNary' -benchtime 1s -count 3 . \
+	$(GO) test -run '^$$' -bench 'BenchmarkExec(IDJN|OIJN|ZGJN)8k|BenchmarkChoosePlanSpace8k|BenchmarkChooseNary' -benchtime 1s -count 3 . \
 		| $(GO) run ./cmd/benchjson -o BENCH_exec.json
 	@cat BENCH_exec.json
 
@@ -119,10 +118,10 @@ bench-json-check: bench-json
 	@if [ "$$(nproc 2>/dev/null || echo 1)" -lt 2 ]; then \
 		echo "================================================================"; \
 		echo "WARNING: this machine has fewer than 2 CPUs."; \
-		echo "The seq-vs-workers4 and shards1-vs-shards4 speedup gates below"; \
-		echo "will be SKIPPED, not passed: a parallel speedup is impossible"; \
+		echo "The seq-vs-workers4 speedup gates below will be SKIPPED,"; \
+		echo "not passed: a parallel speedup is impossible"; \
 		echo "on one core. Run 'make bench-json-check' on a multi-core"; \
-		echo "machine (or rely on CI, which enforces both gates with"; \
+		echo "machine (or rely on CI, which enforces the gates with"; \
 		echo "-require-parallel) before trusting the recorded numbers."; \
 		echo "================================================================"; \
 	fi

@@ -500,8 +500,8 @@ func benchNaryInputs(b *testing.B) (*querygraph.Graph, *optimizer.NaryInputs) {
 // BenchmarkChooseNary measures the DP join-tree enumerator over a k=4 chain:
 // a sweep of requirement points against the same tree and leaf-knob space,
 // sequential versus parallel plan evaluation. This is the optimizer-side
-// cost that sharded execution must not regress — plan choice runs once per
-// adaptive checkpoint regardless of shard count.
+// cost that pipelined execution must not regress — plan choice runs once
+// per adaptive checkpoint regardless of worker count.
 func BenchmarkChooseNary(b *testing.B) {
 	g, in := benchNaryInputs(b)
 	reqs := []optimizer.Requirement{

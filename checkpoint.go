@@ -67,9 +67,6 @@ type checkpointWire struct {
 	Target         [2]int               `json:"target"`
 	Ext            int                  `json:"ext,omitempty"`
 	Prev           [2]int               `json:"prev"`
-	// ShardDocs carries sharded executors' per-shard resolution progress;
-	// omitted for unsharded runs so their encoding matches the v1 golden.
-	ShardDocs []int `json:"shard_docs,omitempty"`
 }
 
 // MarshalJSON encodes the checkpoint as a versioned, checksummed envelope —
@@ -90,7 +87,6 @@ func (ck *AdaptiveCheckpoint) MarshalJSON() ([]byte, error) {
 		Target:    c.Target,
 		Ext:       c.Ext,
 		Prev:      c.Prev,
-		ShardDocs: c.ShardDocs,
 	}
 	for _, e := range c.CheckpointErrs {
 		w.CheckpointErrs = append(w.CheckpointErrs, e.Error())
@@ -173,7 +169,6 @@ func (ck *AdaptiveCheckpoint) UnmarshalJSON(data []byte) error {
 		Target:    w.Target,
 		Ext:       w.Ext,
 		Prev:      w.Prev,
-		ShardDocs: w.ShardDocs,
 	}
 	for _, s := range w.CheckpointErrs {
 		c.CheckpointErrs = append(c.CheckpointErrs, errors.New(s))

@@ -85,31 +85,32 @@ func TestCheckpointSerializedResumeMatchesUninterrupted(t *testing.T) {
 }
 
 // TestShardedCheckpointResumeMatchesUninterrupted extends the codec-level
-// recovery property to scatter-gather execution: a sharded run's checkpoint
-// carries per-shard progress over the wire, and a fresh sharded task resumed
-// from the decoded bytes reproduces the uninterrupted sharded run — which is
-// itself bit-identical to the unsharded one — exactly.
+// recovery property to pipelined execution and to the checkpoints sharded
+// runs once wrote: a fresh 4-worker task resumed from the decoded bytes of a
+// 4-worker run's checkpoint reproduces the uninterrupted run — which is
+// itself bit-identical to the sequential one — exactly, and so does one
+// resumed from the same checkpoint in its legacy sharded form.
 func TestShardedCheckpointResumeMatchesUninterrupted(t *testing.T) {
 	params := joinopt.WorkloadParams{NumDocs: 400, Seed: 7}
 	req := joinopt.Requirement{TauG: 8, TauB: 200}
 
-	shardedTask := func() *joinopt.Task {
+	pooledTask := func() *joinopt.Task {
 		tk, err := joinopt.NewTaskPair(params, "HQ", "EX")
 		if err != nil {
 			t.Fatal(err)
 		}
-		tk.Shards = 4
+		tk.ExecWorkers = 4
 		return tk
 	}
 
-	base, err := shardedTask().Run(context.Background(), req)
+	base, err := pooledTask().Run(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	ct := &cancelTracer{cancel: cancel, trigger: 25}
-	interrupted, err := shardedTask().Run(ctx, req, joinopt.WithTracer(joinopt.NewTrace(ct)))
+	interrupted, err := pooledTask().Run(ctx, req, joinopt.WithTracer(joinopt.NewTrace(ct)))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -121,13 +122,12 @@ func TestShardedCheckpointResumeMatchesUninterrupted(t *testing.T) {
 	if err != nil {
 		t.Fatalf("encoding checkpoint: %v", err)
 	}
-	if !bytes.Contains(wire, []byte(`"shard_docs"`)) {
-		t.Errorf("sharded checkpoint wire carries no per-shard progress: %s", wire)
-	}
 
 	// Checkpoints written while plan search still priced shards carry
-	// "Shards":4 in their inputs, right after CacheHitRate. A state dir or
-	// standby store may still hold one; it must decode and resume the same.
+	// "Shards":4 in their inputs, right after CacheHitRate, and those of
+	// sharded runs end with a per-shard progress vector, "shard_docs". A
+	// state dir or standby store may still hold one; it must decode and
+	// resume the same.
 	var env struct {
 		Version    int             `json:"version"`
 		CRC        uint32          `json:"crc"`
@@ -142,7 +142,9 @@ func TestShardedCheckpointResumeMatchesUninterrupted(t *testing.T) {
 		t.Fatalf("checkpoint inputs carry no CacheHitRate: %s", payload)
 	}
 	at += bytes.IndexByte(payload[at:], ']') + 1
-	env.Checkpoint = slices.Concat(payload[:at], []byte(`,"Shards":4`), payload[at:])
+	end := len(payload) - 1 // the payload's closing brace
+	env.Checkpoint = slices.Concat(payload[:at], []byte(`,"Shards":4`), payload[at:end],
+		[]byte(`,"shard_docs":[9,11,8,10]`), payload[end:])
 	env.CRC = crc32.ChecksumIEEE(env.Checkpoint)
 	legacy, err := json.Marshal(env)
 	if err != nil {
@@ -152,12 +154,12 @@ func TestShardedCheckpointResumeMatchesUninterrupted(t *testing.T) {
 	for _, c := range []struct {
 		name string
 		wire []byte
-	}{{"current", wire}, {"with inputs Shards", legacy}} {
+	}{{"current", wire}, {"with inputs Shards and shard_docs", legacy}} {
 		decoded, err := joinopt.DecodeCheckpoint(c.wire)
 		if err != nil {
 			t.Fatalf("%s: decoding checkpoint: %v", c.name, err)
 		}
-		resumed, err := shardedTask().Run(context.Background(), req, joinopt.WithCheckpoint(decoded))
+		resumed, err := pooledTask().Run(context.Background(), req, joinopt.WithCheckpoint(decoded))
 		if err != nil {
 			t.Fatalf("%s: resume from decoded checkpoint failed: %v", c.name, err)
 		}
@@ -165,7 +167,7 @@ func TestShardedCheckpointResumeMatchesUninterrupted(t *testing.T) {
 			resumed.Outcome.BadTuples != base.Outcome.BadTuples ||
 			resumed.Outcome.Time != base.Outcome.Time ||
 			resumed.TotalTime != base.TotalTime {
-			t.Errorf("%s: resumed sharded run diverged: good %d/%d bad %d/%d time %v/%v total %v/%v",
+			t.Errorf("%s: resumed 4-worker run diverged: good %d/%d bad %d/%d time %v/%v total %v/%v",
 				c.name, resumed.Outcome.GoodTuples, base.Outcome.GoodTuples,
 				resumed.Outcome.BadTuples, base.Outcome.BadTuples,
 				resumed.Outcome.Time, base.Outcome.Time,
@@ -173,30 +175,29 @@ func TestShardedCheckpointResumeMatchesUninterrupted(t *testing.T) {
 		}
 	}
 
-	// The sharded run itself must match the unsharded task on the same
-	// workload — sharding never changes what a run produces or charges.
+	// The 4-worker run itself must match the sequential task on the same
+	// workload — workers never change what a run produces or charges.
 	plain, err := joinopt.NewTaskPair(params, "HQ", "EX")
 	if err != nil {
 		t.Fatal(err)
 	}
-	unsharded, err := plain.Run(context.Background(), req)
+	sequential, err := plain.Run(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if base.Outcome.GoodTuples != unsharded.Outcome.GoodTuples ||
-		base.Outcome.BadTuples != unsharded.Outcome.BadTuples ||
-		base.TotalTime != unsharded.TotalTime {
-		t.Errorf("sharded run diverged from unsharded: good %d/%d bad %d/%d total %v/%v",
-			base.Outcome.GoodTuples, unsharded.Outcome.GoodTuples,
-			base.Outcome.BadTuples, unsharded.Outcome.BadTuples,
-			base.TotalTime, unsharded.TotalTime)
+	if base.Outcome.GoodTuples != sequential.Outcome.GoodTuples ||
+		base.Outcome.BadTuples != sequential.Outcome.BadTuples ||
+		base.TotalTime != sequential.TotalTime {
+		t.Errorf("4-worker run diverged from sequential: good %d/%d bad %d/%d total %v/%v",
+			base.Outcome.GoodTuples, sequential.Outcome.GoodTuples,
+			base.Outcome.BadTuples, sequential.Outcome.BadTuples,
+			base.TotalTime, sequential.TotalTime)
 	}
 }
 
-// TestUnshardedCheckpointWireOmitsShardFields: a cached, unsharded
-// adaptive run executes on a one-shard group, yet every checkpoint it
-// streams keeps the original encoding — no per-shard progress and no shard
-// count on the wire.
+// TestUnshardedCheckpointWireOmitsShardFields: every checkpoint a cached
+// adaptive run streams keeps the original v1 encoding — none of the
+// per-shard progress or shard count that sharded runs once wrote.
 func TestUnshardedCheckpointWireOmitsShardFields(t *testing.T) {
 	tk, err := joinopt.NewTaskPair(joinopt.WorkloadParams{NumDocs: 400, Seed: 7}, "HQ", "EX")
 	if err != nil {
@@ -212,7 +213,7 @@ func TestUnshardedCheckpointWireOmitsShardFields(t *testing.T) {
 			}
 			for _, field := range []string{`"shard_docs"`, `"Shards"`} {
 				if bytes.Contains(wire, []byte(field)) {
-					t.Errorf("unsharded checkpoint carries %s: %s", field, wire)
+					t.Errorf("checkpoint carries %s: %s", field, wire)
 				}
 			}
 			streamed++

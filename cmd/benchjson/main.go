@@ -13,20 +13,18 @@
 // the Go version, and the commit of the checkout the benchmarks ran in.
 //
 // Check mode: `benchjson -check BENCH_exec.json` verifies every
-// BenchmarkExec*/seq vs /workers4 pair, plus the scatter-gather scaling pair
-// BenchmarkExecShardedIDJN8k/shards1 vs /shards4. It walks the pairs in name
-// order, prints every one, and reports every failure, not only the first, so
-// two checks of one report print the same lines. The report records the
-// GOMAXPROCS the benchmarks ran under; on a single-CPU box a parallel
-// speedup is impossible by construction, so a sub-2-CPU artifact is refused
-// outright — it is not a valid comparison baseline, and treating it as one
+// BenchmarkExec*/seq vs /workers4 pair, and requires the
+// BenchmarkExecIDJN8k pair. It walks the pairs in name order, prints every
+// one, and reports every failure, not only the first, so two checks of one
+// report print the same lines. The report records the GOMAXPROCS the
+// benchmarks ran under; on a single-CPU box a parallel speedup is
+// impossible by construction, so a sub-2-CPU artifact is refused outright — it is not a valid comparison baseline, and treating it as one
 // would let a mis-provisioned recording quietly disable every gate. Pass
 // -allow-single-cpu to downgrade that refusal to a skip (exit 0) for local
 // runs on small machines; -require-parallel keeps the refusal even then (CI
-// sets it so the gate can never be bypassed). With 2–3 CPUs pipelined and
-// sharded execution must at least not lose to sequential (within -slack); at
-// 4+ CPUs the IDJN pair must reach -min-speedup (default 2×) and the
-// shards1/shards4 pair must reach -min-shard-speedup (default 2.5×).
+// sets it so the gate can never be bypassed). With 2–3 CPUs pipelined
+// execution must at least not lose to sequential (within -slack); at 4+
+// CPUs the IDJN pair must also reach -min-speedup (default 2.5×).
 package main
 
 import (
@@ -169,10 +167,16 @@ func merge(benches []Benchmark) []Benchmark {
 	return out
 }
 
-// check verifies the seq-vs-workers4 and shards1-vs-shards4 pairs in a
-// previously emitted report, printing each pair to w in name order. It
-// returns every failure, joined.
-func check(w io.Writer, path string, minSpeedup, minShardSpeedup, slack float64, requireParallel, allowSingleCPU bool) error {
+// gatedPair is the benchmark whose seq/workers4 pair must be in every
+// report and must reach -min-speedup at GOMAXPROCS >= 4.
+const gatedPair = "BenchmarkExecIDJN8k"
+
+// defaultMinSpeedup is -min-speedup's default.
+const defaultMinSpeedup = 2.5
+
+// check verifies the seq-vs-workers4 pairs in a previously emitted report,
+// printing each pair to w in name order. It returns every failure, joined.
+func check(w io.Writer, path string, minSpeedup, slack float64, requireParallel, allowSingleCPU bool) error {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -218,7 +222,7 @@ func check(w io.Writer, path string, minSpeedup, minShardSpeedup, slack float64,
 			errs = append(errs, fmt.Errorf("%s: 4-worker pipeline is %.2fx slower than sequential (allowed slack %.0f%%)",
 				name, 1/speedup, slack*100))
 		}
-		if rep.GoMaxProcs >= 4 && strings.Contains(name, "IDJN") && speedup < minSpeedup {
+		if rep.GoMaxProcs >= 4 && name == gatedPair+"/seq" && speedup < minSpeedup {
 			errs = append(errs, fmt.Errorf("%s: speedup %.2fx below the required %.1fx at GOMAXPROCS=%d",
 				name, speedup, minSpeedup, rep.GoMaxProcs))
 		}
@@ -226,28 +230,11 @@ func check(w io.Writer, path string, minSpeedup, minShardSpeedup, slack float64,
 	if len(seqs) == 0 {
 		errs = append(errs, fmt.Errorf("%s holds no BenchmarkExec*/seq results", path))
 	}
-
-	// The scatter-gather scaling gate: shards4 vs the shards1 sequential
-	// baseline of the sharded IDJN benchmark. A report missing the pair is an
-	// error — the gate must not silently pass because the benchmark was
-	// dropped from the recording regex.
-	const shardBench = "BenchmarkExecShardedIDJN8k"
-	one, okOne := byName[shardBench+"/shards1"]
-	four, okFour := byName[shardBench+"/shards4"]
-	if !okOne || !okFour {
-		errs = append(errs, fmt.Errorf("%s holds no %s/shards1 + /shards4 pair — re-record with the shard benchmark included", path, shardBench))
-		return errors.Join(errs...)
-	}
-	shardSpeedup := one.NsPerOp / four.NsPerOp
-	fmt.Fprintf(w, "benchjson: [go_max_procs=%d] %-24s shards1 %.0f ns/op, shards4 %.0f ns/op, speedup %.2fx\n",
-		rep.GoMaxProcs, strings.TrimPrefix(shardBench, "Benchmark"), one.NsPerOp, four.NsPerOp, shardSpeedup)
-	if shardSpeedup < 1/(1+slack) {
-		errs = append(errs, fmt.Errorf("%s: 4-shard execution is %.2fx slower than unsharded (allowed slack %.0f%%)",
-			shardBench, 1/shardSpeedup, slack*100))
-	}
-	if rep.GoMaxProcs >= 4 && shardSpeedup < minShardSpeedup {
-		errs = append(errs, fmt.Errorf("%s: shard speedup %.2fx below the required %.1fx at GOMAXPROCS=%d",
-			shardBench, shardSpeedup, minShardSpeedup, rep.GoMaxProcs))
+	// A report missing the gated pair is an error: the speedup floor must
+	// not pass silently because the benchmark was dropped from the
+	// recording regex. (A seq without its workers4 is reported above.)
+	if _, ok := byName[gatedPair+"/seq"]; !ok {
+		errs = append(errs, fmt.Errorf("%s holds no %s/seq + /workers4 pair — re-record with that benchmark included", path, gatedPair))
 	}
 	return errors.Join(errs...)
 }
@@ -255,9 +242,8 @@ func check(w io.Writer, path string, minSpeedup, minShardSpeedup, slack float64,
 func main() {
 	out := flag.String("o", "", "write the JSON report to this file (default stdout)")
 	checkPath := flag.String("check", "", "check an existing report instead of emitting one")
-	minSpeedup := flag.Float64("min-speedup", 2.0, "required IDJN seq/workers4 speedup at GOMAXPROCS >= 4")
-	minShardSpeedup := flag.Float64("min-shard-speedup", 2.5, "required ExecShardedIDJN8k shards1/shards4 speedup at GOMAXPROCS >= 4")
-	slack := flag.Float64("slack", 0.10, "allowed fractional regression of workers4 vs seq (and shards4 vs shards1)")
+	minSpeedup := flag.Float64("min-speedup", defaultMinSpeedup, "required "+gatedPair+" seq/workers4 speedup at GOMAXPROCS >= 4")
+	slack := flag.Float64("slack", 0.10, "allowed fractional regression of workers4 vs seq")
 	requireParallel := flag.Bool("require-parallel", false,
 		"refuse -check even with -allow-single-cpu when the report was recorded at GOMAXPROCS < 2")
 	allowSingleCPU := flag.Bool("allow-single-cpu", false,
@@ -265,7 +251,7 @@ func main() {
 	flag.Parse()
 
 	if *checkPath != "" {
-		if err := check(os.Stdout, *checkPath, *minSpeedup, *minShardSpeedup, *slack, *requireParallel, *allowSingleCPU); err != nil {
+		if err := check(os.Stdout, *checkPath, *minSpeedup, *slack, *requireParallel, *allowSingleCPU); err != nil {
 			for _, line := range strings.Split(err.Error(), "\n") {
 				fmt.Fprintln(os.Stderr, "benchjson:", line)
 			}

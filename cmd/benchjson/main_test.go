@@ -1,6 +1,7 @@
 package main
 
 import (
+	"cmp"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -13,55 +14,61 @@ import (
 // same, in name order, every time.
 func TestCheck(t *testing.T) {
 	bench := func(name string, ns float64) Benchmark { return Benchmark{Name: name, NsPerOp: ns} }
-	// pairs returns the three executor pairs and the shard pair at the
-	// given workers4 and shards4 times against a 100 ns baseline.
-	pairs := func(idjn, oijn, zgjn, shards4 float64) []Benchmark {
+	// pairs returns the three executor pairs at the given workers4 times
+	// against a 100 ns baseline.
+	pairs := func(idjn, oijn, zgjn float64) []Benchmark {
 		return []Benchmark{
 			bench("BenchmarkExecZGJN8k/seq", 100), bench("BenchmarkExecZGJN8k/workers4", zgjn),
 			bench("BenchmarkExecIDJN8k/seq", 100), bench("BenchmarkExecIDJN8k/workers4", idjn),
 			bench("BenchmarkExecOIJN8k/seq", 100), bench("BenchmarkExecOIJN8k/workers4", oijn),
-			bench("BenchmarkExecShardedIDJN8k/shards1", 100), bench("BenchmarkExecShardedIDJN8k/shards4", shards4),
 		}
 	}
 	cases := []struct {
 		name            string
 		procs           int
 		benches         []Benchmark
+		minSpeedup      float64 // 0 = the -min-speedup default
 		allowSingle     bool
 		requireParallel bool
 		lines           []string // printed pair lines, by prefix, in order
 		errs            []string // failures, by substring, in order; none = pass
 	}{
 		{
-			name: "all within slack", procs: 2, benches: pairs(105, 95, 109, 100),
-			lines: []string{"ExecIDJN8k ", "ExecOIJN8k ", "ExecZGJN8k ", "ExecShardedIDJN8k "},
+			name: "all within slack", procs: 2, benches: pairs(105, 95, 109),
+			lines: []string{"ExecIDJN8k ", "ExecOIJN8k ", "ExecZGJN8k "},
 		},
 		{
-			name: "every failing pair reported", procs: 2, benches: pairs(117, 125, 150, 120),
-			lines: []string{"ExecIDJN8k ", "ExecOIJN8k ", "ExecZGJN8k ", "ExecShardedIDJN8k "},
+			name: "every failing pair reported", procs: 2, benches: pairs(117, 125, 150),
+			lines: []string{"ExecIDJN8k ", "ExecOIJN8k ", "ExecZGJN8k "},
 			errs: []string{"BenchmarkExecIDJN8k/seq: 4-worker pipeline is 1.17x slower",
 				"BenchmarkExecOIJN8k/seq: 4-worker pipeline is 1.25x slower",
-				"BenchmarkExecZGJN8k/seq: 4-worker pipeline is 1.50x slower",
-				"BenchmarkExecShardedIDJN8k: 4-shard execution is 1.20x slower"},
+				"BenchmarkExecZGJN8k/seq: 4-worker pipeline is 1.50x slower"},
 		},
 		{
-			name: "speedup floors at four CPUs", procs: 4, benches: pairs(60, 90, 90, 50),
-			errs: []string{"BenchmarkExecIDJN8k/seq: speedup 1.67x below the required 2.0x",
-				"BenchmarkExecShardedIDJN8k: shard speedup 2.00x below the required 2.5x"},
+			name: "speedup floors at four CPUs", procs: 4, benches: pairs(60, 90, 90),
+			errs: []string{"BenchmarkExecIDJN8k/seq: speedup 1.67x below the required 2.5x"},
+		},
+		{
+			name: "IDJN at 2.2x passes a 2.0x floor", procs: 4, benches: pairs(100/2.2, 90, 90), minSpeedup: 2.0,
+			lines: []string{"ExecIDJN8k ", "ExecOIJN8k ", "ExecZGJN8k "},
+		},
+		{
+			name: "IDJN at 2.2x fails the default floor", procs: 4, benches: pairs(100/2.2, 90, 90),
+			errs: []string{"BenchmarkExecIDJN8k/seq: speedup 2.20x below the required 2.5x"},
 		},
 		{
 			name: "missing counterparts", procs: 2,
-			benches: []Benchmark{bench("BenchmarkExecOIJN8k/seq", 100), bench("BenchmarkExecIDJN8k/seq", 100), bench("BenchmarkExecIDJN8k/workers4", 90)},
+			benches: []Benchmark{bench("BenchmarkExecOIJN8k/seq", 100), bench("BenchmarkExecZGJN8k/seq", 100), bench("BenchmarkExecZGJN8k/workers4", 90)},
 			errs: []string{"BenchmarkExecOIJN8k/seq has no workers4 counterpart",
-				"no BenchmarkExecShardedIDJN8k/shards1 + /shards4 pair"},
+				"no BenchmarkExecIDJN8k/seq + /workers4 pair"},
 		},
 		{
 			name: "no results", procs: 2, benches: []Benchmark{bench("BenchmarkChoosePlanSpace8k/seq", 100)},
-			errs: []string{"holds no BenchmarkExec*/seq results", "no BenchmarkExecShardedIDJN8k/shards1 + /shards4 pair"},
+			errs: []string{"holds no BenchmarkExec*/seq results", "no BenchmarkExecIDJN8k/seq + /workers4 pair"},
 		},
-		{name: "single CPU skipped", procs: 1, benches: pairs(200, 200, 200, 200), allowSingle: true},
+		{name: "single CPU skipped", procs: 1, benches: pairs(200, 200, 200), allowSingle: true},
 		{
-			name: "single CPU refused", procs: 1, benches: pairs(100, 100, 100, 100), allowSingle: true, requireParallel: true,
+			name: "single CPU refused", procs: 1, benches: pairs(100, 100, 100), allowSingle: true, requireParallel: true,
 			errs: []string{"single-CPU artifact"},
 		},
 	}
@@ -78,7 +85,7 @@ func TestCheck(t *testing.T) {
 			var first string
 			for i := 0; i < 20; i++ {
 				var out strings.Builder
-				err := check(&out, path, 2.0, 2.5, 0.10, c.requireParallel, c.allowSingle)
+				err := check(&out, path, cmp.Or(c.minSpeedup, defaultMinSpeedup), 0.10, c.requireParallel, c.allowSingle)
 				got := out.String()
 				if err != nil {
 					got += "error: " + err.Error()

@@ -52,8 +52,7 @@ func run(args []string, stdout io.Writer) error {
 		faultsF = fs.String("faults", "", faults.FlagHelp)
 
 		execWorkers  = fs.Int("exec-workers", 0, "pipelined extraction workers per execution (0 = sequential; results are bit-identical at any setting)")
-		shardsF      = fs.Int("shards", 0, "corpus shards, each a share of the extraction worker pool (0/1 = unsharded; output is bit-identical at any shard count)")
-		extractCache = fs.Int64("extract-cache", 0, "shared extraction cache capacity in bytes (0 = disabled; one cache at any shard count)")
+		extractCache = fs.Int64("extract-cache", 0, "shared extraction cache capacity in bytes (0 = disabled; one cache at any worker count)")
 
 		tracePath   = fs.String("trace", "", "write the NDJSON execution trace of every run to this file")
 		metricsFlag = fs.Bool("metrics", false, "print the Prometheus-text metrics snapshot at the end")
@@ -97,7 +96,6 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 	w.ExecWorkers = *execWorkers
-	w.Shards = *shardsF
 	w.Cache = pipeline.NewCache(*extractCache)
 	var traceFile *obs.NDJSON
 	if *tracePath != "" {

@@ -52,8 +52,7 @@ func main() {
 		workers = flag.Int("workers", 0, "optimizer plan-evaluation workers (0 = all cores, 1 = sequential)")
 
 		execWorkers  = flag.Int("exec-workers", 0, "pipelined extraction workers per execution (0 = sequential; results are bit-identical at any setting)")
-		shards       = flag.Int("shards", 0, "corpus shards, each a share of the extraction worker pool (0/1 = unsharded; output is bit-identical at any shard count)")
-		extractCache = flag.Int64("extract-cache", 0, "shared extraction cache capacity in bytes (0 = disabled; one cache at any shard count)")
+		extractCache = flag.Int64("extract-cache", 0, "shared extraction cache capacity in bytes (0 = disabled; one cache at any worker count)")
 
 		faultsFlag = flag.String("faults", "", joinopt.FaultProfileHelp)
 		retries    = flag.Int("retries", 0, "max retries per failed substrate call (0 = default 3, -1 = disabled)")
@@ -122,7 +121,6 @@ func main() {
 	}
 	task.Workers = *workers
 	task.ExecWorkers = *execWorkers
-	task.Shards = *shards
 	task.ExtractCacheBytes = *extractCache
 	if task.Faults, err = joinopt.ParseFaultProfile(*faultsFlag); err != nil {
 		fatal(err)

@@ -76,7 +76,7 @@ func fullResult(t *testing.T, base, id string, timeout time.Duration) map[string
 }
 
 // TestClusterSmoke is the fleet kill-and-migrate harness (`make
-// cluster-smoke`): boot two real daemons as a cluster, submit one sharded
+// cluster-smoke`): boot two real daemons as a cluster, submit one pipelined
 // adaptive job through the NON-owning replica (proving ownership
 // forwarding), wait for the owner's checkpoints to replicate, SIGKILL the
 // owner mid-run, and require the survivor to adopt and finish the job —
@@ -88,11 +88,11 @@ func TestClusterSmoke(t *testing.T) {
 	}
 	bin := buildDaemon(t)
 	job := map[string]any{
-		"tau_g":    8,
-		"tau_b":    400,
-		"shards":   2,
-		"tuples":   -1,
-		"workload": map[string]any{"num_docs": 5000, "seed": 21},
+		"tau_g":        8,
+		"tau_b":        400,
+		"exec_workers": 2,
+		"tuples":       -1,
+		"workload":     map[string]any{"num_docs": 5000, "seed": 21},
 	}
 
 	// Reference: the same job on a solo daemon, start to finish.
@@ -127,7 +127,7 @@ func TestClusterSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	req := service.JobRequest{
-		TauG: 8, TauB: 400, Shards: 2, Tuples: -1,
+		TauG: 8, TauB: 400, ExecWorkers: 2, Tuples: -1,
 		Workload: service.WorkloadSpec{NumDocs: 5000, Seed: 21},
 	}
 	key := service.CanonicalWorkloadKey(req)

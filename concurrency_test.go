@@ -32,9 +32,8 @@ func renderQueryPlan(qp joinopt.QueryPlan) string {
 // TestConcurrentRunsOnOneTask pins the Task concurrency contract: one Task
 // hammered by concurrent Run calls — adaptive and fixed-plan (Scan and
 // Filtered Scan), with per-run traces, metrics, fault profiles, pipelined
-// workers, shards, and the shared extraction cache — must race-cleanly
-// produce, per configuration, the same output composition as a sequential
-// run. Concurrent Optimize, EvaluatePlans and (on an n-ary task)
+// workers, and the shared extraction cache — must race-cleanly produce,
+// per configuration, the same output composition as a sequential run. Concurrent Optimize, EvaluatePlans and (on an n-ary task)
 // OptimizeQuery calls race to measure the perfect-knowledge statistics and
 // must return, bit for bit, what a twin task built with the same
 // parameters returns. Every reference comes from twins, so on tk and tq the
@@ -142,7 +141,7 @@ func TestConcurrentRunsOnOneTask(t *testing.T) {
 			case 3:
 				opts = append(opts, joinopt.WithPlan(planFS))
 			case 4:
-				opts = append(opts, joinopt.WithPlan(planFS), joinopt.WithShards(2), joinopt.WithExecWorkers(2))
+				opts = append(opts, joinopt.WithPlan(planFS), joinopt.WithExecWorkers(2))
 			}
 			res, err := tk.Run(context.Background(), req, opts...)
 			if err != nil {
@@ -178,8 +177,9 @@ func TestConcurrentRunsOnOneTask(t *testing.T) {
 		}
 		saved += outs[i].CacheSaved[0] + outs[i].CacheSaved[1]
 	}
-	// Every run, sharded or not, reads the task's one cache: its own stats
-	// and the extraction time the runs' outcomes saved both show the hits.
+	// Every run, at any worker count, reads the task's one cache: its own
+	// stats and the extraction time the runs' outcomes saved both show the
+	// hits.
 	if s := tk.ExtractionCacheStats(); s.Hits == 0 {
 		t.Errorf("shared extraction cache reports no hits across concurrent runs: %+v", s)
 	}

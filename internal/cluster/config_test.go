@@ -102,3 +102,35 @@ func TestNames(t *testing.T) {
 		}
 	}
 }
+
+// FuzzParseConfig: ParseConfig never panics on any -self/-peers/-vnodes
+// triple, and every config it accepts names a fleet the replicas can agree
+// on — Self among the Peers, no peer twice, and every peer already in the
+// normal form that a second normalization leaves unchanged.
+func FuzzParseConfig(f *testing.F) {
+	f.Add("http://b:8080", "http://a:8080,http://b:8080", 0)
+	f.Add("HTTP://B:8080/", "http://a:8080,http://b:8080", 64)
+	f.Add("http://a:1", "http://a:1,http://b:1,HTTP://B:1/", 64)
+	f.Add("http://a:1", "http://a:1,,http://b:1", 64)
+	f.Add("https://[::1]:9000", "https://[::1]:9000", -1)
+	f.Add("://x", "http://a:1/api?x#y", 1)
+	f.Fuzz(func(t *testing.T, self, peers string, vnodes int) {
+		cfg, err := ParseConfig(self, peers, vnodes)
+		if err != nil {
+			return
+		}
+		seen := map[string]bool{}
+		for _, p := range cfg.Peers {
+			if seen[p] {
+				t.Fatalf("ParseConfig(%q, %q) lists peer %q twice: %v", self, peers, p, cfg.Peers)
+			}
+			seen[p] = true
+			if norm, err := normalizePeerURL(p); err != nil || norm != p {
+				t.Fatalf("ParseConfig(%q, %q): peer %q re-normalizes to %q (%v)", self, peers, p, norm, err)
+			}
+		}
+		if !seen[cfg.Self] {
+			t.Fatalf("ParseConfig(%q, %q): self %q is not among peers %v", self, peers, cfg.Self, cfg.Peers)
+		}
+	})
+}

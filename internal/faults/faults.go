@@ -15,6 +15,7 @@ package faults
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -109,6 +110,11 @@ var FlagHelp = "fault-injection profile: comma-separated key=value pairs with ke
 // permanent. dwrite, dsync, and dcorrupt set the durable-layer disk fault
 // probabilities (write/rename failures, fsync failures, silent bit rot on
 // read-back). An empty string returns nil (no injection).
+//
+// Parse, the one entry point for flags and job specs, rejects every profile
+// a run cannot finish under or bill: NaN or infinite values, probabilities
+// outside [0, 1], a negative cost, and a transient next or classify
+// probability of 1. Each error names the offending key.
 func Parse(s string) (*Profile, error) {
 	if strings.TrimSpace(s) == "" {
 		return nil, nil
@@ -117,6 +123,8 @@ func Parse(s string) (*Profile, error) {
 	var rate, fetch, next, classify, trunc, stall, cost float64
 	var dwrite, dsync, dcorrupt float64
 	fetch, next, classify = -1, -1, -1
+	probs := map[string]*float64{"rate": &rate, "fetch": &fetch, "next": &next, "classify": &classify,
+		"trunc": &trunc, "stall": &stall, "dwrite": &dwrite, "dsync": &dsync, "dcorrupt": &dcorrupt}
 	burst := 1
 	permanent := false
 	for _, kv := range strings.Split(s, ",") {
@@ -129,32 +137,18 @@ func Parse(s string) (*Profile, error) {
 		switch key {
 		case "seed":
 			p.Seed, err = strconv.ParseInt(val, 10, 64)
-		case "rate":
-			rate, err = strconv.ParseFloat(val, 64)
-		case "fetch":
-			fetch, err = strconv.ParseFloat(val, 64)
-		case "next":
-			next, err = strconv.ParseFloat(val, 64)
-		case "classify":
-			classify, err = strconv.ParseFloat(val, 64)
-		case "trunc":
-			trunc, err = strconv.ParseFloat(val, 64)
-		case "stall":
-			stall, err = strconv.ParseFloat(val, 64)
 		case "cost":
-			cost, err = strconv.ParseFloat(val, 64)
+			cost, err = parseIn(val, math.Inf(1))
 		case "burst":
 			burst, err = strconv.Atoi(val)
 		case "permanent":
 			permanent, err = strconv.ParseBool(val)
-		case "dwrite":
-			dwrite, err = strconv.ParseFloat(val, 64)
-		case "dsync":
-			dsync, err = strconv.ParseFloat(val, 64)
-		case "dcorrupt":
-			dcorrupt, err = strconv.ParseFloat(val, 64)
 		default:
-			return nil, fmt.Errorf("faults: unknown profile key %q (accepted keys: %s)", key, strings.Join(parseKeys, ", "))
+			prob := probs[key]
+			if prob == nil {
+				return nil, fmt.Errorf("faults: unknown profile key %q (accepted keys: %s)", key, strings.Join(parseKeys, ", "))
+			}
+			*prob, err = parseIn(val, 1)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("faults: bad value %q for profile key %q: %v", val, key, err)
@@ -165,6 +159,19 @@ func Parse(s string) (*Profile, error) {
 			return override
 		}
 		return rate
+	}
+	// A transient next or classify fault fires before the stream advances,
+	// so a retry resumes in place: at probability 1 the executor retries
+	// the same position forever.
+	ops := [2]string{"next", "classify"}
+	for i, override := range [2]float64{next, classify} {
+		key := ops[i]
+		if override < 0 {
+			key = "rate"
+		}
+		if !permanent && pick(override) == 1 {
+			return nil, fmt.Errorf("faults: profile key %q makes every %s call fail transiently, so a run retries it forever (use a probability below 1, or permanent=true)", key, ops[i])
+		}
 	}
 	for i := 0; i < 2; i++ {
 		p.Fetch[i] = Spec{Prob: pick(fetch), Burst: burst, Permanent: permanent, ExtraCost: cost, StallProb: stall}
@@ -178,6 +185,16 @@ func Parse(s string) (*Profile, error) {
 		Corrupt: Spec{Prob: dcorrupt, Burst: 1},
 	}
 	return p, nil
+}
+
+// parseIn parses a finite float in [0, hi]. NaN or ±Inf would poison every
+// cost-model time they reach, and encoding/json cannot encode them.
+func parseIn(val string, hi float64) (float64, error) {
+	v, err := strconv.ParseFloat(val, 64)
+	if err == nil && (math.IsInf(v, 0) || !(v >= 0 && v <= hi)) {
+		err = fmt.Errorf("want a finite number in [0, %g]", hi)
+	}
+	return v, err
 }
 
 // Error is an injected substrate failure.

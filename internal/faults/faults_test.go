@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"joinopt/internal/corpus"
@@ -43,6 +44,37 @@ func TestParse(t *testing.T) {
 	for _, bad := range []string{"rate", "rate=x", "bogus=1", "rate=0.1,,"} {
 		if _, err := Parse(bad); err == nil {
 			t.Errorf("Parse(%q) succeeded, want error", bad)
+		}
+	}
+
+	// Profiles a run cannot finish under or bill: each error names the key.
+	for _, c := range []struct{ profile, key string }{
+		{"rate=1", "rate"},
+		{"next=1", "next"},
+		{"rate=0.1,classify=1", "classify"},
+		{"rate=1,next=0.5", "rate"},
+		{"rate=2", "rate"},
+		{"fetch=-0.5", "fetch"},
+		{"trunc=1.5", "trunc"},
+		{"stall=NaN", "stall"},
+		{"dcorrupt=Inf", "dcorrupt"},
+		{"rate=0.3,cost=NaN", "cost"},
+		{"stall=0.5,cost=Inf", "cost"},
+		{"stall=0.5,cost=-Inf", "cost"},
+		{"rate=0.3,cost=-5", "cost"},
+	} {
+		_, err := Parse(c.profile)
+		if err == nil {
+			t.Errorf("Parse(%q) succeeded, want error", c.profile)
+		} else if want := fmt.Sprintf("%q", c.key); !strings.Contains(err.Error(), want) {
+			t.Errorf("Parse(%q) error %q does not name %s", c.profile, err, want)
+		}
+	}
+	// Profiles that finish: a certain fetch fault loses the document and
+	// moves on, and a permanent pull fault ends the stream.
+	for _, ok := range []string{"rate=0.9", "fetch=1", "rate=1,permanent=true", "next=1,permanent=true", "rate=0,cost=0", "dwrite=1,dsync=1,dcorrupt=1"} {
+		if _, err := Parse(ok); err != nil {
+			t.Errorf("Parse(%q): %v", ok, err)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"math"
 	"testing"
 
 	"joinopt/internal/retrieval"
@@ -144,4 +145,41 @@ func TestUniformSides(t *testing.T) {
 	if same > n*3/4 || same < n/4 {
 		t.Errorf("sides agree on %d/%d calls; streams look correlated", same, n)
 	}
+}
+
+// FuzzParse: Parse never panics, and every profile it accepts is one a run
+// can finish under and bill — every probability in [0, 1], every cost finite
+// and non-negative, and no transient next or classify fault certain to fire.
+func FuzzParse(f *testing.F) {
+	for _, s := range []string{
+		"", "rate=0.05,seed=9,burst=2,stall=0.01,trunc=0.02,cost=2,permanent=true",
+		"rate=0.1,fetch=0.5", "rate=1", "next=1", "classify=1,rate=0.1", "rate=1,permanent=true",
+		"rate=0.3,cost=NaN", "stall=0.5,cost=Inf", "rate=0.3,cost=-5", "rate=2", "burst=-3,rate=0.5",
+		"seed=11,dwrite=0.5,dsync=0.25,dcorrupt=1", "rate=0.1,,", "rate", "=",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		p, err := Parse(s)
+		if err != nil || p == nil {
+			return
+		}
+		specs := []Spec{p.Disk.Write, p.Disk.Sync, p.Disk.Corrupt}
+		for i := 0; i < 2; i++ {
+			specs = append(specs, p.Fetch[i], p.Next[i], p.Classify[i], p.Truncate[i])
+			for _, sp := range []Spec{p.Next[i], p.Classify[i]} {
+				if !sp.Permanent && sp.Prob >= 1 {
+					t.Fatalf("Parse(%q) accepted a transient fault certain to fire: %+v", s, sp)
+				}
+			}
+		}
+		for _, sp := range specs {
+			if !(sp.Prob >= 0 && sp.Prob <= 1) || !(sp.StallProb >= 0 && sp.StallProb <= 1) {
+				t.Fatalf("Parse(%q) accepted a probability outside [0, 1]: %+v", s, sp)
+			}
+			if !(sp.ExtraCost >= 0) || math.IsInf(sp.ExtraCost, 0) {
+				t.Fatalf("Parse(%q) accepted a cost that is negative or not finite: %+v", s, sp)
+			}
+		}
+	})
 }

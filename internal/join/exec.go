@@ -20,7 +20,6 @@ import (
 	"joinopt/internal/pipeline"
 	"joinopt/internal/relation"
 	"joinopt/internal/retrieval"
-	"joinopt/internal/shard"
 )
 
 // Costs are the per-operation execution-time constants of one database side:
@@ -146,8 +145,8 @@ type State struct {
 	// so tuples, accounting, traces, and fault streams stay bit-identical
 	// to the nil (sequential) path. Its cache makes re-extraction of an
 	// already-paid (document, θ) free: zero tE, counted as a cache hit.
-	// shard.NewGroup decides whether an execution gets one.
-	Pipeline *shard.Group
+	// pipeline.NewEngine decides whether an execution gets one.
+	Pipeline *pipeline.Engine
 
 	totalPairs     int
 	joinSize       int
@@ -346,9 +345,7 @@ func processDoc(st *State, i int, s *Side, docID int) ([]relation.Entry, error) 
 	if doc != s.DB.Doc(docID) {
 		// Abandon any speculation on the canonical document and extract
 		// the copy inline.
-		if st.Pipeline != nil {
-			st.Pipeline.Drop(pipeline.Key{Side: i, DocID: docID, Theta: s.Theta})
-		}
+		st.Pipeline.Drop(pipeline.Key{Side: i, DocID: docID, Theta: s.Theta})
 		entries = s.Table.AppendTuples(entries, s.Table.System().Extract(doc.Text, s.Theta))
 	} else {
 		var evicted int
@@ -396,17 +393,17 @@ func processDoc(st *State, i int, s *Side, docID int) ([]relation.Entry, error) 
 // cache hits are free (hit), speculative worker results are collected here,
 // on the stepping goroutine, in stream order, and the entries are read back
 // from the table (see extract.Table.AppendResolved).
-func extractDoc(g *shard.Group, i int, s *Side, docID int, buf []relation.Entry) (entries []relation.Entry, hit bool, evicted int) {
-	if g == nil {
+func extractDoc(e *pipeline.Engine, i int, s *Side, docID int, buf []relation.Entry) (entries []relation.Entry, hit bool, evicted int) {
+	if e == nil {
 		return s.Table.AppendEntries(buf, docID, s.Theta), false, 0
 	}
-	tuples, hit, evicted := g.Resolve(pipeline.Key{Side: i, DocID: docID, Theta: s.Theta}, func() []relation.Tuple {
+	tuples, hit, evicted := e.Resolve(pipeline.Key{Side: i, DocID: docID, Theta: s.Theta}, func() []relation.Tuple {
 		return s.Table.Extract(docID, s.Theta)
 	})
 	return s.Table.AppendResolved(buf, docID, s.Theta, tuples), hit, evicted
 }
 
-// announceStreams feeds g the documents the live retrieval streams will
+// announceStreams feeds e the documents the live retrieval streams will
 // hand out next (peeked without advancing them), interleaved by depth: the
 // next unannounced document of the stream with the shortest announced
 // prefix goes first. The square traversal resolves one document per stream
@@ -415,8 +412,8 @@ func extractDoc(g *shard.Group, i int, s *Side, docID int, buf []relation.Entry)
 // ahead[i] counts the prefix of stream i's that earlier steps announced. A
 // window-full refusal ends the pass; the refused document is retried on a
 // later step.
-func announceStreams(g *shard.Group, sides []*Side, strats []retrieval.Strategy, done []bool, ahead []int) {
-	n := g.Lookahead()
+func announceStreams(e *pipeline.Engine, sides []*Side, strats []retrieval.Strategy, done []bool, ahead []int) {
+	n := e.Lookahead()
 	if n == 0 {
 		return
 	}
@@ -437,7 +434,7 @@ func announceStreams(g *shard.Group, sides []*Side, strats []retrieval.Strategy,
 				next = i
 			}
 		}
-		if next < 0 || !g.Announce(pipeline.Key{Side: next, DocID: peeks[next][ahead[next]], Theta: sides[next].Theta}) {
+		if next < 0 || !e.Announce(pipeline.Key{Side: next, DocID: peeks[next][ahead[next]], Theta: sides[next].Theta}) {
 			return
 		}
 		ahead[next]++

@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"math/bits"
 
+	"joinopt/internal/pipeline"
 	"joinopt/internal/relation"
 	"joinopt/internal/retrieval"
-	"joinopt/internal/shard"
 )
 
 // Tree-shaped n-ary execution: NaryExec runs the n-ary Independent Join
@@ -138,7 +138,7 @@ type NaryExec struct {
 	// exactly as in the binary executors: announced documents extract
 	// speculatively on the worker pool, results resolve in stream order,
 	// and the cache makes re-extraction free. Set before the first Step.
-	Pipeline *shard.Group
+	Pipeline *pipeline.Engine
 }
 
 // NewNaryExec builds a tree execution over sides. The plan's tree must

@@ -14,7 +14,6 @@ import (
 	"joinopt/internal/pipeline"
 	"joinopt/internal/relation"
 	"joinopt/internal/retrieval"
-	"joinopt/internal/shard"
 	"joinopt/internal/workload"
 )
 
@@ -25,8 +24,8 @@ var (
 )
 
 // pipeWorkload is a dedicated workload for the pipeline property tests: they
-// mutate Faults, Trace, ExecWorkers, Shards, and Cache, so they must not
-// share the package-wide one.
+// mutate Faults, Trace, ExecWorkers, and Cache, so they must not share the
+// package-wide one.
 func pipeWorkload(t *testing.T) *workload.Workload {
 	t.Helper()
 	pipeWlOnce.Do(func() {
@@ -154,6 +153,30 @@ func TestPipelineBitIdenticalWithCache(t *testing.T) {
 	}
 }
 
+// TestPipelineCappedCacheWarmthInvariant: with a cache budget tight enough
+// to evict, every worker count still reads and fills the one cache in
+// canonical stream order, so the same documents stay warm as in the
+// sequential run — and with them every hit, charge, and "cached" trace
+// attribute. The whole snapshot and trace must match for every plan, cap
+// and worker count.
+func TestPipelineCappedCacheWarmthInvariant(t *testing.T) {
+	w := pipeWorkload(t)
+	for _, spec := range pipelinePlans {
+		for _, kib := range []int64{32, 64, 128, 256, 512} {
+			baseTrace, baseSnap := runPipelined(t, w, spec, 0, kib<<10, 2)
+			for _, n := range []int{2, 4, 8} {
+				trace, snap := runPipelined(t, w, spec, n, kib<<10, 2)
+				if snap != baseSnap {
+					t.Errorf("%s %d KiB workers=%d: snapshot diverged\nbase %+v\n got %+v", spec, kib, n, baseSnap, snap)
+				}
+				if !bytes.Equal(trace, baseTrace) {
+					t.Errorf("%s %d KiB workers=%d: trace diverged at %s", spec, kib, n, firstTraceDiff(baseTrace, trace))
+				}
+			}
+		}
+	}
+}
+
 // TestCacheMakesRerunExtractionFree pins the cost-model contract: re-running
 // a plan against a warm cache charges zero extraction time for every cached
 // document, and the tuples are identical.
@@ -205,7 +228,7 @@ func TestPipelineFeedsEveryStream(t *testing.T) {
 		}
 		var extracted [2]atomic.Int64
 		st := exec.State()
-		st.Pipeline = shard.NewGroup(1, nil, 4, func(k pipeline.Key) []relation.Tuple {
+		st.Pipeline = pipeline.NewEngine(nil, 4, func(k pipeline.Key) []relation.Tuple {
 			extracted[k.Side].Add(1)
 			return w.Tables[k.Side].Extract(k.DocID, k.Theta)
 		})

@@ -187,13 +187,6 @@ type Checkpoint struct {
 	TotalTime      float64       // billed time excluding the in-flight executor
 	Exec           join.Snapshot // in-flight executor state
 
-	// ShardDocs is the in-flight executor's per-shard resolution progress at
-	// checkpoint time (nil when the execution is unsharded). Resume primes
-	// the rebuilt executor's shard group with it, so the deterministic
-	// replay re-resolves completed shards' documents from the warm cache
-	// instead of re-speculating the extraction work.
-	ShardDocs []int
-
 	// Finish-phase coordinates (valid when Phase == PhaseFinish): the
 	// extended effort target, the extension round, and the stall-detection
 	// progress snapshot taken before the interrupted run.
@@ -291,10 +284,6 @@ func (env *Env) adaptiveLoop(ctx context.Context, res *Result, req Requirement, 
 		return res, fmt.Errorf("optimizer: building %s: %w", best.Plan, err)
 	}
 	if ck.Exec.Steps > 0 {
-		// A resume floor from the checkpoint's per-shard progress: replay
-		// skips re-speculating work the shards already did. The group
-		// ignores a vector recorded under a different shard count.
-		exec.State().Pipeline.Prime(ck.ShardDocs)
 		if err := join.Replay(exec, ck.Exec); err != nil {
 			return res, fmt.Errorf("optimizer: resuming %s: %w", best.Plan, err)
 		}
@@ -318,7 +307,6 @@ func (env *Env) adaptiveLoop(ctx context.Context, res *Result, req Requirement, 
 			Switches:       switches,
 			TotalTime:      res.TotalTime,
 			Exec:           exec.State().Snapshot(),
-			ShardDocs:      exec.State().Pipeline.Progress(),
 			Target:         target,
 			Ext:            ext,
 			Prev:           prev,

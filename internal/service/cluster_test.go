@@ -245,7 +245,7 @@ func TestClusterRedirectSubmit(t *testing.T) {
 	}
 }
 
-// migrationReq is a sharded adaptive job slow enough to checkpoint several
+// migrationReq is a pipelined adaptive job slow enough to checkpoint several
 // times mid-run (the same shape crash-smoke interrupts). Every call hands
 // out a fresh workload seed: process-global memoization would otherwise
 // make repeat runs (-count=N) finish so fast that the kill or drain lands
@@ -255,7 +255,7 @@ var migrationSeq atomic.Int64
 
 func migrationReq() JobRequest {
 	return JobRequest{
-		TauG: 8, TauB: 400, Shards: 2,
+		TauG: 8, TauB: 400, ExecWorkers: 2,
 		Workload: WorkloadSpec{NumDocs: 5000, Seed: 21 + migrationSeq.Add(1)},
 	}
 }
@@ -327,7 +327,7 @@ func awaitFrozen(t *testing.T, frozen chan *Job) *Job {
 // checkpoint, and finishes the job bit-identical to an undisturbed run.
 func TestClusterTakeover(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs a sharded adaptive job three times")
+		t.Skip("runs a pipelined adaptive job three times")
 	}
 	req := migrationReq()
 
@@ -371,7 +371,7 @@ func TestClusterTakeover(t *testing.T) {
 // interrupted jobs to their successors instead of waiting to be missed.
 func TestClusterDrainHandoff(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs a sharded adaptive job twice")
+		t.Skip("runs a pipelined adaptive job twice")
 	}
 	nodes := startFleet(t, 2)
 	req := migrationReq()

@@ -156,7 +156,12 @@ type JobRequest struct {
 	Deadline      float64 `json:"deadline,omitempty"`
 	Workers       int     `json:"workers,omitempty"`      // optimizer plan-evaluation workers
 	ExecWorkers   int     `json:"exec_workers,omitempty"` // pipelined extraction workers
-	Shards        int     `json:"shards,omitempty"`       // corpus shards: shares of the speculation pool over the task's one cache
+
+	// Shards is the v1 alias of ExecWorkers, kept so that specs, journals
+	// and standby messages from sharded runs still decode: a job runs
+	// max(ExecWorkers, Shards) workers when Shards >= 2, as its shards did
+	// when ExecWorkers was 0 or a multiple of Shards.
+	Shards int `json:"shards,omitempty"`
 
 	// Tuples caps how many labelled join tuples the result carries (0 =
 	// none; -1 = all).

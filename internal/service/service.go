@@ -508,11 +508,12 @@ func (s *Service) runJob(j *Job) (*JobResult, error) {
 	if j.req.Workers != 0 {
 		opts = append(opts, joinopt.WithWorkers(j.req.Workers))
 	}
-	if j.req.ExecWorkers != 0 {
-		opts = append(opts, joinopt.WithExecWorkers(j.req.ExecWorkers))
+	execWorkers := j.req.ExecWorkers
+	if j.req.Shards > 1 { // the v1 alias, see JobRequest.Shards
+		execWorkers = max(execWorkers, j.req.Shards)
 	}
-	if j.req.Shards != 0 {
-		opts = append(opts, joinopt.WithShards(j.req.Shards))
+	if execWorkers != 0 {
+		opts = append(opts, joinopt.WithExecWorkers(execWorkers))
 	}
 	if j.req.Faults != "" {
 		fp, err := joinopt.ParseFaultProfile(j.req.Faults)

@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -524,6 +525,13 @@ func TestSubmitValidation(t *testing.T) {
 			Plan: &service.PlanRequest{Algorithm: "XXJN"}}, "unknown algorithm"},
 		{"bad fault key", service.JobRequest{Workload: testSpec, Faults: "rat=0.1"}, `unknown profile key "rat"`},
 		{"bad fault value", service.JobRequest{Workload: testSpec, Faults: "rate=lots"}, `bad value "lots"`},
+		{"fault rate that never finishes", service.JobRequest{Workload: testSpec, Faults: "rate=1"}, `profile key "rate"`},
+		{"fault next that never finishes", service.JobRequest{Workload: testSpec, Faults: "next=1"}, `profile key "next"`},
+		{"fault classify that never finishes", service.JobRequest{Workload: testSpec, Faults: "classify=1"}, `profile key "classify"`},
+		{"fault probability above one", service.JobRequest{Workload: testSpec, Faults: "rate=2"}, `profile key "rate"`},
+		{"fault cost NaN", service.JobRequest{Workload: testSpec, Faults: "rate=0.3,cost=NaN"}, `profile key "cost"`},
+		{"fault cost infinite", service.JobRequest{Workload: testSpec, Faults: "stall=0.5,cost=Inf"}, `profile key "cost"`},
+		{"fault cost negative", service.JobRequest{Workload: testSpec, Faults: "rate=0.3,cost=-5"}, `profile key "cost"`},
 		{"resume from unknown job", service.JobRequest{Workload: testSpec, ResumeFrom: "j999999"}, "unknown job"},
 	}
 	for _, tc := range cases {
@@ -537,6 +545,42 @@ func TestSubmitValidation(t *testing.T) {
 				t.Errorf("error %q does not mention %q", body.Error, tc.want)
 			}
 		})
+	}
+}
+
+// TestShardsAliasRunsExecWorkers: "shards" stays a v1 job-spec key, an
+// alias of exec_workers, so handleSubmit's strict decoder accepts specs
+// written when executions were sharded. A job with "shards": 2 returns the
+// result of the same job with "exec_workers": 2, and of one with neither.
+// The cache is off, so the three jobs cannot warm one another.
+func TestShardsAliasRunsExecWorkers(t *testing.T) {
+	e := newEnv(t, service.Options{})
+	var want *service.JobResult
+	for _, knob := range []string{``, `"exec_workers":2,`, `"shards":2,`} {
+		spec := fmt.Sprintf(`{%s"workload":{"num_docs":%d,"seed":%d,"cache_bytes":-1},"tau_g":%d,"tau_b":%d,"tuples":-1}`,
+			knob, testSpec.NumDocs, testSpec.Seed, testTauG, testTauB)
+		resp, err := http.Post(e.srv.URL+"/v1/jobs", "application/json", strings.NewReader(spec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var st service.JobStatus
+		err = json.NewDecoder(resp.Body).Decode(&st)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusAccepted || err != nil {
+			t.Fatalf("submitting %s: status %d, decoding: %v", spec, resp.StatusCode, err)
+		}
+		if fin := e.await(t, st.ID); fin.State != service.StateDone {
+			t.Fatalf("%s finished %s (%s)", spec, fin.State, fin.Error)
+		}
+		_, _, res := e.result(t, st.ID)
+		if want == nil {
+			want = res
+		} else if !reflect.DeepEqual(res, want) {
+			t.Errorf("%s diverged from the plain job:\n got %+v\nwant %+v", spec, res, want)
+		}
+	}
+	if len(want.Tuples) == 0 {
+		t.Error("the plain job returned no tuples to compare")
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 	"joinopt/internal/pipeline"
 	"joinopt/internal/relation"
 	"joinopt/internal/retrieval"
-	"joinopt/internal/shard"
 )
 
 // NewExecutor builds a fresh join executor for a plan over this workload,
@@ -50,7 +49,7 @@ func (w *Workload) NewExecutor(plan optimizer.PlanSpec) (join.Executor, error) {
 	st.Deadline = w.Deadline
 	st.Trace = w.Trace
 	st.Metrics = w.execMetrics()
-	st.Pipeline = shard.NewGroup(w.Shards, w.Cache, w.ExecWorkers, w.extractFn())
+	st.Pipeline = pipeline.NewEngine(w.Cache, w.ExecWorkers, w.extractFn())
 	// Bind the trace clock to this executor's cost-model time so sites
 	// without State access (fault injectors, retrieval wrappers) stamp their
 	// events consistently with the executor's own.

@@ -10,7 +10,6 @@ import (
 	"joinopt/internal/querygraph"
 	"joinopt/internal/relation"
 	"joinopt/internal/retrieval"
-	"joinopt/internal/shard"
 )
 
 func naryTriple(t *testing.T) *MultiWorkload {
@@ -130,12 +129,19 @@ func TestNaryExecTreeShapeInvariance(t *testing.T) {
 	}
 }
 
-// TestNaryExecPipelineBitIdentical: the pipeline engine must leave the
-// execution bit-identical at every worker count, with the Time+ΣCacheSaved
-// invariant, exactly like the binary executors.
-func TestNaryExecPipelineBitIdentical(t *testing.T) {
-	mw := naryTriple(t)
-	g, err := querygraph.Chain(3)
+// checkNaryPipelineBitIdentical: the pipeline engine must leave a tree
+// execution over rels bit-identical at every worker count — the tree nodes
+// keep merging the canonical consumer-ordered streams — exactly like the
+// binary executors. The chosen plan runs sequentially and uncached, then at
+// every worker count over a fresh cache of cacheBytes (none when 0): tuples
+// and per-side counters must match, and so must Time+ΣCacheSaved.
+func checkNaryPipelineBitIdentical(t *testing.T, rels []string, tauG int, cacheBytes int64) {
+	t.Helper()
+	mw, err := Multi(Params{NumDocs: 450, Seed: 33}, rels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := querygraph.Chain(len(rels))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,78 +150,12 @@ func TestNaryExecPipelineBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	in.Workers = 1
-	best, _, err := optimizer.ChooseNary(g, in, optimizer.Requirement{TauG: 10, TauB: 1 << 30})
+	best, _, err := optimizer.ChooseNary(g, in, optimizer.Requirement{TauG: tauG, TauB: 1 << 30})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ref *join.NaryState
-	for _, workers := range []int{0, 1, 4} {
-		exec, err := mw.NewNaryExecutor(best, 0.1, workers, 0, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		st, err := join.RunNary(exec, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ref == nil {
-			ref = st
-			if st.GoodTuples == 0 {
-				t.Fatal("chosen plan produced no good tuples")
-			}
-			continue
-		}
-		if st.GoodTuples != ref.GoodTuples || st.BadTuples != ref.BadTuples {
-			t.Errorf("workers=%d tuples diverged: (%d, %d) vs (%d, %d)", workers,
-				st.GoodTuples, st.BadTuples, ref.GoodTuples, ref.BadTuples)
-		}
-		sum := func(s *join.NaryState) float64 {
-			total := s.Time
-			for _, cs := range s.CacheSaved {
-				total += cs
-			}
-			return total
-		}
-		if sum(st) != sum(ref) {
-			t.Errorf("workers=%d Time+ΣCacheSaved invariant broken: %v vs %v", workers, sum(st), sum(ref))
-		}
-		for i := range st.DocsProcessed {
-			if st.DocsProcessed[i] != ref.DocsProcessed[i] {
-				t.Errorf("workers=%d side %d processed %d vs %d", workers, i, st.DocsProcessed[i], ref.DocsProcessed[i])
-			}
-		}
-	}
-}
-
-// TestNaryExecShardedBitIdentical: sharding a four-relation tree execution
-// must leave every counter identical at every shard count — the shards size
-// the speculation pool but the tree nodes keep merging the canonical
-// consumer-ordered streams — including with an explicit worker budget on
-// top, and the Time+ΣCacheSaved warmth invariant must hold.
-func TestNaryExecShardedBitIdentical(t *testing.T) {
-	mw, err := Multi(Params{NumDocs: 450, Seed: 33}, []string{"HQ", "EX", "MG", "HQ"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := querygraph.Chain(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	in, err := mw.TrueNaryInputs([]float64{0.4, 0.8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	in.Workers = 1
-	best, _, err := optimizer.ChooseNary(g, in, optimizer.Requirement{TauG: 5, TauB: 1 << 30})
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func(shards, workers int) *join.NaryState {
-		var cache *pipeline.Cache
-		if shards >= 2 {
-			cache = pipeline.NewCache(1 << 26)
-		}
-		exec, err := mw.NewNaryExecutor(best, 0.1, workers, shards, cache)
+	run := func(workers int, cacheBytes int64) *join.NaryState {
+		exec, err := mw.NewNaryExecutor(best, 0.1, workers, pipeline.NewCache(cacheBytes))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -236,21 +176,35 @@ func TestNaryExecShardedBitIdentical(t *testing.T) {
 	if ref.GoodTuples == 0 {
 		t.Fatal("chosen plan produced no good tuples")
 	}
-	for _, cfg := range [][2]int{{1, 0}, {2, 0}, {4, 0}, {8, 0}, {4, 3}} {
-		st := run(cfg[0], cfg[1])
+	for _, workers := range []int{0, 1, 2, 4, 8} {
+		st := run(workers, cacheBytes)
 		if st.GoodTuples != ref.GoodTuples || st.BadTuples != ref.BadTuples {
-			t.Errorf("shards=%d workers=%d tuples diverged: (%d, %d) vs (%d, %d)", cfg[0], cfg[1],
+			t.Errorf("workers=%d tuples diverged: (%d, %d) vs (%d, %d)", workers,
 				st.GoodTuples, st.BadTuples, ref.GoodTuples, ref.BadTuples)
 		}
 		if warmth(st) != warmth(ref) {
-			t.Errorf("shards=%d workers=%d Time+ΣCacheSaved invariant broken: %v vs %v", cfg[0], cfg[1], warmth(st), warmth(ref))
+			t.Errorf("workers=%d Time+ΣCacheSaved invariant broken: %v vs %v", workers, warmth(st), warmth(ref))
 		}
 		for i := range st.DocsProcessed {
 			if st.DocsProcessed[i] != ref.DocsProcessed[i] || st.DocsRetrieved[i] != ref.DocsRetrieved[i] {
-				t.Errorf("shards=%d workers=%d side %d counters diverged", cfg[0], cfg[1], i)
+				t.Errorf("workers=%d side %d counters diverged", workers, i)
 			}
 		}
 	}
+}
+
+// TestNaryExecPipelineBitIdentical: an uncached three-relation chain stays
+// bit-identical at every worker count.
+func TestNaryExecPipelineBitIdentical(t *testing.T) {
+	checkNaryPipelineBitIdentical(t, []string{"HQ", "EX", "MG"}, 10, 0)
+}
+
+// TestNaryExecShardedBitIdentical: a four-relation chain over a shared
+// cache stays bit-identical at every worker count, and the Time+ΣCacheSaved
+// warmth invariant holds. (The name is from when the speculation pool was
+// sized by a document-shard count; it is now sized by workers alone.)
+func TestNaryExecShardedBitIdentical(t *testing.T) {
+	checkNaryPipelineBitIdentical(t, []string{"HQ", "EX", "MG", "HQ"}, 5, 1<<26)
 }
 
 // TestNaryExecFeedsEveryStream: every relation's stream shares the one
@@ -264,7 +218,7 @@ func TestNaryExecFeedsEveryStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	extracted := make([]atomic.Int64, len(sides))
-	exec.Pipeline = shard.NewGroup(1, nil, 4, func(k pipeline.Key) []relation.Tuple {
+	exec.Pipeline = pipeline.NewEngine(nil, 4, func(k pipeline.Key) []relation.Tuple {
 		extracted[k.Side].Add(1)
 		return mw.Tables[k.Side].Extract(k.DocID, k.Theta)
 	})
@@ -301,7 +255,7 @@ func TestChooseNaryOnWorkload(t *testing.T) {
 	if len(evals) == 0 || !best.Feasible {
 		t.Fatalf("no feasible plan: %+v", best)
 	}
-	exec, err := mw.NewNaryExecutor(best, in.TJ, 0, 0, nil)
+	exec, err := mw.NewNaryExecutor(best, in.TJ, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -99,17 +99,13 @@ type Workload struct {
 	// bit-identical to the sequential execution. 0 = sequential.
 	ExecWorkers int
 
-	// Shards partitions each database into that many deterministic shards
-	// (see internal/shard), and Cache is the byte-bounded extraction cache
-	// shared across every execution built over this workload — pilot,
-	// abandoned, and final plans alike — so re-processing a document at the
-	// same θ is free. A shard is a share of the speculation pool plus a
-	// resume counter; documents resolve through the one cache and in
-	// canonical stream order at any shard count, so output is bit-identical
-	// at every setting. nil Cache = uncached. Hits, misses, and evictions
-	// surface through Metrics.
-	Shards int
-	Cache  *pipeline.Cache
+	// Cache is the byte-bounded extraction cache shared across every
+	// execution built over this workload — pilot, abandoned, and final plans
+	// alike — so re-processing a document at the same θ is free. Documents
+	// resolve through it in canonical stream order at any worker count, so
+	// output is bit-identical at every setting. nil = uncached. Hits,
+	// misses, and evictions surface through Metrics.
+	Cache *pipeline.Cache
 
 	// Trace and Metrics, when set, observe every execution built over this
 	// workload: executors stamp span events and mirror their counters, fault
@@ -163,7 +159,6 @@ func (w *Workload) Clone() *Workload {
 		Retry:       w.Retry,
 		Deadline:    w.Deadline,
 		ExecWorkers: w.ExecWorkers,
-		Shards:      w.Shards,
 		Cache:       w.Cache,
 		Trace:       w.Trace,
 		Metrics:     w.Metrics,

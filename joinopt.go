@@ -149,7 +149,9 @@ func ParseFaultProfile(s string) (*FaultProfile, error) {
 
 // UniformFaults injects transient single-call faults at the given rate on
 // every document fetch, retrieval pull, and classification of both sides,
-// deterministically derived from seed.
+// deterministically derived from seed. The rate must lie in [0, 1): at 1
+// every retrieval pull fails, a transient pull fault retries in place, and
+// the run never finishes (ParseFaultProfile rejects such profiles).
 func UniformFaults(seed int64, rate float64) *FaultProfile {
 	return &FaultProfile{p: faults.Uniform(seed, rate)}
 }
@@ -208,18 +210,9 @@ type Task struct {
 	// cache across every execution of this task — pilot, abandoned, and
 	// final plans of every Run alike — so re-processing a document at the
 	// same θ is charged zero extraction time. The task keeps that one cache
-	// at any shard count, and rebuilds it cold only when a run asks for a
+	// at any worker count, and rebuilds it cold only when a run asks for a
 	// different capacity. Inspect it with ExtractionCacheStats.
 	ExtractCacheBytes int64
-
-	// Shards, when >= 2, partitions each text database into that many
-	// deterministic shards. A shard is a share of each execution's
-	// speculative extraction pool plus a resume counter that adaptive
-	// checkpoints carry; every shard reads and fills the task's one
-	// extraction cache. Output — tuples, counters, traces — is bit-identical
-	// to the unsharded run at any shard count, and plan choice ignores the
-	// shard count; what changes is wall-clock overlap. 0 or 1 = unsharded.
-	Shards int
 
 	// MergeCost (n-ary tasks) is the cost-model time charged per expected
 	// intermediate tuple at every internal node of the executed join tree —

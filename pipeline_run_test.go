@@ -12,19 +12,18 @@ import (
 // execLayout is one setting of the execution knobs, which may change
 // wall-clock time but never an answer.
 type execLayout struct {
-	name                string
-	execWorkers, shards int
+	name        string
+	execWorkers int
 }
 
 var execLayouts = []execLayout{
 	{name: "plain"},
+	{name: "workers2", execWorkers: 2},
 	{name: "workers4", execWorkers: 4},
-	{name: "shards2", shards: 2},
-	{name: "shards4-workers4", execWorkers: 4, shards: 4},
 }
 
 func (l execLayout) opts() []joinopt.RunOption {
-	return []joinopt.RunOption{joinopt.WithExecWorkers(l.execWorkers), joinopt.WithShards(l.shards)}
+	return []joinopt.RunOption{joinopt.WithExecWorkers(l.execWorkers)}
 }
 
 // layoutRows are the Table II rows with a feasible plan at 2,000 documents.
@@ -55,10 +54,9 @@ func adaptiveAnswers(t *testing.T, tk *joinopt.Task, l execLayout, reqs []joinop
 }
 
 // TestRunExecWorkersIdenticalOutcome pins the promise that execution
-// workers and shards are bit-identical at any setting: a fixed plan's
-// outcome, every adaptive answer over the Table II rows (with and without
-// an extraction cache), and the n-ary plan choice are the same under every
-// layout. Each layout runs the adaptive rows in the same order on a fresh
+// workers are bit-identical at any setting: a fixed plan's outcome, every
+// adaptive answer over the Table II rows (with and without an extraction
+// cache), and the n-ary plan choice are the same under every layout. Each layout runs the adaptive rows in the same order on a fresh
 // task. Without a cache, a shared task would serve every later layout's
 // pilot from the first layout's plan-search memo, so the pilot would never
 // run under that layout. With a cache, answers follow the cache's history,
@@ -120,8 +118,8 @@ func TestRunExecWorkersIdenticalOutcome(t *testing.T) {
 	}
 
 	// One task with one cache runs the rows while cycling through the
-	// layouts. The cache outlives every shard-count change, so its history
-	// — and every answer — is the plain run's.
+	// layouts. The cache outlives every worker-count change, so its
+	// history — and every answer — is the plain run's.
 	t.Run("adaptive-cached-cycling", func(t *testing.T) {
 		answers := func(layout func(i int) execLayout) []string {
 			tk, err := joinopt.NewHQJoinEX(params)
@@ -147,7 +145,7 @@ func TestRunExecWorkersIdenticalOutcome(t *testing.T) {
 			t.Fatal(err)
 		}
 		plans := func(l execLayout) []string {
-			tk.ExecWorkers, tk.Shards = l.execWorkers, l.shards
+			tk.ExecWorkers = l.execWorkers
 			out := make([]string, len(reqs))
 			for i, req := range reqs {
 				qp, err := tk.OptimizeQuery(req)
@@ -215,21 +213,21 @@ func TestRunExtractionCacheStats(t *testing.T) {
 	}
 }
 
-// TestShardSwitchKeepsOneCacheBudget pins the single extraction layout: a
-// task keeps one cache at any shard count, so a 4-shard run after an
-// unsharded one is served from the warm cache — every document a hit, every
-// extraction charge saved — and the task's resident bytes stay within
+// TestWorkerSwitchKeepsOneCacheBudget pins the single extraction layout: a
+// task keeps one cache at any worker count, so a 4-worker run after a
+// sequential one is served from the warm cache — every document a hit,
+// every extraction charge saved — and the task's resident bytes stay within
 // ExtractCacheBytes.
-func TestShardSwitchKeepsOneCacheBudget(t *testing.T) {
+func TestWorkerSwitchKeepsOneCacheBudget(t *testing.T) {
 	tk, err := joinopt.NewHQJoinEX(joinopt.WorkloadParams{NumDocs: 600, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
 	tk.ExtractCacheBytes = 4 << 20
 	var out [2]*joinopt.Outcome
-	for i, shards := range []int{1, 4} {
+	for i, workers := range []int{0, 4} {
 		res, err := tk.Run(context.Background(), joinopt.Requirement{},
-			joinopt.WithPlan(scanPlan()), joinopt.WithShards(shards))
+			joinopt.WithPlan(scanPlan()), joinopt.WithExecWorkers(workers))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -238,10 +236,10 @@ func TestShardSwitchKeepsOneCacheBudget(t *testing.T) {
 	cold, warm := out[0], out[1]
 	s := tk.ExtractionCacheStats()
 	if docs := int64(warm.DocsProcessed[0] + warm.DocsProcessed[1]); docs == 0 || s.Hits != docs {
-		t.Errorf("the 4-shard run hit %d of its %d documents in the cache the unsharded run filled", s.Hits, docs)
+		t.Errorf("the 4-worker run hit %d of its %d documents in the cache the sequential run filled", s.Hits, docs)
 	}
 	if saved := warm.CacheSaved[0] + warm.CacheSaved[1]; saved == 0 || warm.Time+saved != cold.Time {
-		t.Errorf("the 4-shard run saved %v and billed %v; the unsharded run billed %v", saved, warm.Time, cold.Time)
+		t.Errorf("the 4-worker run saved %v and billed %v; the sequential run billed %v", saved, warm.Time, cold.Time)
 	}
 	if s.Bytes > tk.ExtractCacheBytes {
 		t.Errorf("task holds %d cache bytes against a %d-byte budget", s.Bytes, tk.ExtractCacheBytes)

@@ -13,7 +13,7 @@ import (
 
 // RunOption configures one Run call. Options override the task-level
 // defaults (Task.Faults, Task.Retry, Task.Deadline, Task.Workers,
-// Task.ExecWorkers, Task.ExtractCacheBytes, Task.Shards) for that call only.
+// Task.ExecWorkers, Task.ExtractCacheBytes) for that call only.
 type RunOption func(*runConfig)
 
 type runConfig struct {
@@ -32,7 +32,6 @@ type runConfig struct {
 	workers     int
 	execWorkers int
 	cacheBytes  int64
-	shards      int
 
 	qstop func(QueryProgress) bool
 }
@@ -47,7 +46,6 @@ func (t *Task) newRunConfig(opts []RunOption) *runConfig {
 		workers:     t.Workers,
 		execWorkers: t.ExecWorkers,
 		cacheBytes:  t.ExtractCacheBytes,
-		shards:      t.Shards,
 	}
 	for _, o := range opts {
 		o(cfg)
@@ -105,16 +103,6 @@ func WithWorkers(n int) RunOption {
 // wall-clock time.
 func WithExecWorkers(n int) RunOption {
 	return func(c *runConfig) { c.execWorkers = n }
-}
-
-// WithShards overrides the task's corpus shard count for this run (0 or 1 =
-// unsharded). The run partitions each database into that many deterministic
-// shards, each a share of the speculative extraction pool plus a resume
-// counter, over the task's one extraction cache. Any shard count produces
-// bit-identical tuples, counters, and traces, and plan choice ignores it;
-// sharding only overlaps wall-clock work.
-func WithShards(n int) RunOption {
-	return func(c *runConfig) { c.shards = n }
 }
 
 // WithExtractionCache overrides the task's extraction-cache capacity in
@@ -191,7 +179,6 @@ func (t *Task) configure(opts []RunOption) (*runConfig, *workload.Workload) {
 	}
 	w := t.w.Clone()
 	w.ExecWorkers = cfg.execWorkers
-	w.Shards = cfg.shards
 	w.Cache = t.extractCache(cfg.cacheBytes)
 	w.Faults = fp
 	w.Retry = join.RetryPolicy{
@@ -220,9 +207,8 @@ func (t *Task) configure(opts []RunOption) (*runConfig, *workload.Workload) {
 // instead plans the query with the DP join-tree enumerator against
 // perfect-knowledge measured parameters and executes the chosen tree: the
 // result's Query field carries the plan and per-relation statistics, and
-// WithQueryStop, WithWorkers, WithExecWorkers, WithShards,
-// WithExtractionCache, WithDeadline, and WithTracer apply; the
-// two-relation-only options
+// WithQueryStop, WithWorkers, WithExecWorkers, WithExtractionCache,
+// WithDeadline, and WithTracer apply; the two-relation-only options
 // (WithPlan, WithStop, fault injection, retries, checkpoints, metrics)
 // return a descriptive error.
 //
@@ -233,9 +219,8 @@ func (t *Task) configure(opts []RunOption) (*runConfig, *workload.Workload) {
 // and its clock follows whichever executor was constructed last); a shared
 // Metrics registry is safe but accumulates all runs into the same series.
 // The Task's configuration fields (Workers, Faults, Retry, Deadline,
-// ExecWorkers, ExtractCacheBytes, Shards, MergeCost) must not be mutated
-// while runs are in flight — configure them up front or per call via
-// options.
+// ExecWorkers, ExtractCacheBytes, MergeCost) must not be mutated while runs
+// are in flight — configure them up front or per call via options.
 func (t *Task) Run(ctx context.Context, req Requirement, opts ...RunOption) (*RunResult, error) {
 	if t.mw != nil {
 		return t.runQuery(ctx, req, opts)
