@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt build vet test race transparency api-check api-update bench-enum serve-smoke crash-smoke cluster-smoke bench bench-overhead bench-json bench-json-check fuzz
+.PHONY: check fmt build vet test race transparency api-check api-update bench-enum bench-estimate serve-smoke crash-smoke cluster-smoke bench bench-overhead bench-json bench-json-check fuzz
 
 # check is the full pre-merge gate: gofmt-clean sources, static checks, a
 # clean build, the test suites of both modules, the race detector over the concurrent
@@ -10,8 +10,9 @@ GO ?= go
 # value-query memo and plan-search memo that concurrent jobs share), the
 # transparency properties (a fault profile with rate 0, and any execution
 # worker count, must leave every execution bit-identical), the public-API
-# drift gate, and a smoke run of the n-ary enumerator benchmark.
-check: fmt vet build test race transparency api-check bench-enum
+# drift gate, and smoke runs of the n-ary enumerator and estimator
+# benchmarks.
+check: fmt vet build test race transparency api-check bench-enum bench-estimate
 
 # fmt fails when any Go file is not gofmt-clean, listing the offenders.
 fmt:
@@ -71,6 +72,13 @@ api-update:
 # in the pre-merge gate, not to produce stable numbers.
 bench-enum:
 	$(GO) test -run '^$$' -bench 'BenchmarkNaryEnumerator' -benchtime 3x ./internal/optimizer/
+
+# bench-estimate smokes the estimator benchmarks on the 8k pilot
+# observation (Estimate, CrossValidate, and PairSplit both fused and
+# separate): a few iterations to catch a broken or pathologically slow
+# estimator in the pre-merge gate, not to produce stable numbers.
+bench-estimate:
+	$(GO) test -run '^$$' -bench 'BenchmarkEstimate$$|BenchmarkCrossValidate$$|BenchmarkPairSplit' -benchtime 3x ./internal/estimate/
 
 # serve-smoke boots the real joinoptd binary on a random port, drives one
 # adaptive job end to end over HTTP (submit, event stream, result, metrics

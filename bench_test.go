@@ -7,9 +7,11 @@ package joinopt_test
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"testing"
 
+	"joinopt"
 	"joinopt/internal/classifier"
 	"joinopt/internal/estimate"
 	"joinopt/internal/experiments"
@@ -343,6 +345,46 @@ func BenchmarkAdaptiveOptimizer(b *testing.B) {
 			b.ReportMetric(good, "good-pairs")
 		})
 	}
+}
+
+var (
+	warm8kOnce sync.Once
+	warm8kTask *joinopt.Task
+	warm8kErr  error
+)
+
+// BenchmarkTable2Warm8k runs the 24 Table II rows through Task.Run on one
+// 8k-document task after one warm-up pass over them: perfbench
+// adaptive-8k's op mix, with the task's extraction tables, value-query memo
+// and plan-search memo warm. One iteration is one pass over the rows. The
+// task is built and warmed once per process, so -cpuprofile on this
+// benchmark alone profiles warm adaptive ops and little else.
+func BenchmarkTable2Warm8k(b *testing.B) {
+	ctx := context.Background()
+	pass := func(tk *joinopt.Task) error {
+		for _, r := range experiments.Table2Reqs {
+			if _, err := tk.Run(ctx, joinopt.Requirement(r)); err != nil {
+				return fmt.Errorf("τg=%d τb=%d: %w", r.TauG, r.TauB, err)
+			}
+		}
+		return nil
+	}
+	warm8kOnce.Do(func() {
+		warm8kTask, warm8kErr = joinopt.NewHQJoinEX(joinopt.WorkloadParams{NumDocs: 8000, Seed: 1})
+		if warm8kErr == nil {
+			warm8kErr = pass(warm8kTask)
+		}
+	})
+	if warm8kErr != nil {
+		b.Fatal(warm8kErr)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := pass(warm8kTask); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(b.N*len(experiments.Table2Reqs)), "ms/row")
 }
 
 // BenchmarkAblationPilotWindow measures how the on-the-fly estimator's

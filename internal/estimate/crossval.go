@@ -18,22 +18,24 @@ import (
 // agree perfectly; values above ~0.4 indicate an unreliable fit. The score
 // averages the relative disagreement of the fitted exponent, the mixture
 // weight, and the (half-)population sizes.
+//
+// The halves share everything but their values with obs, so both fit with
+// binomial tables filled once, at obs's coverages.
 func CrossValidate(obs Observation) (float64, error) {
-	half := [2]Observation{obs, obs}
-	half[0].ValueCounts = map[string]int{}
-	half[1].ValueCounts = map[string]int{}
-	for v, c := range obs.ValueCounts {
-		h := fnv.New32a()
-		h.Write([]byte(v))
-		half[h.Sum32()&1].ValueCounts[v] = c
+	halves, err := splitHalves(obs)
+	if err != nil {
+		return 0, err
 	}
-	var ests [2]*Estimated
-	for i := 0; i < 2; i++ {
-		e, err := Estimate(half[i])
-		if err != nil {
+	for i := range halves {
+		if err := checkFit(obs, halves[i].n); err != nil {
 			return 0, fmt.Errorf("estimate: cross-validation half %d: %w", i+1, err)
 		}
-		ests[i] = e
+	}
+	var t fitTables
+	t.fill(obs)
+	var ests [2]*Estimated
+	for i := range ests {
+		ests[i] = t.fit(obs, &halves[i])
 	}
 	relDiff := func(a, b float64) float64 {
 		m := (math.Abs(a) + math.Abs(b)) / 2
@@ -46,4 +48,24 @@ func CrossValidate(obs Observation) (float64, error) {
 	d += relDiff(ests[0].GoodShare, ests[1].GoodShare)
 	d += relDiff(float64(ests[0].Params.Ag+ests[0].Params.Ab), float64(ests[1].Params.Ag+ests[1].Params.Ab))
 	return d / 3, nil
+}
+
+// splitHalves tallies obs's observed values into the two cross-validation
+// halves by the fnv-32a parity of their names, so the split does not
+// depend on how the values were numbered.
+func splitHalves(obs Observation) ([2]histogram, error) {
+	var halves [2]histogram
+	if len(obs.Names) < len(obs.Counts) {
+		return halves, fmt.Errorf("estimate: cross-validation needs the names of %d value IDs, have %d", len(obs.Counts), len(obs.Names))
+	}
+	h := fnv.New32a()
+	for v, c := range obs.Counts {
+		if c < 1 {
+			continue
+		}
+		h.Reset()
+		h.Write([]byte(obs.Names[v]))
+		halves[h.Sum32()&1].add(c)
+	}
+	return halves, nil
 }

@@ -26,11 +26,21 @@ import (
 // processed. The optimizer therefore runs its estimation window with a scan
 // prefix.
 type Observation struct {
-	D             int            // |D|, known
-	DocsProcessed int            // documents processed so far
-	YieldDocs     int            // processed documents emitting ≥1 tuple
-	ValueCounts   map[string]int // s(a): observed occurrences per value
-	EmissionHist  []int          // EmissionHist[k] = processed docs emitting k tuples
+	D             int // |D|, known
+	DocsProcessed int // documents processed so far
+	YieldDocs     int // processed documents emitting ≥1 tuple
+
+	// Counts[v] is s(a) for the join value a with ID v: the number of
+	// processed documents in which a was observed, zero if none. The two
+	// sides of a join number their values in one dictionary, so their
+	// Counts index the same values.
+	Counts []int
+	// Names[v] is the value with ID v. IDs follow the order in which
+	// values were first numbered, so nothing may depend on them:
+	// CrossValidate splits the values by name.
+	Names []string
+
+	EmissionHist []int // EmissionHist[k] = processed docs emitting k tuples
 
 	TP, FP float64 // IE-system rates at the execution's θ (known)
 
@@ -71,19 +81,45 @@ type Estimated struct {
 // returns an error when the observation is too thin to fit (fewer than 10
 // observed values or no processed documents).
 func Estimate(obs Observation) (*Estimated, error) {
-	if obs.D <= 0 || obs.DocsProcessed <= 0 {
-		return nil, fmt.Errorf("estimate: empty observation window")
+	h := countHist(obs.Counts)
+	if err := checkFit(obs, h.n); err != nil {
+		return nil, err
 	}
-	if len(obs.ValueCounts) < 10 {
-		return nil, fmt.Errorf("estimate: only %d observed values; need at least 10", len(obs.ValueCounts))
+	var t fitTables
+	t.fill(obs)
+	return t.fit(obs, &h), nil
+}
+
+// checkFit reports why obs, with n observed values, cannot be fitted.
+func checkFit(obs Observation, n int) error {
+	if obs.D <= 0 || obs.DocsProcessed <= 0 {
+		return fmt.Errorf("estimate: empty observation window")
+	}
+	if n < 10 {
+		return fmt.Errorf("estimate: only %d observed values; need at least 10", n)
 	}
 	if obs.TP <= 0 {
-		return nil, fmt.Errorf("estimate: tp must be positive")
+		return fmt.Errorf("estimate: tp must be positive")
 	}
+	return nil
+}
 
+// fitTables are the binomial tables at an observation's good and bad
+// coverages. They depend on the observation's window and rates but not on
+// its counts, so both cross-validation halves fit with their parent's.
+type fitTables struct{ g, b binomialTable }
+
+// fill fills both tables at obs's coverages.
+func (t *fitTables) fill(obs Observation) {
 	cg, cb := coverages(obs)
-	hist := countHist(obs.ValueCounts)
+	t.g.fill(cg)
+	t.b.fill(cb)
+}
 
+// searchMixture runs the grid MLE of the truncated mixture on a count
+// histogram and returns the fit's exponents, mixture weight, likelihood and
+// observation probabilities, with the fitted good and bad laws.
+func (t *fitTables) searchMixture(obs Observation, h *histogram) (best *Estimated, plG, plB *stat.PowerLaw) {
 	// Grid MLE over (alpha, goodShare) of the truncated mixture likelihood
 	// of the observed occurrence histogram. The bad exponent is tied to the
 	// good one with a fixed offset (bad value frequencies are slightly
@@ -96,14 +132,10 @@ func Estimate(obs Observation) (*Estimated, error) {
 	}
 	wWeight := obs.GoodShareWeight
 	if wWeight <= 0 {
-		wWeight = 0.15 * float64(len(obs.ValueCounts))
+		wWeight = 0.15 * float64(h.n)
 	}
-	best := &Estimated{LogLik: math.Inf(-1)}
+	best = &Estimated{LogLik: math.Inf(-1)}
 	var bestPt gridPoint
-	var bestPobsG, bestPobsB float64
-	var bnmG, bnmB binomialTable
-	bnmG.fill(cg)
-	bnmB.fill(cb)
 	// The weight prior does not depend on the exponent, so each grid
 	// weight's term is computed once per call.
 	var prior [len(shareGrid)]float64
@@ -112,13 +144,13 @@ func Estimate(obs Observation) (*Estimated, error) {
 	}
 	var pkG, pkB [maxFreq + 1]float64
 	for _, pt := range exponentGrid {
-		pobsG := truncatedObsPMF(pt.good, &bnmG, &pkG)
-		pobsB := truncatedObsPMF(pt.bad, &bnmB, &pkB)
+		pobsG := truncatedObsPMF(pt.good, &t.g, &pkG)
+		pobsB := truncatedObsPMF(pt.bad, &t.b, &pkB)
 		for i, sp := range shareGrid {
 			w := sp.w
 			ll := prior[i]
-			for k := 1; k < len(hist); k++ {
-				n := hist[k]
+			for k := 1; k < len(h.hist); k++ {
+				n := h.hist[k]
 				if n == 0 {
 					continue
 				}
@@ -132,27 +164,32 @@ func Estimate(obs Observation) (*Estimated, error) {
 				best.LogLik = ll
 				best.AlphaGood, best.AlphaBad, best.GoodShare = pt.good.Alpha, pt.bad.Alpha, w
 				bestPt = pt
-				bestPobsG, bestPobsB = pobsG, pobsB
+				best.PobsGood, best.PobsBad = pobsG, pobsB
 			}
 		}
 	}
-
-	nObs := float64(len(obs.ValueCounts))
 	if obs.FP <= 0 {
 		// With fp = 0 no bad value is ever observed; everything seen is
 		// good.
 		best.GoodShare = 1
 	}
-	best.PobsGood, best.PobsBad = bestPobsG, bestPobsB
-	agCount := nObs * best.GoodShare / math.Max(bestPobsG, 1e-9)
-	abCount := nObs * (1 - best.GoodShare) / math.Max(bestPobsB, 1e-9)
-
 	// The winning grid point's laws are the ones its exponents build. No
 	// finite likelihood (a NaN rate) leaves no winner and zero exponents.
-	plG, plB := bestPt.good, bestPt.bad
+	plG, plB = bestPt.good, bestPt.bad
 	if plG == nil {
 		plG, plB = stat.MustPowerLaw(best.AlphaGood, maxFreq), stat.MustPowerLaw(best.AlphaBad, maxFreq)
 	}
+	return best, plG, plB
+}
+
+// fit is Estimate on the count histogram h of obs's values, with t filled
+// at obs's coverages: the mixture fit, then the value populations, the
+// document partition and the emission distribution it implies.
+func (t *fitTables) fit(obs Observation, h *histogram) *Estimated {
+	best, plG, plB := t.searchMixture(obs, h)
+	nObs := float64(h.n)
+	agCount := nObs * best.GoodShare / math.Max(best.PobsGood, 1e-9)
+	abCount := nObs * (1 - best.GoodShare) / math.Max(best.PobsBad, 1e-9)
 
 	p := &model.RelationParams{
 		D:             obs.D,
@@ -181,7 +218,7 @@ func Estimate(obs Observation) (*Estimated, error) {
 
 	p.ValuesPerDoc = estimateValuesPerDoc(obs, p)
 	best.Params = p
-	return best, nil
+	return best
 }
 
 // badAlphaOffset ties the bad-value exponent to the good one; deceptive
@@ -243,19 +280,37 @@ type binomialTable [maxFreq + 1][maxFreq + 1]float64
 
 // fill computes the table at coverage c. Each cell is
 // stat.BinomialPMF(g, k, c) bit for bit: the same expression, with log c
-// and log(1−c) taken once per fill instead of once per cell. Degenerate
-// coverages go through BinomialPMF's own branches.
+// and log(1−c) taken once per fill instead of once per cell and ln C(g, k)
+// read from logChoose. Degenerate coverages go through BinomialPMF's own
+// branches.
 func (t *binomialTable) fill(c float64) {
+	if c <= 0 || c >= 1 {
+		for g := 1; g <= maxFreq; g++ {
+			for k := 0; k <= g; k++ {
+				t[g][k] = stat.BinomialPMF(g, k, c)
+			}
+		}
+		return
+	}
 	lc, lq := math.Log(c), math.Log(1-c)
 	for g := 1; g <= maxFreq; g++ {
 		for k := 0; k <= g; k++ {
-			if c <= 0 || c >= 1 {
-				t[g][k] = stat.BinomialPMF(g, k, c)
-			} else {
-				t[g][k] = math.Exp(stat.LogChoose(g, k) + float64(k)*lc + float64(g-k)*lq)
-			}
+			t[g][k] = math.Exp(logChoose[g][k] + float64(k)*lc + float64(g-k)*lq)
 		}
 	}
+}
+
+// logChoose holds stat.LogChoose(g, k) for 0 ≤ k ≤ g ≤ maxFreq. It depends
+// on nothing, so it is built once, at package initialization.
+var logChoose = newLogChoose()
+
+func newLogChoose() (t [maxFreq + 1][maxFreq + 1]float64) {
+	for g := range t {
+		for k := 0; k <= g; k++ {
+			t[g][k] = stat.LogChoose(g, k)
+		}
+	}
+	return t
 }
 
 // coverages returns the per-occurrence observation coverages of good and
@@ -307,19 +362,31 @@ func pk(pmf []float64, k int) float64 {
 	return pmf[k]
 }
 
-// countHist converts value counts to a histogram hist[k] = #values with
-// count k, capped at maxFreq.
-func countHist(counts map[string]int) []int {
-	hist := make([]int, maxFreq+1)
-	for _, c := range counts {
-		if c > maxFreq {
-			c = maxFreq
-		}
-		if c >= 1 {
-			hist[c]++
-		}
+// histogram tallies observed values by count: hist[k] is the number of
+// values observed k times, counts above maxFreq capped into
+// hist[maxFreq], and n the number of observed values.
+type histogram struct {
+	hist [maxFreq + 1]int
+	n    int
+}
+
+// add tallies one value with count c; a value never observed (c < 1) is
+// not tallied.
+func (h *histogram) add(c int) {
+	if c < 1 {
+		return
 	}
-	return hist
+	h.hist[min(c, maxFreq)]++
+	h.n++
+}
+
+// countHist tallies the values of per-ID counts.
+func countHist(counts []int) histogram {
+	var h histogram
+	for _, c := range counts {
+		h.add(c)
+	}
+	return h
 }
 
 // fitPartition grid-searches the document partition (Dg, Db) matching two

@@ -11,30 +11,30 @@ func TestEstimateErrors(t *testing.T) {
 	if _, err := Estimate(Observation{}); err == nil {
 		t.Error("expected error for empty observation")
 	}
-	few := Observation{D: 100, DocsProcessed: 10, TP: 0.8, ValueCounts: map[string]int{"a": 1}}
+	few := Observation{D: 100, DocsProcessed: 10, TP: 0.8, Counts: []int{1}}
 	if _, err := Estimate(few); err == nil {
 		t.Error("expected error for too few values")
 	}
-	vc := map[string]int{}
+	var counts []int
 	for i := 0; i < 20; i++ {
-		vc[string(rune('a'+i))] = 1 + i%3
+		counts = append(counts, 1+i%3)
 	}
-	noTP := Observation{D: 100, DocsProcessed: 10, TP: 0, ValueCounts: vc}
+	noTP := Observation{D: 100, DocsProcessed: 10, TP: 0, Counts: counts}
 	if _, err := Estimate(noTP); err == nil {
 		t.Error("expected error for tp=0")
 	}
 }
 
 func TestEstimateZeroFPMeansAllGood(t *testing.T) {
-	vc := map[string]int{}
+	var counts []int
 	r := stat.NewRNG(4)
 	pl := stat.MustPowerLaw(2.0, 10)
 	for i := 0; i < 80; i++ {
-		vc[string(rune('a'+i%26))+string(rune('a'+i/26))] = pl.Sample(r)
+		counts = append(counts, pl.Sample(r))
 	}
 	obs := Observation{
 		D: 1000, DocsProcessed: 400, YieldDocs: 90,
-		ValueCounts: vc, EmissionHist: []int{310, 60, 30},
+		Counts: counts, EmissionHist: []int{310, 60, 30},
 		TP: 0.8, FP: 0, BadInGoodPrior: 0.3,
 	}
 	est, err := Estimate(obs)
@@ -67,11 +67,14 @@ func TestTruncatedObsPMFNormalized(t *testing.T) {
 }
 
 func TestCountHistCaps(t *testing.T) {
-	h := countHist(map[string]int{"a": 1, "b": 1, "c": 100})
-	if h[1] != 2 {
-		t.Errorf("h[1] = %d", h[1])
+	h := countHist([]int{1, 0, 1, 100})
+	if h.hist[1] != 2 {
+		t.Errorf("h[1] = %d", h.hist[1])
 	}
-	if h[maxFreq] != 1 {
+	if h.hist[maxFreq] != 1 {
 		t.Error("counts beyond maxFreq must be capped into the last bin")
+	}
+	if h.n != 3 {
+		t.Errorf("%d observed values, want 3: an ID counted zero is not observed", h.n)
 	}
 }

@@ -120,7 +120,7 @@ func TestEstimateOverlapsScale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ov := estimate.EstimateOverlaps(o1.ValueCounts, o2.ValueCounts, e1, e2)
+	ov := estimate.EstimateOverlaps(o1.Counts, o2.Counts, e1, e2)
 	trueOv := w.TrueOverlaps()
 	checkRatio(t, "Agg", float64(ov.Agg), float64(trueOv.Agg), 0.4, 2.0)
 	estTotal := float64(ov.Agg + ov.Agb + ov.Abg + ov.Abb)
@@ -142,7 +142,7 @@ func TestEstimatedParamsUsableByModels(t *testing.T) {
 	if err := e1.Params.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	ov := estimate.EstimateOverlaps(o1.ValueCounts, o2.ValueCounts, e1, e2)
+	ov := estimate.EstimateOverlaps(o1.Counts, o2.Counts, e1, e2)
 	m := &model.IDJNModel{P1: e1.Params, P2: e2.Params, X1: retrieval.SC, X2: retrieval.SC, Ov: ov}
 	q, err := m.Estimate(o1.D, o2.D)
 	if err != nil {
@@ -160,10 +160,9 @@ func TestFromStateLabelFree(t *testing.T) {
 		t.Error("observation counters mismatch state")
 	}
 	// Value counts must equal good+bad occurrence totals.
-	values := w.Tables[0].Dict().Values()
-	for v, c := range o1.ValueCounts {
-		if good, bad := st.R1.Occ(values.ID(v)); c != good+bad {
-			t.Fatalf("value %q count %d mismatch", v, c)
+	for v, c := range o1.Counts {
+		if good, bad := st.R1.Occ(int32(v)); c != good+bad {
+			t.Fatalf("value %q count %d mismatch", o1.Names[v], c)
 		}
 	}
 }
@@ -194,16 +193,16 @@ func TestPairSplitTracksActualComposition(t *testing.T) {
 func TestPairSplitEmptyIntersection(t *testing.T) {
 	o := estimate.Observation{
 		D: 100, DocsProcessed: 50, TP: 0.8, FP: 0.4,
-		ValueCounts: map[string]int{"a": 1},
+		Counts: []int{1},
 	}
 	o2 := o
-	o2.ValueCounts = map[string]int{"b": 1}
+	o2.Counts = []int{0, 1}
 	// Build minimal estimates via the public constructor on a richer
 	// observation, then split the disjoint pair.
 	rich := o
-	rich.ValueCounts = map[string]int{}
+	rich.Counts = nil
 	for i := 0; i < 20; i++ {
-		rich.ValueCounts[string(rune('a'+i))] = 1 + i%3
+		rich.Counts = append(rich.Counts, 1+i%3)
 	}
 	e, err := estimate.Estimate(rich)
 	if err != nil {
@@ -242,7 +241,7 @@ func TestCrossValidateStabilizesWithWindow(t *testing.T) {
 func TestCrossValidateThinObservation(t *testing.T) {
 	obs := estimate.Observation{
 		D: 100, DocsProcessed: 10, TP: 0.8, FP: 0.4,
-		ValueCounts: map[string]int{"a": 1, "b": 2, "c": 1, "d": 1},
+		Counts: []int{1, 2, 1, 1}, Names: []string{"a", "b", "c", "d"},
 	}
 	if _, err := estimate.CrossValidate(obs); err == nil {
 		t.Error("expected error when halves are too thin to fit")

@@ -182,30 +182,34 @@ func TestFitPartitionMatchesOracle(t *testing.T) {
 }
 
 // TestConcurrentEstimatesMatchSequential: joinoptd estimates from
-// concurrent jobs, which share the exponent grid; concurrent Estimate and
-// CrossValidate calls must return exactly the sequential results.
+// concurrent jobs, which share the exponent grid and the ln C(g, k) table;
+// concurrent Estimate, CrossValidate and EstimatePairSplit calls must
+// return exactly the sequential results.
 func TestConcurrentEstimatesMatchSequential(t *testing.T) {
 	r := stat.NewRNG(11)
 	good, bad := stat.MustPowerLaw(1.8, 12), stat.MustPowerLaw(2.3, 8)
 	var obs []Observation
 	for i, fp := range []float64{0, 0.2, 0.55} {
-		vc := map[string]int{}
+		var counts []int
+		var names []string
 		for v := 0; v < 150+100*i; v++ {
 			pl := good
 			if v%3 == 0 {
 				pl = bad
 			}
-			vc[fmt.Sprintf("v%d", v)] = pl.Sample(r)
+			counts = append(counts, pl.Sample(r))
+			names = append(names, fmt.Sprintf("v%d", v))
 		}
 		obs = append(obs, Observation{
 			D: 8000, DocsProcessed: 800 * (i + 1), YieldDocs: 300 + 50*i,
-			ValueCounts: vc, EmissionHist: []int{500, 220, 60, 20},
+			Counts: counts, Names: names, EmissionHist: []int{500, 220, 60, 20},
 			TP: 0.8, FP: fp, BadInGoodPrior: 0.3,
 		})
 	}
 	type result struct {
-		est *Estimated
-		div float64
+		est       *Estimated
+		div       float64
+		good, bad float64
 	}
 	run := func(o Observation) (result, error) {
 		est, err := Estimate(o)
@@ -213,7 +217,11 @@ func TestConcurrentEstimatesMatchSequential(t *testing.T) {
 			return result{}, err
 		}
 		div, err := CrossValidate(o)
-		return result{est, div}, err
+		if err != nil {
+			return result{}, err
+		}
+		good, bad, _, err := EstimatePairSplit(o, o)
+		return result{est, div, good, bad}, err
 	}
 
 	const workers = 4

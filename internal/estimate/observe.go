@@ -13,11 +13,17 @@ import (
 // FromState builds an observation for side i of a running join execution.
 // The IE rates are the training-time characterization at the execution's θ.
 func FromState(st *join.State, i, numDocs int, tp, fp, badInGoodPrior float64) Observation {
+	x := st.R1
+	if i == 1 {
+		x = st.R2
+	}
 	return Observation{
-		D:              numDocs,
-		DocsProcessed:  st.DocsProcessed[i],
-		YieldDocs:      st.YieldDocs[i],
-		ValueCounts:    st.ValueCounts(i),
+		D:             numDocs,
+		DocsProcessed: st.DocsProcessed[i],
+		YieldDocs:     st.YieldDocs[i],
+		Counts:        x.Counts(),
+		// Read after the counts, so every counted ID has its name.
+		Names:          x.Dict().Values().Names(),
 		EmissionHist:   append([]int(nil), st.EmissionHist[i]...),
 		TP:             tp,
 		FP:             fp,
@@ -26,18 +32,13 @@ func FromState(st *join.State, i, numDocs int, tp, fp, badInGoodPrior float64) O
 }
 
 // EstimateOverlaps numerically derives the join-specific overlap
-// cardinalities (Agg, Agb, Abg, Abb) from two sides' observations and their
-// fitted parameters (§VI): the observed value-set overlap is scaled up by
-// the per-class observation probabilities, and the total is split across
-// classes under a class-independence assumption using the estimated
-// good/bad value shares.
-func EstimateOverlaps(counts1, counts2 map[string]int, e1, e2 *Estimated) model.Overlaps {
-	obsOverlap := 0
-	for v := range counts1 {
-		if _, ok := counts2[v]; ok {
-			obsOverlap++
-		}
-	}
+// cardinalities (Agg, Agb, Abg, Abb) from two sides' value counts (their
+// Observation.Counts) and their fitted parameters (§VI): the observed
+// value-set overlap is scaled up by the per-class observation
+// probabilities, and the total is split across classes under a
+// class-independence assumption using the estimated good/bad value shares.
+func EstimateOverlaps(counts1, counts2 []int, e1, e2 *Estimated) model.Overlaps {
+	obsOverlap := observedOverlap(counts1, counts2)
 	share := func(e *Estimated) (sg, sb float64) {
 		total := float64(e.Params.Ag + e.Params.Ab)
 		if total == 0 {
@@ -79,6 +80,17 @@ func EstimateOverlaps(counts1, counts2 map[string]int, e1, e2 *Estimated) model.
 	}
 }
 
+// observedOverlap counts the values both count slices observed.
+func observedOverlap(counts1, counts2 []int) int {
+	n := 0
+	for v, c1 := range counts1[:min(len(counts1), len(counts2))] {
+		if c1 > 0 && counts2[v] > 0 {
+			n++
+		}
+	}
+	return n
+}
+
 // PairSplit estimates, without any labels, the good/bad composition of the
 // current join output — the "estimated # good tuples in Rj" that the join
 // algorithms' stopping conditions consult (Figures 3, 5, 7 of the paper).
@@ -89,53 +101,104 @@ func EstimateOverlaps(counts1, counts2 map[string]int, e1, e2 *Estimated) model.
 // The posterior depends on a value only through its two counts, so the
 // joined values are first tallied per (c1, c2) count pair in exact integers
 // and the float terms then added in ascending pair order: the result does
-// not depend on map iteration order.
+// not depend on how the values were numbered.
 func PairSplit(obs1, obs2 Observation, e1, e2 *Estimated) (good, bad float64) {
-	type countPair struct{ c1, c2 int }
-	shared := make(map[countPair]int)
-	for v, c1 := range obs1.ValueCounts {
-		if c2, ok := obs2.ValueCounts[v]; ok {
-			shared[countPair{c1, c2}]++
+	return splitPairs(obs1.Counts, obs2.Counts, posteriorOf(obs1, e1), posteriorOf(obs2, e2))
+}
+
+// EstimatePairSplit is Estimate on both observations followed by PairSplit
+// of the two fits, bit for bit, with each observation fitted once: each
+// side's posterior reads the binomial tables and the winning laws of its
+// own fit. Only the mixture is fitted, as the split reads nothing else.
+// When a side cannot be fitted, it returns the error Estimate gives for the
+// first such side, and that side's index.
+func EstimatePairSplit(obs1, obs2 Observation) (good, bad float64, failed int, err error) {
+	var post [2]posterior
+	for i, obs := range [2]Observation{obs1, obs2} {
+		h := countHist(obs.Counts)
+		if err := checkFit(obs, h.n); err != nil {
+			return 0, 0, i, err
 		}
+		var t fitTables
+		t.fill(obs)
+		best, plG, plB := t.searchMixture(obs, &h)
+		post[i].set(best.GoodShare, plG, plB, &t)
 	}
-	keys := make([]countPair, 0, len(shared))
-	for k := range shared {
-		keys = append(keys, k)
-	}
-	slices.SortFunc(keys, func(a, b countPair) int {
-		return cmp.Or(cmp.Compare(a.c1, b.c1), cmp.Compare(a.c2, b.c2))
-	})
-	post1 := posteriorGood(obs1, e1)
-	post2 := posteriorGood(obs2, e2)
-	for _, k := range keys {
-		pairs := float64(shared[k] * k.c1 * k.c2)
-		pg := post1(k.c1) * post2(k.c2)
+	good, bad = splitPairs(obs1.Counts, obs2.Counts, &post[0], &post[1])
+	return good, bad, 0, nil
+}
+
+// splitPairs sums the posterior good and bad pair mass of the values both
+// count slices observed, one term per (c1, c2) count pair in ascending
+// order.
+func splitPairs(counts1, counts2 []int, post1, post2 *posterior) (good, bad float64) {
+	for _, k := range tallyPairs(counts1, counts2) {
+		pairs := float64(k.n * k.c1 * k.c2)
+		pg := post1.good(k.c1) * post2.good(k.c2)
 		good += pairs * pg
 		bad += pairs * (1 - pg)
 	}
 	return good, bad
 }
 
-// posteriorGood returns P(value is good | observed count k) under the
-// fitted mixture at the observation's coverage.
-func posteriorGood(obs Observation, e *Estimated) func(k int) float64 {
-	cg, cb := coverages(obs)
-	var bnmG, bnmB binomialTable
-	bnmG.fill(cg)
-	bnmB.fill(cb)
-	var pkG, pkB [maxFreq + 1]float64
-	truncatedObsPMF(stat.MustPowerLaw(e.AlphaGood, maxFreq), &bnmG, &pkG)
-	truncatedObsPMF(stat.MustPowerLaw(e.AlphaBad, maxFreq), &bnmB, &pkB)
-	w := e.GoodShare
-	return func(k int) float64 {
-		if k > maxFreq {
-			k = maxFreq
+// pairTally counts the n values observed c1 times on one side and c2
+// times on the other.
+type pairTally struct{ c1, c2, n int }
+
+// tallyPairs tallies the values observed on both sides per (c1, c2) count
+// pair, in ascending pair order.
+func tallyPairs(counts1, counts2 []int) []pairTally {
+	type countPair struct{ c1, c2 int }
+	shared := make(map[countPair]int)
+	for v, c1 := range counts1[:min(len(counts1), len(counts2))] {
+		if c2 := counts2[v]; c1 > 0 && c2 > 0 {
+			shared[countPair{c1, c2}]++
 		}
-		num := w * pk(pkG[:], k)
-		den := num + (1-w)*pk(pkB[:], k)
-		if den <= 0 {
-			return w
-		}
-		return num / den
 	}
+	out := make([]pairTally, 0, len(shared))
+	for k, n := range shared {
+		out = append(out, pairTally{k.c1, k.c2, n})
+	}
+	slices.SortFunc(out, func(a, b pairTally) int {
+		return cmp.Or(cmp.Compare(a.c1, b.c1), cmp.Compare(a.c2, b.c2))
+	})
+	return out
+}
+
+// posterior is P(value is good | observed count k) under a fitted mixture
+// at an observation's coverage: the mixture weight and the fitted laws'
+// truncated observed-count PMFs.
+type posterior struct {
+	w        float64
+	pkG, pkB [maxFreq + 1]float64
+}
+
+// posteriorOf builds the posterior of the fit e of obs from scratch.
+func posteriorOf(obs Observation, e *Estimated) *posterior {
+	var t fitTables
+	t.fill(obs)
+	p := &posterior{}
+	p.set(e.GoodShare, stat.MustPowerLaw(e.AlphaGood, maxFreq), stat.MustPowerLaw(e.AlphaBad, maxFreq), &t)
+	return p
+}
+
+// set makes p the posterior of mixture weight w over the laws plG and plB,
+// observed at the coverages t was filled for.
+func (p *posterior) set(w float64, plG, plB *stat.PowerLaw, t *fitTables) {
+	p.w = w
+	truncatedObsPMF(plG, &t.g, &p.pkG)
+	truncatedObsPMF(plB, &t.b, &p.pkB)
+}
+
+// good returns P(good | k).
+func (p *posterior) good(k int) float64 {
+	if k > maxFreq {
+		k = maxFreq
+	}
+	num := p.w * pk(p.pkG[:], k)
+	den := num + (1-p.w)*pk(p.pkB[:], k)
+	if den <= 0 {
+		return p.w
+	}
+	return num / den
 }

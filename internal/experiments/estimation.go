@@ -72,7 +72,7 @@ func Estimation(w *workload.Workload) (*eval.Table, error) {
 			t.Rows = append(t.Rows, []string{fmt.Sprint(pct), "(window too thin)", "-", "-", "-", "-", "-", "-"})
 			continue
 		}
-		ov := estimate.EstimateOverlaps(obs[0].ValueCounts, obs[1].ValueCounts, ests[0], ests[1])
+		ov := estimate.EstimateOverlaps(obs[0].Counts, obs[1].Counts, ests[0], ests[1])
 		div, err := estimate.CrossValidate(obs[0])
 		divText := "-"
 		if err == nil {

@@ -156,12 +156,6 @@ type State struct {
 	deadlineTraced bool
 }
 
-// ValueCounts returns the label-free observed occurrence counts s(a) of side
-// i, keyed by join value: the number of processed documents in which each
-// value was extracted. The parameter estimator works from these counts
-// without any tuple verification.
-func (st *State) ValueCounts(i int) map[string]int { return st.rels[i].ValueCounts() }
-
 // newState builds an empty state over the two sides' dictionaries.
 func newState(d1, d2 *relation.Dict) *State {
 	st := &State{R1: relation.NewExtracted(d1), R2: relation.NewExtracted(d2)}

@@ -57,14 +57,8 @@ func TestStatePairInvariant(t *testing.T) {
 			}))
 		}
 		good, total := 0, 0
-		vals := map[string]bool{}
-		for i := range dicts {
-			for v := range st.ValueCounts(i) {
-				vals[v] = true
-			}
-		}
 		values := dicts[0].Values()
-		for v := range vals {
+		for _, v := range values.Names() {
 			g1, n1 := occ(st.R1, values, v)
 			g2, n2 := occ(st.R2, values, v)
 			good += g1 * g2
@@ -82,11 +76,12 @@ func TestStateValueCountsLabelFree(t *testing.T) {
 	st.addTuple(0, dicts[0].Entry(relation.Tuple{A1: "g0", A2: "x0"}))
 	st.addTuple(0, dicts[0].Entry(relation.Tuple{A1: "g0", A2: "x1"}))
 	st.addTuple(0, dicts[0].Entry(relation.Tuple{A1: "b0", A2: "y0"}))
-	counts := st.ValueCounts(0)
-	if counts["g0"] != 2 || counts["b0"] != 1 {
+	values := dicts[0].Values()
+	counts := st.R1.Counts()
+	if counts[values.ID("g0")] != 2 || counts[values.ID("b0")] != 1 {
 		t.Errorf("value counts %v", counts)
 	}
-	if len(st.ValueCounts(1)) != 0 {
+	if len(st.R2.Counts()) != 0 {
 		t.Error("side 2 should be empty")
 	}
 }

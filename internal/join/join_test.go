@@ -90,16 +90,9 @@ func TestIDJNPairCountsMatchDirectComposition(t *testing.T) {
 	}
 	// Direct recomputation of Σ_a gr1(a)·gr2(a) from the relations.
 	good, total := 0, 0
-	vals := map[string]bool{}
-	for i := 0; i < 2; i++ {
-		for v := range st.ValueCounts(i) {
-			vals[v] = true
-		}
-	}
-	values := w.Tables[0].Dict().Values()
-	for v := range vals {
-		g1, b1 := st.R1.Occ(values.ID(v))
-		g2, b2 := st.R2.Occ(values.ID(v))
+	for v := range w.Tables[0].Dict().Values().Names() {
+		g1, b1 := st.R1.Occ(int32(v))
+		g2, b2 := st.R2.Occ(int32(v))
 		good += g1 * g2
 		total += (g1 + b1) * (g2 + b2)
 	}
@@ -224,8 +217,14 @@ func TestOIJNQueriesInnerPerOuterValue(t *testing.T) {
 	if st.Queries[1] == 0 {
 		t.Fatal("no inner queries issued")
 	}
-	if st.Queries[1] != len(st.ValueCounts(0)) {
-		t.Errorf("queries %d != distinct outer values %d", st.Queries[1], len(st.ValueCounts(0)))
+	outerValues := 0
+	for _, n := range st.R1.Counts() {
+		if n > 0 {
+			outerValues++
+		}
+	}
+	if st.Queries[1] != outerValues {
+		t.Errorf("queries %d != distinct outer values %d", st.Queries[1], outerValues)
 	}
 	if st.DocsRetrieved[1] > st.Queries[1]*w.Ix[1].TopK() {
 		t.Errorf("inner retrieved %d exceeds queries × top-k", st.DocsRetrieved[1])

@@ -228,7 +228,7 @@ func RunAdaptiveCtx(ctx context.Context, env *Env, req Requirement, opts Options
 	env.emit(res.TotalTime, obs.KindPilotDone, map[string]any{
 		"docs1": pilotState.DocsProcessed[0], "docs2": pilotState.DocsProcessed[1], "time": pilotState.Time})
 
-	best, _, err := env.Memo.Choose(Enumerate(env.Thetas), in, req)
+	best, err := env.Memo.Best(Enumerate(env.Thetas), in, req)
 	if err != nil {
 		return res, err
 	}
@@ -384,7 +384,7 @@ func (env *Env) adaptiveLoop(ctx context.Context, res *Result, req Requirement, 
 		// checkpoint's choice is best itself.
 		nb := best
 		if reestimated {
-			nb, _, err = env.Memo.Choose(plans, in, req)
+			nb, err = env.Memo.Best(plans, in, req)
 		}
 		if err != nil || nb.Plan == best.Plan {
 			// No better option (or no feasible plan under the sharpened
@@ -533,19 +533,17 @@ func (env *Env) finishFrom(ctx context.Context, res *Result, exec join.Executor,
 // labels, via the mixture posteriors of freshly fitted estimates.
 func (env *Env) achieved(st *join.State, plan PlanSpec) (good, bad float64) {
 	var obs [2]estimate.Observation
-	var ests [2]*estimate.Estimated
 	for side := 0; side < 2; side++ {
 		tp, fp := env.Rates(side, plan.Theta[side])
 		obs[side] = estimate.FromState(st, side, effectiveDocs(st, side, env.NumDocs[side]), tp, fp, env.BadInGoodPrior)
-		est, err := estimate.Estimate(obs[side])
-		if err != nil {
-			// Too little data for a fit: fall back to the raw pair count
-			// scaled by the training precision proxy.
-			return fallbackSplit(float64(st.GoodPairs+st.BadPairs), tp, fp)
-		}
-		ests[side] = est
 	}
-	return estimate.PairSplit(obs[0], obs[1], ests[0], ests[1])
+	good, bad, side, err := estimate.EstimatePairSplit(obs[0], obs[1])
+	if err != nil {
+		// Too little data for a fit: fall back to the raw pair count
+		// scaled by the training precision proxy of the side that failed.
+		return fallbackSplit(float64(st.GoodPairs+st.BadPairs), obs[side].TP, obs[side].FP)
+	}
+	return good, bad
 }
 
 // fallbackSplit apportions total output pairs by the training precision
@@ -624,7 +622,7 @@ func (env *Env) estimateInputs(st *join.State, obsTheta float64) (*Inputs, [2]es
 			in.P[side] = append(in.P[side], &p)
 		}
 	}
-	in.Ov = estimate.EstimateOverlaps(obs[0].ValueCounts, obs[1].ValueCounts, ests[0], ests[1])
+	in.Ov = estimate.EstimateOverlaps(obs[0].Counts, obs[1].Counts, ests[0], ests[1])
 	return in, obs, nil
 }
 

@@ -1,11 +1,13 @@
 package optimizer
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"joinopt/internal/join"
 	"joinopt/internal/model"
+	"joinopt/internal/relation"
 	"joinopt/internal/retrieval"
 )
 
@@ -149,6 +151,41 @@ func TestFallbackSplitZeroRates(t *testing.T) {
 	}
 	if g, b := fallbackSplit(0, 0, 0); g != 0 || b != 0 {
 		t.Errorf("empty output split (%v, %v)", g, b)
+	}
+}
+
+// TestAchievedFallbackUsesFailingSide: when a side's observation is too
+// thin to fit, achieved splits the raw pair count by the rates of the first
+// side whose fit failed.
+func TestAchievedFallbackUsesFailingSide(t *testing.T) {
+	rates := [2][2]float64{{0.9, 0.1}, {0.6, 0.4}}
+	for _, thin := range [][2]bool{{true, false}, {false, true}, {true, true}} {
+		values := relation.NewValues()
+		st := &join.State{DocsProcessed: [2]int{400, 400}, YieldDocs: [2]int{120, 120}, GoodPairs: 30, BadPairs: 10}
+		for side, x := range []**relation.Extracted{&st.R1, &st.R2} {
+			d := relation.NewDict(nil, values)
+			*x = relation.NewExtracted(d)
+			n := 40
+			if thin[side] {
+				n = 5
+			}
+			for v := 0; v < n; v++ {
+				for k := 0; k <= v%4; k++ {
+					(*x).Add(d.Entry(relation.Tuple{A1: fmt.Sprint("v", v), A2: fmt.Sprint(k)}))
+				}
+			}
+		}
+		env := &Env{NumDocs: [2]int{1000, 1000}, Rates: func(side int, _ float64) (float64, float64) {
+			return rates[side][0], rates[side][1]
+		}}
+		first := 0
+		if !thin[0] {
+			first = 1
+		}
+		good, bad := env.achieved(st, PlanSpec{JN: IDJN, Theta: [2]float64{0.4, 0.4}})
+		if wg, wb := fallbackSplit(40, rates[first][0], rates[first][1]); good != wg || bad != wb {
+			t.Errorf("thin sides %v: achieved (%v, %v), want side %d's fallback (%v, %v)", thin, good, bad, first+1, wg, wb)
+		}
 	}
 }
 

@@ -40,11 +40,18 @@ type Eval struct {
 // heuristic of §VI, minimizing the sum of documents processed given that
 // their product drives the good-pair count.
 func Evaluate(plan PlanSpec, in *Inputs, req Requirement) (Eval, error) {
+	return evaluate(plan, in, req, true)
+}
+
+// evaluate is Evaluate. It formats an infeasible plan's Reason only when
+// explain is set: only reports read it, and formatting it took about a
+// fifth of a memoized plan search.
+func evaluate(plan PlanSpec, in *Inputs, req Requirement, explain bool) (Eval, error) {
 	fns, reason, err := planFuncs(plan, in)
 	if err != nil {
 		return Eval{}, err
 	}
-	best, err := evaluateFns(plan, req, fns, reason)
+	best, err := evaluateFns(plan, req, fns, reason, explain)
 	if err != nil {
 		return Eval{}, err
 	}
@@ -59,7 +66,7 @@ func Evaluate(plan PlanSpec, in *Inputs, req Requirement) (Eval, error) {
 			if err != nil {
 				return Eval{}, err
 			}
-			ev, err := evaluateFns(plan, req, fns, reason)
+			ev, err := evaluateFns(plan, req, fns, reason, explain)
 			if err != nil {
 				return Eval{}, err
 			}
@@ -72,8 +79,9 @@ func Evaluate(plan PlanSpec, in *Inputs, req Requirement) (Eval, error) {
 }
 
 // evaluateFns runs the minimal-effort search against one set of plan
-// closures.
-func evaluateFns(plan PlanSpec, req Requirement, fns *planFns, reason string) (Eval, error) {
+// closures. It formats the search's infeasibility reasons only when
+// explain is set.
+func evaluateFns(plan PlanSpec, req Requirement, fns *planFns, reason string, explain bool) (Eval, error) {
 	if fns == nil {
 		return Eval{Plan: plan, Reason: reason}, nil
 	}
@@ -87,11 +95,15 @@ func evaluateFns(plan PlanSpec, req Requirement, fns *planFns, reason string) (E
 	}
 	out := Eval{Plan: plan, Effort: fns.effortPair(e), Quality: q}
 	if !feasible {
-		out.Reason = fmt.Sprintf("max good %.0f < τg %d", q.Good, req.TauG)
+		if explain {
+			out.Reason = fmt.Sprintf("max good %.0f < τg %d", q.Good, req.TauG)
+		}
 		return out, nil
 	}
 	if q.Bad > float64(req.TauB) {
-		out.Reason = fmt.Sprintf("bad %.0f > τb %d at required effort", q.Bad, req.TauB)
+		if explain {
+			out.Reason = fmt.Sprintf("bad %.0f > τb %d at required effort", q.Bad, req.TauB)
+		}
 		return out, nil
 	}
 	out.Feasible = true
@@ -149,14 +161,15 @@ func robustQuality(d model.QualityDist, z float64) model.Quality {
 // order keeping the strictly fastest feasible plan, so ties break toward
 // the earlier plan.
 func Choose(plans []PlanSpec, in *Inputs, req Requirement) (Eval, []Eval, error) {
-	return choose(plans, in, req, nil)
+	return choose(plans, in, req, nil, true)
 }
 
 // choose is Choose with evaluations served from set, or evaluated directly
-// when set is nil.
-func choose(plans []PlanSpec, in *Inputs, req Requirement, set *memoSet) (Eval, []Eval, error) {
+// when set is nil, and infeasibility reasons formatted only when explain is
+// set.
+func choose(plans []PlanSpec, in *Inputs, req Requirement, set *memoSet, explain bool) (Eval, []Eval, error) {
 	evals, err := sweep(len(plans), in.Workers, func(i int) (Eval, error) {
-		ev, err := set.evaluate(plans[i], in, req)
+		ev, err := set.evaluate(plans[i], in, req, explain)
 		if err != nil {
 			return Eval{}, fmt.Errorf("optimizer: evaluating %s: %w", plans[i], err)
 		}

@@ -76,7 +76,14 @@ type memoPlan struct {
 // Input sets the memo does not hold (see memoKey) are searched as Choose
 // searches them.
 func (m *Memo) Choose(plans []PlanSpec, in *Inputs, req Requirement) (Eval, []Eval, error) {
-	return choose(plans, in, req, m.set(in))
+	return choose(plans, in, req, m.set(in), true)
+}
+
+// Best is Memo.Choose's best plan and error without the evaluation list.
+// Only the list's infeasible plans carry a Reason, so Best formats none.
+func (m *Memo) Best(plans []PlanSpec, in *Inputs, req Requirement) (Eval, error) {
+	best, _, err := choose(plans, in, req, m.set(in), false)
+	return best, err
 }
 
 // set returns in's entry, adding it (and evicting the least recently used
@@ -108,11 +115,11 @@ func (m *Memo) set(in *Inputs) *memoSet {
 	return s
 }
 
-// evaluate is Evaluate(plan, in, req) served from the set; a nil set
-// evaluates directly.
-func (s *memoSet) evaluate(plan PlanSpec, in *Inputs, req Requirement) (Eval, error) {
+// evaluate is Evaluate(plan, in, req) served from the set, with reasons
+// formatted only when explain is set; a nil set evaluates directly.
+func (s *memoSet) evaluate(plan PlanSpec, in *Inputs, req Requirement, explain bool) (Eval, error) {
 	if s == nil {
-		return Evaluate(plan, in, req)
+		return evaluate(plan, in, req, explain)
 	}
 	s.mu.Lock()
 	p := s.plans[plan]
@@ -139,7 +146,7 @@ func (s *memoSet) evaluate(plan PlanSpec, in *Inputs, req Requirement) (Eval, er
 	if p.err != nil {
 		return Eval{}, p.err
 	}
-	return evaluateFns(plan, req, p.fns, p.reason)
+	return evaluateFns(plan, req, p.fns, p.reason, explain)
 }
 
 // memoFn returns f with its values kept in seen, up to memoValues of them;

@@ -163,6 +163,48 @@ func TestMemoChooseMatchesChoose(t *testing.T) {
 // input sets and evicts the least recently used one; it never stores an
 // input set with a nonzero cache hit rate or rectangle ratios, and searches
 // those exactly as Choose does.
+// TestMemoBestMatchesChoose: Memo.Best, which formats no infeasibility
+// reason, returns Choose's best plan and error, from a memoized input set
+// and from the sets the memo does not hold (a cache hit rate, rectangle
+// ratios) alike.
+func TestMemoBestMatchesChoose(t *testing.T) {
+	w, truth := testSetup(t)
+	env, err := w.NewEnv(thetas)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pilot, _, err := optimizer.PilotEstimate(env, optimizer.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	robust, cached, rect := *truth, *truth, *truth
+	robust.RobustSigma = 2
+	cached.CacheHitRate = [2]float64{0.5, 0.5}
+	rect.RectangleRatios = []float64{0.5, 2}
+	plans := optimizer.Enumerate(thetas)
+	m := &optimizer.Memo{}
+	var feasible, infeasible int
+	for pass := 0; pass < 2; pass++ {
+		for _, in := range []*optimizer.Inputs{truth, &robust, pilot, &cached, &rect} {
+			for _, req := range experiments.Table2Reqs {
+				want, _, wantErr := optimizer.Choose(plans, in, req)
+				got, gotErr := m.Best(plans, in, req)
+				if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || got != want {
+					t.Fatalf("pass %d, %+v: Best chose %+v (%v), Choose %+v (%v)", pass, req, got, gotErr, want, wantErr)
+				}
+				if wantErr == nil {
+					feasible++
+				} else {
+					infeasible++
+				}
+			}
+		}
+	}
+	if feasible == 0 || infeasible == 0 {
+		t.Errorf("%d feasible and %d infeasible searches; the test needs both", feasible, infeasible)
+	}
+}
+
 func TestMemoBoundAndEligibility(t *testing.T) {
 	_, truth := testSetup(t)
 	plans := optimizer.Enumerate(thetas)

@@ -210,6 +210,9 @@ func (x *Extracted) Distinct(v int32) int {
 	return x.values[v].distinct
 }
 
+// Dict returns the dictionary the relation's entries are numbered in.
+func (x *Extracted) Dict() *Dict { return x.dict }
+
 // Entries returns the distinct tuples extracted so far, in tuple-ID order.
 func (x *Extracted) Entries() []Entry {
 	var out []Entry
@@ -221,21 +224,14 @@ func (x *Extracted) Entries() []Entry {
 	return out
 }
 
-// ValueCounts returns s(a) = gr(a) + br(a), the number of document
-// occurrences of every join-attribute value present, keyed by value.
-func (x *Extracted) ValueCounts() map[string]int {
-	present := 0
-	for _, c := range x.values {
-		if c.good+c.bad > 0 {
-			present++
-		}
-	}
-	names := x.dict.values.Names()
-	out := make(map[string]int, present)
+// Counts returns s(v) = gr(v) + br(v) for every join-value ID v below the
+// highest the relation has counted: the number of document occurrences of
+// each value, zero for values it has not seen. The parameter estimator
+// works from these label-free counts.
+func (x *Extracted) Counts() []int {
+	out := make([]int, len(x.values))
 	for v, c := range x.values {
-		if n := c.good + c.bad; n > 0 {
-			out[names[v]] = n
-		}
+		out[v] = c.good + c.bad
 	}
 	return out
 }

@@ -104,8 +104,11 @@ func TestJoinValuesDeterministicOrder(t *testing.T) {
 			r.Add(d.Entry(tup))
 		}
 		var vals []string
-		for v := range r.ValueCounts() {
-			vals = append(vals, v)
+		names := r.Dict().Values().Names()
+		for v, n := range r.Counts() {
+			if n > 0 {
+				vals = append(vals, names[v])
+			}
 		}
 		slices.Sort(vals)
 		if len(vals) != 3 || vals[0] != "a" || vals[1] != "m" || vals[2] != "z" {
@@ -114,14 +117,16 @@ func TestJoinValuesDeterministicOrder(t *testing.T) {
 	}
 }
 
-// TestValueCountsMatchesOccurrences: ValueCounts holds s(a) = gr(a) + br(a)
-// for every value present, a value with good and bad occurrences counted
-// once with their sum.
+// TestValueCountsMatchesOccurrences: Counts holds s(v) = gr(v) + br(v) per
+// value ID, a value with good and bad occurrences counted once with their
+// sum, and a value another relation numbered but this one never extracted
+// counted zero.
 func TestValueCountsMatchesOccurrences(t *testing.T) {
 	s := Schema{Name: "Mergers", Attr1: "Company", Attr2: "MergedWith"}
 	g := NewGold(s)
 	g.AddGood(Tuple{A1: "Microsoft", A2: "Softricity"})
 	values := NewValues()
+	values.ID("Apple")
 	d := NewDict(g, values)
 	r := NewExtracted(d)
 	for _, tup := range []Tuple{
@@ -130,15 +135,16 @@ func TestValueCountsMatchesOccurrences(t *testing.T) {
 	} {
 		r.Add(d.Entry(tup))
 	}
-	want := map[string]int{"Microsoft": 3, "Oracle": 1}
-	vc := r.ValueCounts()
-	if len(vc) != len(want) {
-		t.Fatalf("ValueCounts %v, want %v", vc, want)
+	want := map[string]int{"Apple": 0, "Microsoft": 3, "Oracle": 1}
+	counts := r.Counts()
+	if len(counts) != len(want) {
+		t.Fatalf("Counts %v, want one per value of %v", counts, want)
 	}
 	for v, n := range want {
-		good, bad := r.Occ(values.ID(v))
-		if vc[v] != n || good+bad != n {
-			t.Errorf("s(%s) = %d (gr+br %d), want %d", v, vc[v], good+bad, n)
+		id := values.ID(v)
+		good, bad := r.Occ(id)
+		if counts[id] != n || good+bad != n {
+			t.Errorf("s(%s) = %d (gr+br %d), want %d", v, counts[id], good+bad, n)
 		}
 	}
 }

@@ -112,17 +112,10 @@ func TestMultiIDJNExecution(t *testing.T) {
 	}
 	// Direct recomputation of the n-way products.
 	good, total := 0, 0
-	vals := map[string]bool{}
-	for _, r := range st.Rels {
-		for v := range r.ValueCounts() {
-			vals[v] = true
-		}
-	}
-	values := mw.Tables[0].Dict().Values()
-	for v := range vals {
+	for v := range mw.Tables[0].Dict().Values().Names() {
 		g, tot := 1, 1
 		for _, r := range st.Rels {
-			gr, br := r.Occ(values.ID(v))
+			gr, br := r.Occ(int32(v))
 			g *= gr
 			tot *= gr + br
 		}

@@ -477,7 +477,7 @@ func (t *Task) Optimize(req Requirement) (PlanEvaluation, error) {
 	if err != nil {
 		return PlanEvaluation{}, err
 	}
-	best, _, err := t.w.PlanMemo().Choose(optimizer.Enumerate(Knobs), in, optimizer.Requirement(req))
+	best, err := t.w.PlanMemo().Best(optimizer.Enumerate(Knobs), in, optimizer.Requirement(req))
 	if err != nil {
 		return PlanEvaluation{}, err
 	}
@@ -587,7 +587,7 @@ func (t *Task) OptimizeRobust(req Requirement, sigma float64) (PlanEvaluation, e
 		return PlanEvaluation{}, err
 	}
 	in.RobustSigma = sigma
-	best, _, err := t.w.PlanMemo().Choose(optimizer.Enumerate(Knobs), in, optimizer.Requirement(req))
+	best, err := t.w.PlanMemo().Best(optimizer.Enumerate(Knobs), in, optimizer.Requirement(req))
 	if err != nil {
 		return PlanEvaluation{}, err
 	}

@@ -244,7 +244,7 @@ func (t *Task) OptimizeQuery(req Requirement) (QueryPlan, error) {
 		if err != nil {
 			return QueryPlan{}, err
 		}
-		best, _, err := t.w.PlanMemo().Choose(optimizer.Enumerate(Knobs), in, optimizer.Requirement(req))
+		best, err := t.w.PlanMemo().Best(optimizer.Enumerate(Knobs), in, optimizer.Requirement(req))
 		if err != nil {
 			return QueryPlan{}, err
 		}
