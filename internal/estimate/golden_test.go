@@ -146,7 +146,7 @@ func TestEstimatePilot8kGolden(t *testing.T) {
 
 // TestPairSplitDeterministic asserts PairSplit is a function of its inputs
 // down to the last bit: repeated calls on the 8k pilot observations, whose
-// value-count maps Go iterates in a different order each time, return the
+// (c1, c2) tally map Go iterates in a different order each time, return the
 // identical floats.
 func TestPairSplitDeterministic(t *testing.T) {
 	obs := pilot8k(t)
