@@ -105,7 +105,6 @@ type Bayes struct {
 	terms      map[string][2]float64
 	absentGood float64
 	absentRest float64
-	numTerms   int
 	threshold  float64
 }
 
@@ -145,7 +144,6 @@ func TrainBayesRows(rows *index.TermRows, db *corpus.DB, task string, threshold 
 		logPriorGood: math.Log(float64(nGood) / float64(nGood+nRest)),
 		logPriorRest: math.Log(float64(nRest) / float64(nGood+nRest)),
 		terms:        make(map[string][2]float64, len(rows.Terms)),
-		numTerms:     len(rows.Terms),
 		threshold:    threshold,
 	}
 	// Term IDs ascend in string order, which fixes the float accumulation

@@ -204,7 +204,6 @@ func refTrainBayes(db *corpus.DB, task string, threshold float64) (*Bayes, error
 		b.absentGood += math.Log(1 - pg)
 		b.absentRest += math.Log(1 - pr)
 	}
-	b.numTerms = len(vocab)
 	return b, nil
 }
 

@@ -52,7 +52,9 @@ func TestJournalRoundTrip(t *testing.T) {
 // TestJournalTransitionsBeforeSubmission: the service queues a job before
 // it journals the submission, so a fast worker's started or finished record
 // can land first; replay must still credit them to their job. A transition
-// whose job was never submitted stays corrupt.
+// whose job was never submitted stays corrupt, and compaction drops it but
+// keeps its sequence number: a second restart must not lower MaxSeq, or the
+// service would issue that job's ID again.
 func TestJournalTransitionsBeforeSubmission(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := openT(t, dir, Options{})
@@ -64,15 +66,21 @@ func TestJournalTransitionsBeforeSubmission(t *testing.T) {
 	s.Append(Record{Seq: 3, Event: EventStarted, JobID: "j000003"})
 	s.Close()
 
-	_, rec := openT(t, dir, Options{})
-	if len(rec.Jobs) != 2 || rec.CorruptLines != 1 {
-		t.Fatalf("recovered %+v, want two jobs and one corrupt line", rec)
+	s, rec := openT(t, dir, Options{})
+	if len(rec.Jobs) != 2 || rec.CorruptLines != 1 || rec.MaxSeq != 3 {
+		t.Fatalf("recovered %+v, want two jobs, one corrupt line and MaxSeq 3", rec)
 	}
 	if j := rec.Jobs[0]; j.ID != "j000001" || !j.Started || j.Finished() || j.Tenant != "a" {
 		t.Errorf("job 1 recovered as %+v, want started and unfinished", j)
 	}
 	if j := rec.Jobs[1]; j.ID != "j000002" || !j.Started || j.State != "done" || j.Tenant != "b" {
 		t.Errorf("job 2 recovered as %+v, want started and done", j)
+	}
+	s.Close()
+
+	_, rec2 := openT(t, dir, Options{})
+	if len(rec2.Jobs) != 2 || rec2.CorruptLines != 0 || rec2.MaxSeq != 3 {
+		t.Fatalf("after compaction recovered %+v, want two jobs, no corrupt line and MaxSeq 3", rec2)
 	}
 }
 

@@ -15,6 +15,10 @@ const (
 	EventSubmitted = "submitted"
 	EventStarted   = "started"
 	EventFinished  = "finished"
+	// eventWatermark carries no job, only the highest sequence number:
+	// compaction writes it last when a dropped record held that number, so
+	// MaxSeq survives the rewrite.
+	eventWatermark = "watermark"
 )
 
 // Record is one journal entry.
@@ -151,13 +155,16 @@ func (s *Store) replay() *Recovered {
 			continue
 		}
 		var r Record
-		if err := json.Unmarshal(jl.Rec, &r); err != nil || r.JobID == "" {
+		if err := json.Unmarshal(jl.Rec, &r); err != nil || (r.JobID == "" && r.Event != eventWatermark) {
 			rec.CorruptLines++
 			s.errsC("replay")
 			continue
 		}
 		if r.Seq > rec.MaxSeq {
 			rec.MaxSeq = r.Seq
+		}
+		if r.Event == eventWatermark {
+			continue
 		}
 		j, ok := byID[r.JobID]
 		if !ok {
@@ -206,25 +213,34 @@ func (j *RecoveredJob) apply(r Record) {
 
 // compact atomically rewrites the journal from the replayed state — one
 // submitted record per job plus its reached transitions — dropping corrupt
-// lines so damage does not accumulate, and shedding nothing recovery needs.
-// Runs during Open, single-threaded.
+// lines so damage does not accumulate, and shedding nothing recovery needs:
+// when a dropped record (a transition whose job was never submitted) held
+// the highest sequence number, a trailing watermark record keeps MaxSeq,
+// so the service never reissues that job's ID. Runs during Open,
+// single-threaded.
 func (s *Store) compact(rec *Recovered) error {
-	var buf bytes.Buffer
+	var records []Record
+	var top uint64
 	for _, j := range rec.Jobs {
-		records := []Record{{Seq: j.Seq, Event: EventSubmitted, JobID: j.ID, Tenant: j.Tenant, Request: j.Request}}
+		top = max(top, j.Seq)
+		records = append(records, Record{Seq: j.Seq, Event: EventSubmitted, JobID: j.ID, Tenant: j.Tenant, Request: j.Request})
 		if j.Started {
 			records = append(records, Record{Seq: j.Seq, Event: EventStarted, JobID: j.ID})
 		}
 		if j.Finished() {
 			records = append(records, Record{Seq: j.Seq, Event: EventFinished, JobID: j.ID, State: j.State, Error: j.Error})
 		}
-		for _, r := range records {
-			line, err := encodeRecord(r)
-			if err != nil {
-				return err
-			}
-			buf.Write(line)
+	}
+	if rec.MaxSeq > top {
+		records = append(records, Record{Seq: rec.MaxSeq, Event: eventWatermark})
+	}
+	var buf bytes.Buffer
+	for _, r := range records {
+		line, err := encodeRecord(r)
+		if err != nil {
+			return err
 		}
+		buf.Write(line)
 	}
 	return s.writeFileAtomic(s.journalPath(), buf.Bytes(), true)
 }

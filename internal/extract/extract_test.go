@@ -59,7 +59,7 @@ func TestTaggerLongestMatch(t *testing.T) {
 	}
 	tagger := NewTagger(g)
 	tokens := []string{"acme", "dynamics", "2", "near", "pine", "bluff"}
-	ents, covered := tagger.Tag(tokens)
+	ents, covered := tagger.TagInto(tokens, nil, nil)
 	if len(ents) != 2 {
 		t.Fatalf("entities %v", ents)
 	}
@@ -77,13 +77,41 @@ func TestTaggerLongestMatch(t *testing.T) {
 	}
 }
 
+// TestSplitSentences: Scan segments the text on periods in place, so a
+// slot pair is a candidate only when both entities share a segment, and
+// empty segments yield nothing.
 func TestSplitSentences(t *testing.T) {
-	s := SplitSentences("a b . c . . d e f .")
-	if len(s) != 3 {
-		t.Fatalf("sentences %v", s)
+	g := &textgen.Gazetteer{
+		Companies: []string{"Acme Dynamics", "Granite Systems"},
+		Locations: []string{"Pine Bluff"},
 	}
-	if len(s[0]) != 2 || len(s[1]) != 1 || len(s[2]) != 3 {
-		t.Errorf("sentence shapes %v", s)
+	sys, err := NewSystemFromVocab(textgen.VocabHQ, NewTagger(g))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sys.Scan("acme dynamics headquartered campus pine bluff"); len(got) != 1 {
+		t.Fatalf("unsplit mention: candidates %v, want one", got)
+	}
+	if got := sys.Scan("acme dynamics headquartered . campus pine bluff ."); len(got) != 0 {
+		t.Errorf("slot pair split by a period: candidates %v, want none", got)
+	}
+	if got := sys.Scan("a b . c . . d e f ."); len(got) != 0 {
+		t.Errorf("entity-free segments: candidates %v, want none", got)
+	}
+	// Two mentions around empty segments: one candidate each, in sentence
+	// order, each scored against its own context only.
+	got := sys.Scan(". . acme dynamics headquartered campus pine bluff . . . granite systems based near pine bluff . .")
+	want := []Candidate{
+		{Tuple: relation.Tuple{A1: "Acme Dynamics", A2: "Pine Bluff"}, Score: 2 / (2 * math.Sqrt(2))},
+		{Tuple: relation.Tuple{A1: "Granite Systems", A2: "Pine Bluff"}, Score: 1 / (2 * math.Sqrt(2))},
+	}
+	if len(got) != len(want) {
+		t.Fatalf("candidates %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i].Tuple != want[i].Tuple || math.Abs(got[i].Score-want[i].Score) > 1e-12 {
+			t.Errorf("candidate %d = %+v, want %+v", i, got[i], want[i])
+		}
 	}
 }
 
@@ -258,61 +286,6 @@ func TestExtractKeepsBestScore(t *testing.T) {
 	}
 }
 
-func TestTrainPatternsRecoverCues(t *testing.T) {
-	db, g := testCorpus(t, 12)
-	patterns, err := TrainPatterns(db, textgen.VocabHQ, NewTagger(g), 3, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	learned := map[string]bool{}
-	for _, p := range patterns {
-		for _, term := range p.Terms {
-			learned[term] = true
-		}
-	}
-	cues := textgen.VocabHQ.CueTermSet()
-	hits := 0
-	for c := range cues {
-		if learned[c] {
-			hits++
-		}
-	}
-	if hits < len(cues)*2/3 {
-		t.Errorf("training recovered %d/%d cue terms: %v", hits, len(cues), patterns)
-	}
-}
-
-func TestTrainedSystemExtracts(t *testing.T) {
-	db, g := testCorpus(t, 13)
-	tagger := NewTagger(g)
-	patterns, err := TrainPatterns(db, textgen.VocabHQ, tagger, 3, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys, err := NewSystem("HQ", textgen.Company, textgen.Location, patterns, tagger)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rates, err := MeasureRates(sys, db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rates.TP(0.4) < 0.5 {
-		t.Errorf("trained system tp(0.4) = %v, too weak", rates.TP(0.4))
-	}
-}
-
-func TestTrainPatternsErrors(t *testing.T) {
-	db, g := testCorpus(t, 14)
-	tagger := NewTagger(g)
-	if _, err := TrainPatterns(db, textgen.VocabEX, tagger, 3, 4); err == nil {
-		t.Error("expected error for unhosted task")
-	}
-	if _, err := TrainPatterns(db, textgen.VocabHQ, tagger, 0, 4); err == nil {
-		t.Error("expected error for zero patterns")
-	}
-}
-
 func TestNewSystemValidation(t *testing.T) {
 	g := testGazetteer()
 	if _, err := NewSystem("X", textgen.Company, textgen.Location, nil, NewTagger(g)); err == nil {
@@ -332,7 +305,7 @@ func TestTaggerCrossTypeSharedPrefix(t *testing.T) {
 		Locations: []string{"Granite Pass"},
 	}
 	tagger := NewTagger(g)
-	ents, _ := tagger.Tag([]string{"granite", "pass", "hosts", "granite", "systems"})
+	ents, _ := tagger.TagInto([]string{"granite", "pass", "hosts", "granite", "systems"}, nil, nil)
 	if len(ents) != 2 {
 		t.Fatalf("entities %v", ents)
 	}
@@ -347,10 +320,16 @@ func TestTaggerCrossTypeSharedPrefix(t *testing.T) {
 func TestTaggerNoFalseMatchOnPartialName(t *testing.T) {
 	g := &textgen.Gazetteer{Companies: []string{"Acme Dynamics"}}
 	tagger := NewTagger(g)
-	// "acme" alone (wrong continuation) must not match.
-	ents, covered := tagger.Tag([]string{"acme", "robotics", "expanded"})
+	// "acme" alone (wrong continuation) must not match. The buffers hold a
+	// previous sentence's result: TagInto must overwrite both.
+	staleEnts := []Entity{{Name: "Acme Dynamics", Type: textgen.Company, End: 2}}
+	staleMask := []bool{true, true, true, true}
+	ents, covered := tagger.TagInto([]string{"acme", "robotics", "expanded"}, staleEnts, staleMask)
 	if len(ents) != 0 {
 		t.Fatalf("spurious entities %v", ents)
+	}
+	if len(covered) != 3 {
+		t.Fatalf("mask %v, want one entry per token", covered)
 	}
 	for i, c := range covered {
 		if c {

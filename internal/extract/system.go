@@ -13,8 +13,8 @@ import (
 	"joinopt/internal/textgen"
 )
 
-// Pattern is an extraction pattern: a term vector with uniform weights, as
-// learned by Snowball-style bootstrapping. A candidate tuple's context is
+// Pattern is an extraction pattern: a term vector with uniform weights over
+// one cue-term set of the task vocabulary. A candidate tuple's context is
 // scored by cosine similarity against each pattern; the best score is
 // compared to the minSim knob.
 type Pattern struct {
@@ -173,15 +173,6 @@ func (s *System) Scan(text string) []Candidate {
 		out = append(out, Candidate{Tuple: pair, Score: score})
 	}
 	return out
-}
-
-// slotPairs matches tagged entities to the task's slots; it wraps slotPair
-// for the cold callers (bootstrapping, training) that want a slice.
-func (s *System) slotPairs(entities []Entity) []relation.Tuple {
-	if pair, ok := s.slotPair(entities); ok {
-		return []relation.Tuple{pair}
-	}
-	return nil
 }
 
 // slotPair matches tagged entities to the task's slots: the first Slot1

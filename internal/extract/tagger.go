@@ -1,8 +1,9 @@
 // Package extract implements the information-extraction systems: a
 // dictionary-based entity tagger and a Snowball-style pattern-vector
 // extraction engine whose tuning knob θ is the minimum cosine similarity
-// (minSim) between a candidate tuple's context and a learned extraction
-// pattern — the same knob the paper tunes on Snowball (§VII).
+// (minSim) between a candidate tuple's context and an extraction pattern —
+// the same knob the paper tunes on Snowball (§VII). The patterns are the
+// cue-term sets of the task vocabulary (NewSystemFromVocab).
 //
 // The engine is a real pipeline over raw text: sentence splitting, greedy
 // longest-match entity tagging, bag-of-words context vectors, cosine scoring
@@ -12,8 +13,6 @@
 package extract
 
 import (
-	"strings"
-
 	"joinopt/internal/index"
 	"joinopt/internal/textgen"
 )
@@ -24,7 +23,6 @@ type Tagger struct {
 	// byFirst maps the first (lowercased) token of an entity name to the
 	// candidate entries starting with it, longest first.
 	byFirst map[string][]taggerEntry
-	maxLen  int
 }
 
 type taggerEntry struct {
@@ -43,9 +41,6 @@ func NewTagger(g *textgen.Gazetteer) *Tagger {
 				continue
 			}
 			t.byFirst[toks[0]] = append(t.byFirst[toks[0]], taggerEntry{tokens: toks, canonical: name, etype: et})
-			if len(toks) > t.maxLen {
-				t.maxLen = len(toks)
-			}
 		}
 	}
 	add(g.Companies, textgen.Company)
@@ -72,15 +67,11 @@ type Entity struct {
 	End   int // exclusive token offset
 }
 
-// Tag finds entity occurrences in tokens by greedy longest match and returns
-// them in order along with a mask of the tokens covered by entities.
-func (t *Tagger) Tag(tokens []string) ([]Entity, []bool) {
-	return t.TagInto(tokens, nil, nil)
-}
-
-// TagInto is Tag with caller-owned entity and mask buffers, reused across
-// calls so the per-sentence extraction loop does not allocate (see extract's
-// scan scratch and the alloc guard).
+// TagInto finds entity occurrences in tokens by greedy longest match and
+// returns them in order along with a mask of the tokens covered by
+// entities. It writes into ents and mask, which the caller owns and reuses
+// across calls (either may be nil), so the per-sentence extraction loop does
+// not allocate once warm (see Scan's scratch and the alloc guard).
 func (t *Tagger) TagInto(tokens []string, ents []Entity, mask []bool) ([]Entity, []bool) {
 	var covered []bool
 	if cap(mask) >= len(tokens) {
@@ -119,18 +110,4 @@ func (t *Tagger) TagInto(tokens []string, ents []Entity, mask []bool) ([]Entity,
 		}
 	}
 	return out, covered
-}
-
-// SplitSentences splits document text on periods and tokenizes each
-// sentence.
-func SplitSentences(text string) [][]string {
-	parts := strings.Split(text, ".")
-	out := make([][]string, 0, len(parts))
-	for _, p := range parts {
-		toks := index.Tokenize(p)
-		if len(toks) > 0 {
-			out = append(out, toks)
-		}
-	}
-	return out
 }

@@ -74,16 +74,10 @@ type Env struct {
 	// Trace and Metrics, when set, observe the adaptive protocol itself:
 	// pilot completion, plan decisions, checkpoints (and their non-fatal
 	// failures), and plan switches, plus per-phase model/wall time. Both are
-	// nil-safe and nil by default.
+	// nil-safe and nil by default. Events are stamped at cumulative model
+	// time, and their attributes are built only when Trace is enabled.
 	Trace   *obs.Trace
 	Metrics *obs.Registry
-}
-
-// emit stamps an optimizer-level trace event at cumulative model time t.
-func (env *Env) emit(t float64, kind obs.Kind, attrs map[string]any) {
-	if env.Trace.Enabled() {
-		env.Trace.EmitAt(t, kind, 0, attrs)
-	}
 }
 
 // Options tune the adaptive driver.
@@ -225,8 +219,10 @@ func RunAdaptiveCtx(ctx context.Context, env *Env, req Requirement, opts Options
 	in.Workers = opts.ChooseWorkers
 	res.Inputs = in
 	om.Phase("pilot", pilotState.Time, time.Since(wallStart).Seconds())
-	env.emit(res.TotalTime, obs.KindPilotDone, map[string]any{
-		"docs1": pilotState.DocsProcessed[0], "docs2": pilotState.DocsProcessed[1], "time": pilotState.Time})
+	if env.Trace.Enabled() {
+		env.Trace.EmitAt(res.TotalTime, obs.KindPilotDone, 0, map[string]any{
+			"docs1": pilotState.DocsProcessed[0], "docs2": pilotState.DocsProcessed[1], "time": pilotState.Time})
+	}
 
 	best, err := env.Memo.Best(Enumerate(env.Thetas), in, req)
 	if err != nil {
@@ -234,8 +230,10 @@ func RunAdaptiveCtx(ctx context.Context, env *Env, req Requirement, opts Options
 	}
 	res.Decisions = append(res.Decisions, Decision{AtTime: res.TotalTime, Chosen: best})
 	om.Decision(false)
-	env.emit(res.TotalTime, obs.KindPlanChosen, map[string]any{
-		"plan": best.Plan.String(), "effort1": best.Effort[0], "effort2": best.Effort[1], "predicted_time": best.Time})
+	if env.Trace.Enabled() {
+		env.Trace.EmitAt(res.TotalTime, obs.KindPlanChosen, 0, map[string]any{
+			"plan": best.Plan.String(), "effort1": best.Effort[0], "effort2": best.Effort[1], "predicted_time": best.Time})
+	}
 
 	return env.adaptiveLoop(ctx, res, req, opts, &Checkpoint{Phase: PhaseExecute, Best: best})
 }
@@ -377,7 +375,9 @@ func (env *Env) adaptiveLoop(ctx context.Context, res *Result, req Requirement, 
 		// monotone and consistent with the switch path.
 		now := res.TotalTime + st.Time
 		om.Checkpoint()
-		env.emit(now, obs.KindCheckpoint, map[string]any{"plan": best.Plan.String(), "switches": switches})
+		if env.Trace.Enabled() {
+			env.Trace.EmitAt(now, obs.KindCheckpoint, 0, map[string]any{"plan": best.Plan.String(), "switches": switches})
+		}
 		// best was chosen by Choose over this same in and req (at the
 		// pilot, at a switch, or by the run a resume continues), and Choose
 		// is a pure function of its arguments: without new estimates the
@@ -393,13 +393,17 @@ func (env *Env) adaptiveLoop(ctx context.Context, res *Result, req Requirement, 
 				res.CheckpointErrs = append(res.CheckpointErrs,
 					fmt.Errorf("optimizer: checkpoint at t=%.0f: %w", now, err))
 				om.CheckpointErr()
-				env.emit(now, obs.KindCheckpointError, map[string]any{"err": err.Error()})
+				if env.Trace.Enabled() {
+					env.Trace.EmitAt(now, obs.KindCheckpointError, 0, map[string]any{"err": err.Error()})
+				}
 			} else {
 				best = nb
 				res.Decisions = append(res.Decisions, Decision{AtTime: now, Chosen: nb})
 				om.Decision(false)
-				env.emit(now, obs.KindPlanChosen, map[string]any{
-					"plan": best.Plan.String(), "effort1": best.Effort[0], "effort2": best.Effort[1], "predicted_time": best.Time})
+				if env.Trace.Enabled() {
+					env.Trace.EmitAt(now, obs.KindPlanChosen, 0, map[string]any{
+						"plan": best.Plan.String(), "effort1": best.Effort[0], "effort2": best.Effort[1], "predicted_time": best.Time})
+				}
 			}
 			committed = true
 			persist(checkpointed(PhaseCommitted, [2]int{}, 0, [2]int{}))
@@ -409,8 +413,10 @@ func (env *Env) adaptiveLoop(ctx context.Context, res *Result, req Requirement, 
 		res.TotalTime += st.Time
 		switches++
 		om.Decision(true)
-		env.emit(res.TotalTime, obs.KindPlanSwitch, map[string]any{
-			"from": best.Plan.String(), "to": nb.Plan.String(), "switches": switches})
+		if env.Trace.Enabled() {
+			env.Trace.EmitAt(res.TotalTime, obs.KindPlanSwitch, 0, map[string]any{
+				"from": best.Plan.String(), "to": nb.Plan.String(), "switches": switches})
+		}
 		best = nb
 		res.Decisions = append(res.Decisions, Decision{AtTime: res.TotalTime, Chosen: best, Switched: true})
 		if exec, err = env.NewExecutor(best.Plan); err != nil {
