@@ -34,9 +34,12 @@ test:
 	$(GO) test ./...
 	cd perfbench && $(GO) test ./...
 
+# race also repeats the standby outbox tests ten times: each run meets a
+# different interleaving of the per-peer sender goroutines and their peers.
 race:
 	$(GO) test -race ./internal/optimizer/... ./internal/join/... ./internal/faults/... ./internal/workload/... ./internal/obs/... ./internal/pipeline/... ./internal/service/... ./internal/durable/... ./internal/cluster/... ./internal/estimate/... ./internal/classifier/... ./internal/extract/... ./internal/relation/... ./internal/index/...
 	$(GO) test -race -run 'TestConcurrentRunsOnOneTask|TestPlanMemoWarmthInvariance' -count=1 .
+	$(GO) test -race -run 'TestStandby' -count=10 ./internal/service/
 
 # transparency runs the two properties that say an execution knob must leave
 # every answer bit-identical: a fault profile with rate 0, and any

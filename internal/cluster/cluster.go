@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"sync"
@@ -375,7 +376,8 @@ func (c *Cluster) ReportAlive(name string) {
 	}
 }
 
-// probeOnce performs one /healthz request.
+// probeOnce performs one /healthz request. It reads the response to EOF,
+// so the client keeps the connection for the next probe.
 func (c *Cluster) probeOnce(url string) bool {
 	ctx, cancel := context.WithTimeout(context.Background(), c.cfg.ProbeTimeout)
 	defer cancel()
@@ -388,6 +390,8 @@ func (c *Cluster) probeOnce(url string) bool {
 		return false
 	}
 	defer resp.Body.Close()
+	// The status alone says whether the peer is healthy.
+	io.Copy(io.Discard, resp.Body)
 	return resp.StatusCode == http.StatusOK
 }
 

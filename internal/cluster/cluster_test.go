@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -267,5 +268,41 @@ func TestStopWithoutStart(t *testing.T) {
 	case <-done:
 	case <-time.After(5 * time.Second):
 		t.Fatal("Stop deadlocked without Start")
+	}
+}
+
+// TestProbesReuseConnections: a probe reads the /healthz response to EOF,
+// so the cluster client keeps its connection to the peer. Closed unread,
+// every response costs the next probe a fresh TCP connection.
+func TestProbesReuseConnections(t *testing.T) {
+	var conns atomic.Int64
+	peer := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Write([]byte("ok\n"))
+	}))
+	peer.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		if st == http.StateNew {
+			conns.Add(1)
+		}
+	}
+	peer.Start()
+	t.Cleanup(peer.Close)
+
+	cfg := Config{
+		Self:          "http://self.invalid:1",
+		Peers:         []string{"http://self.invalid:1", peer.URL},
+		ProbeInterval: time.Second,
+		ProbeTimeout:  10 * time.Second,
+	}
+	c, err := New(cfg, obs.NewRegistry(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 50; i++ {
+		if !c.probeOnce(peer.URL) {
+			t.Fatalf("probe %d failed", i)
+		}
+	}
+	if n := conns.Load(); n > 2 {
+		t.Errorf("50 probes opened %d connections, want at most 2", n)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"strings"
 	"sync"
@@ -132,6 +133,11 @@ func (s *Service) initCluster() {
 	c := s.opts.Cluster
 	m := s.opts.Metrics
 	s.standby = newStandbyStore(m)
+	s.outbox = newStandbyOutbox(func(url string, w standbyWire) {
+		if err := s.sendStandby(url, w); err != nil {
+			s.logf("cluster: standby message for %s to %s: %v", w.ID, url, err)
+		}
+	})
 	s.migrations = map[string]*obs.Counter{
 		"takeover": m.Counter(obs.Series(cluster.MetricMigrations, "how", "takeover")),
 		"handoff":  m.Counter(obs.Series(cluster.MetricMigrations, "how", "handoff")),
@@ -165,11 +171,12 @@ func (s *Service) ownerFor(req JobRequest) (name, url string, self bool) {
 	return name, url, name == c.SelfName()
 }
 
-// replicateCheckpoint streams a running job's latest checkpoint to the
-// replica that would inherit its workload, synchronously (checkpoints are
-// per protocol transition, and ordering matters: the standby must never
-// hold a newer checkpoint's predecessor). Failures are absorbed — the
-// origin still has the durable tier, and the next checkpoint retries.
+// replicateCheckpoint queues a running job's latest checkpoint for the
+// replica that would inherit its workload and returns at once; the peer's
+// outbox posts it in order (the standby must never hold a newer
+// checkpoint's predecessor), or drops it unsent when a newer message of the
+// job replaces it first. Failures are absorbed — the origin still has the
+// durable tier, and the next checkpoint retries.
 func (s *Service) replicateCheckpoint(j *Job, ckWire []byte) {
 	c := s.opts.Cluster
 	_, url, ok := c.StandbyTarget(j.key)
@@ -182,22 +189,21 @@ func (s *Service) replicateCheckpoint(j *Job, ckWire []byte) {
 	}
 	j.standbys[url] = struct{}{}
 	j.mu.Unlock()
-	if err := s.sendStandby(url, standbyWire{
+	s.outbox.enqueue(url, standbyWire{
 		ID: j.ID, Tenant: j.Tenant, Origin: c.SelfName(),
 		Request: j.reqWire, Checkpoint: ckWire,
-	}); err != nil {
-		s.logf("cluster: replicating checkpoint of %s to %s: %v", j.ID, url, err)
-	}
+	})
 }
 
-// retireStandby tells every standby holder a job reached a terminal state,
-// so no replicated entry lingers (and cannot be spuriously adopted later).
-// It targets every peer the job was ever replicated to, not just the
-// current successor: a mid-run successor change (e.g. a transient
-// false-down of the original standby) would otherwise leave the earlier
-// holder a stale entry that no retire ever reaches. The current successor
-// is included too, covering jobs rebuilt after a restart whose replication
-// history did not survive in memory.
+// retireStandby queues a done message for every standby holder of a job
+// that reached a terminal state, so no replicated entry lingers (and cannot
+// be spuriously adopted later). It targets every peer the job was ever
+// replicated to, not just the current successor: a mid-run successor change
+// (e.g. a transient false-down of the original standby) would otherwise
+// leave the earlier holder a stale entry that no retire ever reaches. The
+// current successor is included too, covering jobs rebuilt after a restart
+// whose replication history did not survive in memory — which is also why
+// a done is sent even when none of the job's checkpoints was.
 func (s *Service) retireStandby(j *Job) {
 	c := s.opts.Cluster
 	targets := map[string]struct{}{}
@@ -210,7 +216,102 @@ func (s *Service) retireStandby(j *Job) {
 	}
 	j.mu.Unlock()
 	for url := range targets {
-		s.sendStandby(url, standbyWire{ID: j.ID, Origin: c.SelfName(), Done: true})
+		s.outbox.enqueue(url, standbyWire{ID: j.ID, Origin: c.SelfName(), Done: true})
+	}
+}
+
+// standbyOutbox takes standby replication off the job's path: each peer
+// has one queue, posted in order by one goroutine that runs while the queue
+// is non-empty, over the cluster client's reused connections. A queue holds
+// at most one unsent message per job: a newer checkpoint replaces an older
+// one, and the job's done replaces its checkpoint and is always sent. So
+// the peer sees each job's messages as a subsequence of those queued, in
+// order, ending with the last one queued.
+type standbyOutbox struct {
+	send func(url string, w standbyWire) // posts one message, absorbing failures
+
+	mu     sync.Mutex
+	peers  map[string]*standbyQueue // by peer base URL
+	active int                      // queues with a running sender goroutine
+	idle   chan struct{}            // closed while active is 0
+}
+
+// standbyQueue is one peer's unsent messages, in send order.
+type standbyQueue struct {
+	pending []standbyWire
+	running bool // a goroutine is posting this queue
+}
+
+func newStandbyOutbox(send func(url string, w standbyWire)) *standbyOutbox {
+	idle := make(chan struct{})
+	close(idle)
+	return &standbyOutbox{send: send, peers: map[string]*standbyQueue{}, idle: idle}
+}
+
+// enqueue queues w for the peer at url and returns at once, starting the
+// peer's sender goroutine if it is not running.
+func (o *standbyOutbox) enqueue(url string, w standbyWire) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	q := o.peers[url]
+	if q == nil {
+		q = &standbyQueue{}
+		o.peers[url] = q
+	}
+	q.put(w)
+	if q.running {
+		return
+	}
+	q.running = true
+	if o.active == 0 {
+		o.idle = make(chan struct{})
+	}
+	o.active++
+	go o.run(url, q)
+}
+
+// put replaces the job's unsent message with w, in that message's place in
+// the queue, or queues w last. A job queues nothing after its done.
+func (q *standbyQueue) put(w standbyWire) {
+	for i := range q.pending {
+		if q.pending[i].ID == w.ID {
+			q.pending[i] = w
+			return
+		}
+	}
+	q.pending = append(q.pending, w)
+}
+
+// run posts q's messages in order until it is empty.
+func (o *standbyOutbox) run(url string, q *standbyQueue) {
+	o.mu.Lock()
+	for len(q.pending) > 0 {
+		w := q.pending[0]
+		q.pending[0] = standbyWire{} // the queue keeps no sent checkpoint alive
+		q.pending = q.pending[1:]
+		o.mu.Unlock()
+		o.send(url, w)
+		o.mu.Lock()
+	}
+	q.running = false
+	o.active--
+	if o.active == 0 {
+		close(o.idle)
+	}
+	o.mu.Unlock()
+}
+
+// drained waits until every queue is empty and no post is in flight, or
+// ctx ends.
+func (o *standbyOutbox) drained(ctx context.Context) error {
+	o.mu.Lock()
+	idle := o.idle
+	o.mu.Unlock()
+	select {
+	case <-idle:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
 	}
 }
 
@@ -243,7 +344,9 @@ func (w standbyWire) marshal() []byte {
 	return append(b, '}')
 }
 
-// sendStandby posts one standby message to a peer. Best-effort.
+// sendStandby posts one standby message to a peer. Best-effort. It reads
+// the response to EOF, so the cluster client keeps the connection for the
+// next message instead of dialing a new one.
 func (s *Service) sendStandby(url string, w standbyWire) error {
 	body := w.marshal()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -259,6 +362,8 @@ func (s *Service) sendStandby(url string, w standbyWire) error {
 		return err
 	}
 	defer resp.Body.Close()
+	// The status alone says whether the peer took the message.
+	io.Copy(io.Discard, resp.Body)
 	if resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("standby %s: %s", url, resp.Status)
 	}
@@ -406,14 +511,21 @@ func (s *Service) adopt(w standbyWire, how string) error {
 // next owners, checkpoint and all. Call it after Drain: drain-canceled
 // adaptive runs hold their final checkpoint in memory, queued-then-
 // drain-canceled jobs hold none and restart from scratch on the inheritor.
-// Jobs the user explicitly canceled are never handed off — the cancel
-// contract outlives the replica — and every terminal job it does not ship
-// gets its standby entry retired synchronously here, because finish()'s
-// async retire races process death on the exit path. Returns the number of
-// jobs handed off.
+// It first waits, within ctx, for the standby outboxes to drain, so every
+// message a job queued reaches its peer before that job's activate does —
+// a checkpoint landing after the activate would leave the adopter a stale
+// standby entry. Jobs the user explicitly canceled are never handed off —
+// the cancel contract outlives the replica — and every terminal job it does
+// not ship gets its standby entry retired again here, with Handoff waiting
+// for those dones too before it returns, so none is lost to process exit.
+// Returns the number of jobs handed off.
 func (s *Service) Handoff(ctx context.Context) int {
 	c := s.opts.Cluster
 	if c == nil {
+		return 0
+	}
+	if err := s.outbox.drained(ctx); err != nil {
+		s.logf("cluster: standby messages still queued, handing off no jobs: %v", err)
 		return 0
 	}
 	s.mu.Lock()
@@ -439,12 +551,11 @@ func (s *Service) Handoff(ctx context.Context) int {
 		// Only drain-interrupted work moves. Every other terminal job —
 		// done, failed, or canceled by the user (even long before this
 		// drain; the store retains terminal jobs) — retires its standby
-		// entry here, synchronously: finish() retires asynchronously, and
-		// on the exit path that goroutine races process death. A stale
-		// entry left behind makes the survivor resurrect the job once its
-		// origin is probed down. A drain-canceled job with no checkpoint
-		// was queued when the drain landed: hand the bare request over so
-		// the acceptance is still honoured.
+		// entry here again: a done that finish() queued may have failed,
+		// and a stale entry left behind makes the survivor resurrect the
+		// job once its origin is probed down. A drain-canceled job with no
+		// checkpoint was queued when the drain landed: hand the bare
+		// request over so the acceptance is still honoured.
 		if state != StateCanceled || !drainCanceled {
 			if state == StateDone || state == StateFailed || state == StateCanceled {
 				s.retireStandby(j)
@@ -473,6 +584,9 @@ func (s *Service) Handoff(ctx context.Context) int {
 			continue
 		}
 		handed++
+	}
+	if err := s.outbox.drained(ctx); err != nil {
+		s.logf("cluster: standby retirements still queued at the end of handoff: %v", err)
 	}
 	if handed > 0 {
 		s.logf("cluster: handed %d interrupted jobs to their next owners", handed)

@@ -33,6 +33,14 @@ type clusterNode struct {
 // startFleet boots n replicas wired into one cluster with fast probes.
 func startFleet(t *testing.T, n int) []*clusterNode {
 	t.Helper()
+	return startFleetWith(t, n, 100*time.Millisecond, nil)
+}
+
+// startFleetWith is startFleet with the cluster client's timeout (which is
+// also the probe timeout) set, and with each replica's handler passed
+// through wrap when it is not nil.
+func startFleetWith(t *testing.T, n int, clientTimeout time.Duration, wrap func(i int, h http.Handler) http.Handler) []*clusterNode {
+	t.Helper()
 	lns := make([]net.Listener, n)
 	peers := make([]string, n)
 	for i := range lns {
@@ -50,7 +58,7 @@ func startFleet(t *testing.T, n int) []*clusterNode {
 			Peers:         peers,
 			VNodes:        16,
 			ProbeInterval: 20 * time.Millisecond,
-			ProbeTimeout:  100 * time.Millisecond,
+			ProbeTimeout:  clientTimeout,
 			SuspectAfter:  2,
 			DownAfter:     4,
 		}
@@ -60,12 +68,32 @@ func startFleet(t *testing.T, n int) []*clusterNode {
 			t.Fatal(err)
 		}
 		svc := New(Options{Workers: 1, Metrics: reg, Cluster: cl, Logf: t.Logf})
-		srv := &http.Server{Handler: svc.Handler()}
+		h := svc.Handler()
+		if wrap != nil {
+			h = wrap(i, h)
+		}
+		srv := &http.Server{Handler: h}
 		nodes[i] = &clusterNode{svc: svc, cl: cl, reg: reg, base: peers[i], srv: srv, ln: lns[i]}
 		go srv.Serve(lns[i])
 		cl.Start()
 	}
 	t.Cleanup(func() {
+		// Stop the replicas' work before their listeners: each drain
+		// cancels what still runs, and each standby outbox then empties
+		// while every peer still answers, so no sender logs into a
+		// finished test.
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		canceled, cancelNow := context.WithCancel(ctx)
+		cancelNow()
+		for _, nd := range nodes {
+			nd.svc.Drain(canceled)
+		}
+		for _, nd := range nodes {
+			if err := nd.svc.outbox.drained(ctx); err != nil {
+				t.Errorf("%s: standby outbox did not drain: %v", nd.cl.SelfName(), err)
+			}
+		}
 		for _, nd := range nodes {
 			nd.cl.Stop()
 			nd.srv.Close()
@@ -288,7 +316,9 @@ func waitFleetHealthy(t *testing.T, nodes []*clusterNode) {
 // freezeAtCheckpoint installs the checkpoint-sink test hook on the owner:
 // the running job blocks inside its sink — after a checkpoint has provably
 // replicated to the standby node, before any further progress — until
-// release is closed. This makes "interrupt the job mid-run" deterministic:
+// release is closed. The sink calls the hook only once the owner's standby
+// outbox has drained, so the checkpoint it just queued has reached the
+// peer by then. This makes "interrupt the job mid-run" deterministic:
 // without it the tests race wall-clock against job completion, and a warm
 // process (repeat -count runs, or the reference run warming shared state)
 // finishes jobs so fast the kill or drain lands after the job instead of

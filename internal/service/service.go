@@ -152,12 +152,14 @@ type Service struct {
 
 	// Cluster state (nil/empty without Options.Cluster).
 	standby    *standbyStore
+	outbox     *standbyOutbox
 	migrations map[string]*obs.Counter
 
 	// ckTestHook, when set (tests only, before any job runs), is called
-	// from the checkpoint sink after the checkpoint has persisted and
-	// replicated — a deterministic mid-run freeze point for migration
-	// tests, which otherwise race wall-clock against job completion.
+	// from the checkpoint sink after the checkpoint has persisted and the
+	// standby outbox has drained — a deterministic mid-run freeze point for
+	// migration tests, which otherwise race wall-clock against job
+	// completion.
 	ckTestHook func(*Job)
 }
 
@@ -554,6 +556,9 @@ func (s *Service) runJob(j *Job) (*JobResult, error) {
 				// Test seam: lets migration tests freeze a job at a point
 				// where its checkpoint has provably replicated, instead of
 				// racing wall-clock against job completion.
+				if s.outbox != nil {
+					s.outbox.drained(context.Background())
+				}
 				hook(j)
 			}
 		}))
@@ -693,9 +698,10 @@ func (s *Service) finish(j *Job, res *JobResult, err error) {
 		// dies. Drain-canceled jobs are the one exception: they are
 		// interrupted work, and Handoff decides their fate next (ship to a
 		// successor, or keep the standby entry recoverable if no peer is
-		// live). Asynchronous — a slow peer must not serialize completion;
-		// Handoff re-retires terminal jobs synchronously on the exit path.
-		go s.retireStandby(j)
+		// live). The done only joins the peers' outboxes — a slow peer must
+		// not serialize completion — and Handoff drains them, then
+		// re-retires terminal jobs, on the exit path.
+		s.retireStandby(j)
 	}
 
 	m := s.opts.Metrics

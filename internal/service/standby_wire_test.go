@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"os"
+	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -76,4 +79,54 @@ func TestStandbyWireMarshal(t *testing.T) {
 		}
 	}
 	awaitDone(t, peer.svc, handed, 60*time.Second)
+}
+
+// FuzzStandbyWire: for any body handleStandby's decoder accepts, the
+// hand-written envelope is valid JSON that decodes back to the same
+// message (an absent request reads back as null). Seeded with the four
+// message forms TestStandbyWireMarshal checks and a truncated message.
+func FuzzStandbyWire(f *testing.F) {
+	const tenant = "t<&>\u2028" // characters json.Marshal escapes
+	reqWire, err := json.Marshal(JobRequest{Tenant: tenant, TauG: 4, TauB: 40, Workload: WorkloadSpec{NumDocs: 1000, Seed: 7}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	// The committed v1 checkpoint golden, rather than a run's checkpoint:
+	// every fuzz worker repeats this set-up.
+	ck, err := os.ReadFile(filepath.Join("..", "..", "testdata", "checkpoint_v1.golden"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	ck = bytes.TrimSpace(ck)
+	for _, w := range []standbyWire{
+		{ID: "n0-j000001", Tenant: tenant, Origin: "n0", Request: reqWire},
+		{ID: "n0-j000001", Tenant: tenant, Origin: "n0", Request: reqWire, Checkpoint: ck},
+		{ID: "n0-j000001", Origin: "n0", Done: true},
+		{ID: "n0-j000002", Tenant: tenant, Origin: "n0", Request: reqWire, Checkpoint: ck, Activate: true},
+	} {
+		f.Add(w.marshal())
+	}
+	mid := standbyWire{ID: "n0-j000001", Tenant: tenant, Origin: "n0", Request: reqWire, Checkpoint: ck}.marshal()
+	f.Add(mid[:len(mid)/2])
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var w standbyWire
+		if err := json.NewDecoder(bytes.NewReader(data)).Decode(&w); err != nil {
+			return
+		}
+		body := w.marshal()
+		if !json.Valid(body) {
+			t.Fatalf("envelope of %q is not valid JSON: %q", data, body)
+		}
+		var back standbyWire
+		if err := json.Unmarshal(body, &back); err != nil {
+			t.Fatalf("envelope %q does not decode: %v", body, err)
+		}
+		if w.Request == nil {
+			w.Request = json.RawMessage("null")
+		}
+		if !reflect.DeepEqual(back, w) {
+			t.Fatalf("envelope %q decodes to %+v, want %+v", body, back, w)
+		}
+	})
 }
